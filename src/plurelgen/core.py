@@ -208,6 +208,29 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _points(prior: PriorSpec) -> tuple:
+    """The values a prior names: its constant, its set, or the two ends of its range."""
+    return (prior.payload,) if prior.kind == "constant" else tuple(prior.payload)
+
+
+def _numbers(prior: PriorSpec, name: str) -> tuple:
+    points = _points(prior)
+    if not all(_is_number(v) for v in points):
+        raise ConfigError(f"{name}: expected numbers, got {prior.payload!r}")
+    return points
+
+
+def _choices(prior: PriorSpec, name: str) -> tuple:
+    """The items a constant or set prior draws from; a constant is one item."""
+    if prior.kind not in ("constant", "set-uniform"):
+        raise ConfigError(f"{name}: expected a constant or a set, got a {prior.kind} prior")
+    return _points(prior)
+
+
 def draw(prior: PriorSpec, rng: SeededRng, gamma: float = 2.0):
     """Sample one value from ``prior``.
 
@@ -312,28 +335,38 @@ class GenConfig:
             if not isinstance(prior, PriorSpec):
                 raise ConfigError(f"{f.name} must be a PriorSpec")
             prior.validate(f.name)
-        lo, hi = self.null_fraction.payload
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"null_fraction must lie within [0, 1], got ({lo}, {hi})")
+        # the numeric projector feeds one scalar, and TinyMlp is fixed at depth 2
+        for name, fixed in (("mlp_input_dim", 1), ("mlp_depth", 2)):
+            if any(v != fixed for v in _numbers(getattr(self, name), name)):
+                raise ConfigError(f"{name} must be {fixed}, the only value the generator supports")
+        for name in ("rows_entity", "rows_activity"):
+            if min(_numbers(getattr(self, name), name)) < 1:
+                raise ConfigError(f"{name} must not draw fewer than 1 row")
+        null_fractions = _numbers(self.null_fraction, "null_fraction")
+        if not all(0.0 <= v <= 1.0 for v in null_fractions):
+            raise ConfigError(f"null_fraction must lie within [0, 1], got {null_fractions}")
         tmin = str(self.timestamp_min.payload)
         tmax = str(self.timestamp_max.payload)
         if tmin >= tmax:  # ISO dates compare lexicographically
             raise ConfigError(f"timestamp_min must precede timestamp_max ({tmin} vs {tmax})")
-        for tag in self.schema_graph_priors.payload:
-            if tag not in SCHEMA_FAMILIES:
-                raise ConfigError(f"unknown schema graph family {tag!r}")
-        for tag in self.scm_graph_priors.payload:
-            if tag not in SCM_FAMILIES:
-                raise ConfigError(f"unknown causal graph family {tag!r}")
-        for tag in self.mlp_init_schemes.payload:
-            if tag not in MLP_INIT_SCHEMES:
-                raise ConfigError(f"unknown MLP init scheme {tag!r}")
-        for tag in self.mlp_activations.payload:
-            if tag not in MLP_ACTIVATIONS:
-                raise ConfigError(f"unknown MLP activation {tag!r}")
-        for pair in self.exogenous_priors.payload:
-            if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
-                raise ConfigError(f"exogenous Beta parameters must be positive pairs, got {pair}")
+        for name, known in (
+            ("schema_graph_priors", SCHEMA_FAMILIES),
+            ("scm_graph_priors", SCM_FAMILIES),
+            ("mlp_init_schemes", MLP_INIT_SCHEMES),
+            ("mlp_activations", MLP_ACTIVATIONS),
+        ):
+            for tag in _choices(getattr(self, name), name):
+                if tag not in known:
+                    raise ConfigError(f"{name}: unknown tag {tag!r}")
+        for pair in _choices(self.exogenous_priors, "exogenous_priors"):
+            if not (
+                isinstance(pair, (tuple, list))
+                and len(pair) == 2
+                and all(_is_number(x) and x > 0 for x in pair)
+            ):
+                raise ConfigError(
+                    f"exogenous_priors: Beta parameters must be positive pairs, got {pair!r}"
+                )
         if self.power_law_exponent <= 0:
             raise ConfigError("power_law_exponent must be positive")
 

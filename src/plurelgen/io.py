@@ -23,7 +23,6 @@ from .scm_gen import (
     NUMERIC,
     GeneratedTable,
     RelationalDatabase,
-    format_timestamp,
     parse_date,
 )
 
@@ -63,10 +62,6 @@ class OutputLayout:
     def tables_dir(db_dir) -> Path:
         return Path(db_dir) / "tables"
 
-    @staticmethod
-    def corpus_path(db_dir) -> Path:
-        return Path(db_dir) / "corpus.jsonl"
-
 
 def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -104,14 +99,26 @@ def database_schema_dict(db: RelationalDatabase) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value, dtype: str, masked: bool) -> str:
-    if masked:
-        return ""
+CSV_BLOCK_ROWS = 1024  # rows rendered at a time, so memory does not grow with the table
+
+
+def _feature_text(values: np.ndarray, dtype: str, mask: np.ndarray) -> list[str]:
+    """One feature column as CSV text; NULL cells are empty."""
     if dtype == NUMERIC:
-        return repr(float(value))
-    if dtype == CATEGORICAL:
-        return str(int(value))
-    raise ValueError(f"unknown feature dtype {dtype!r}")
+        text = list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+    elif dtype == CATEGORICAL:
+        text = list(map(str, np.asarray(values, dtype=np.int64).tolist()))
+    else:
+        raise ValueError(f"unknown feature dtype {dtype!r}")
+    for r in np.flatnonzero(mask).tolist():
+        text[r] = ""
+    return text
+
+
+def _timestamp_text(epoch_seconds: np.ndarray) -> list[str]:
+    """ISO-8601 UTC seconds with a trailing Z; ``format_timestamp``'s text for years 1000-9999."""
+    stamps = np.asarray(epoch_seconds, dtype=np.int64).astype("datetime64[s]")
+    return np.char.add(np.datetime_as_string(stamps, unit="s"), "Z").tolist()
 
 
 def write_table_csv(table: GeneratedTable, path) -> None:
@@ -121,19 +128,22 @@ def write_table_csv(table: GeneratedTable, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        fk_cols = [table.fk_columns[c] for c in table.fk_names]
-        feat_cols = [table.features[c] for c in table.feature_names]
-        masks = [table.null_mask[c] for c in table.feature_names]
-        types = [table.feature_types[c] for c in table.feature_names]
-        for r in range(table.num_rows):
-            row = [str(r + 1)]
-            row.extend(str(int(col[r])) for col in fk_cols)
-            row.extend(
-                _format_cell(col[r], t, m[r]) for col, t, m in zip(feat_cols, types, masks)
+        for lo in range(0, table.num_rows, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, table.num_rows)
+            columns = [map(str, range(lo + 1, hi + 1))]
+            columns.extend(
+                map(str, np.asarray(table.fk_columns[c][lo:hi], dtype=np.int64).tolist())
+                for c in table.fk_names
+            )
+            columns.extend(
+                _feature_text(
+                    table.features[c][lo:hi], table.feature_types[c], table.null_mask[c][lo:hi]
+                )
+                for c in table.feature_names
             )
             if table.timestamps is not None:
-                row.append(format_timestamp(int(table.timestamps[r])))
-            writer.writerow(row)
+                columns.append(_timestamp_text(table.timestamps[lo:hi]))
+            writer.writerows(zip(*columns))
 
 
 def _read_table_csv(path, spec: dict) -> GeneratedTable:

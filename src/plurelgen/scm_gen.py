@@ -6,14 +6,26 @@ its in-graph predecessors and the feature values of parent-table rows (looked
 up through the sampled foreign keys) into a shared latent space, aggregates,
 and reconstructs a value of its own type. Feature-node values become table
 cells.
+
+Projections run once per distinct input and are then gathered: a parent
+feature column is projected at parent-row granularity and the result is
+gathered through the foreign key, and a categorical input projects its
+embedding table once and indexes it by category. An MLP acts on each row
+alone, so this gives the values of projecting every gathered row. They agree
+bit for bit on OpenBLAS at the default hidden width of 32; a one-row batch
+(a one-row table, or a one-category input), which numpy hands to a
+matrix-vector routine, and hidden widths of 300 or more can round the last
+bit differently.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 
 import networkx as nx
 import numpy as np
@@ -178,9 +190,12 @@ def categorical_source_sample(
 
 
 def aggregate_latent(
-    u: np.ndarray, w_u: float, projected: list[np.ndarray], weights: list[float]
+    u: np.ndarray, w_u: float, projected: Iterable[np.ndarray], weights: list[float]
 ) -> np.ndarray:
-    """w_u * u + sum_k w_k * e_k; accepts (d,) vectors or (n, d) batches."""
+    """w_u * u + sum_k w_k * e_k; accepts (d,) vectors or (n, d) batches.
+
+    ``projected`` may be a generator; each e_k is read once, in order.
+    """
     out = w_u * np.asarray(u, dtype=np.float64)
     for w_k, e_k in zip(weights, projected):
         out = out + w_k * e_k
@@ -203,8 +218,15 @@ class CausalGraph:
     cardinalities: tuple[int | None, ...]
     feature_nodes: tuple[int, ...]
 
+    @cached_property
+    def _predecessor_lists(self) -> tuple[tuple[int, ...], ...]:
+        preds: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        for u, w in self.edges:
+            preds[w].append(u)
+        return tuple(tuple(sorted(p)) for p in preds)
+
     def predecessors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u for u, w in self.edges if w == v))
+        return self._predecessor_lists[v]
 
     @property
     def source_nodes(self) -> tuple[int, ...]:
@@ -486,24 +508,45 @@ def build_scm(
 
 
 def _project_batch(proj: InputProjector, values: np.ndarray) -> np.ndarray:
-    """Project raw input values (n,) into the latent space (n, hidden)."""
+    """Project raw input values (n,) into the latent space (n, hidden).
+
+    A categorical input projects its C x hidden embedding table once and
+    indexes the result by category.
+    """
     if proj.embedding is None:
         return mlp_forward(proj.mlp, np.asarray(values, dtype=np.float64)[:, None])
-    latent = proj.embedding.rows[np.asarray(values, dtype=np.int64) - 1]
-    return mlp_forward(proj.mlp, latent)
+    return mlp_forward(proj.mlp, proj.embedding.rows)[np.asarray(values, dtype=np.int64) - 1]
+
+
+def _projected_inputs(
+    m: NodeMechanism,
+    foreign_values: list[tuple[np.ndarray, np.ndarray]],
+    values: dict[int, np.ndarray],
+):
+    """The mechanism's projected inputs (num_rows, hidden), foreign then local.
+
+    Yielded one at a time, so aggregation holds one projected input at once.
+    """
+    for proj, (parent_values, fk_index) in zip(m.foreign_proj, foreign_values):
+        yield _project_batch(proj, parent_values)[fk_index]
+    for proj, j in zip(m.local_proj, m.local_inputs):
+        yield _project_batch(proj, values[j])
 
 
 def realize_table_values(
     scm: ScmSpec,
     num_rows: int,
-    foreign_values: list[np.ndarray],
+    foreign_values: list[tuple[np.ndarray, np.ndarray]],
     rng: SeededRng,
 ) -> dict[int, np.ndarray]:
     """Realize all rows at once: one value vector of length num_rows per node.
 
-    foreign_values must align with scm.foreign_refs (one value vector per
-    foreign feature column, already gathered through the foreign keys); an
-    empty list is the no-parent specialization.
+    foreign_values must align with scm.foreign_refs. Each entry is a pair
+    ``(parent_values, fk_index)``: the parent's feature column at parent-row
+    granularity, and the 0-based parent row of each of the num_rows rows
+    (the foreign key minus one). The column is projected once per parent row
+    and the projection is gathered by ``fk_index``. An empty list is the
+    no-parent specialization.
     """
     if len(foreign_values) != len(scm.foreign_refs):
         raise ValueError(
@@ -524,16 +567,10 @@ def realize_table_values(
             continue
         m = scm.mechanisms[v]
         u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        projected = [
-            _project_batch(proj, vals) for proj, vals in zip(m.foreign_proj, foreign_values)
-        ]
-        projected += [
-            _project_batch(proj, values[j]) for proj, j in zip(m.local_proj, m.local_inputs)
-        ]
         weights = [proj.weight for proj in m.foreign_proj] + [
             proj.weight for proj in m.local_proj
         ]
-        e = aggregate_latent(u, m.exo_weight, projected, weights)
+        e = aggregate_latent(u, m.exo_weight, _projected_inputs(m, foreign_values, values), weights)
         if m.recon_embedding is None:
             values[v] = mlp_forward(m.recon_mlp, e)[:, 0]
         else:
@@ -702,9 +739,9 @@ def generate_table(
     foreign_refs = _foreign_refs_for(table_index, graph, generated)
     scm = build_scm(causal, meta.kind, meta.num_rows, foreign_refs, config, rng_scm)
 
-    fk_by_parent = {fk_targets[n]: fk_columns[n] for n in fk_names}
+    fk_index = {fk_targets[n]: fk_columns[n] - 1 for n in fk_names}
     foreign_values = [
-        generated[ref.parent].features[ref.column][fk_by_parent[ref.parent] - 1]
+        (generated[ref.parent].features[ref.column], fk_index[ref.parent])
         for ref in scm.foreign_refs
     ]
     node_values = realize_table_values(scm, meta.num_rows, foreign_values, rng_scm)

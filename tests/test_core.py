@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from plurelgen.core import (
     save_config,
     split_seed,
 )
+from plurelgen.scm_gen import generate_database
 
 
 class TestSplitSeed:
@@ -240,3 +242,64 @@ class TestGenConfig:
         save_config(config, path)
         data = json.loads(path.read_text())
         assert data["num_tables"] == {"kind": "range-uniform", "payload": [3, 20]}
+
+
+def _tiny(config, **priors):
+    """A config small enough to generate in well under a second."""
+    small = {
+        "num_tables": PriorSpec.constant(3),
+        "num_columns": PriorSpec.uniform_range(3, 5),
+        "rows_entity": PriorSpec.uniform_range(5, 10),
+        "rows_activity": PriorSpec.uniform_range(10, 20),
+    }
+    return replace(config, **{**small, **priors})
+
+
+class TestValidateRejectsWhatCannotGenerate:
+    def test_mlp_input_dim_other_than_one(self, config):
+        with pytest.raises(ConfigError, match="mlp_input_dim"):
+            _tiny(config, mlp_input_dim=PriorSpec.constant(3)).validate()
+        with pytest.raises(ConfigError, match="mlp_input_dim"):
+            _tiny(config, mlp_input_dim=PriorSpec.uniform_range(1, 2)).validate()
+
+    def test_mlp_depth_other_than_two(self, config):
+        with pytest.raises(ConfigError, match="mlp_depth"):
+            _tiny(config, mlp_depth=PriorSpec.constant(5)).validate()
+        with pytest.raises(ConfigError, match="mlp_depth"):
+            _tiny(config, mlp_depth=PriorSpec.set_of(2, 3)).validate()
+
+    @pytest.mark.parametrize("name", ["rows_entity", "rows_activity"])
+    def test_row_range_below_one(self, config, name):
+        with pytest.raises(ConfigError, match=name):
+            _tiny(config, **{name: PriorSpec.uniform_range(0, 10)}).validate()
+        cfg = _tiny(config, **{name: PriorSpec.uniform_range(1, 2)})
+        cfg.validate()
+        generate_database(cfg, 3)
+
+    def test_constant_null_fraction(self, config):
+        with pytest.raises(ConfigError, match="null_fraction"):
+            _tiny(config, null_fraction=PriorSpec.constant(1.5)).validate()
+        with pytest.raises(ConfigError, match="null_fraction"):
+            _tiny(config, null_fraction=PriorSpec.constant("half")).validate()
+        cfg = _tiny(config, null_fraction=PriorSpec.constant(0.2))
+        cfg.validate()
+        assert generate_database(cfg, 1).null_fraction == 0.2
+
+    @pytest.mark.parametrize(
+        "name, tag",
+        [("schema_graph_priors", "barabasi-albert"), ("scm_graph_priors", "erdos-renyi")],
+    )
+    def test_constant_family_is_one_tag(self, config, name, tag):
+        with pytest.raises(ConfigError, match=name):
+            _tiny(config, **{name: PriorSpec.constant("no-such-family")}).validate()
+        with pytest.raises(ConfigError, match=name):
+            _tiny(config, **{name: PriorSpec.uniform_range("a", "b")}).validate()
+        cfg = _tiny(config, **{name: PriorSpec.constant(tag)})
+        cfg.validate()
+        generate_database(cfg, 2)
+
+    def test_keys_still_load(self, config):
+        data = config_to_dict(config)
+        data["mlp_depth"] = {"kind": "constant", "payload": 2}
+        data["mlp_input_dim"] = {"kind": "set-uniform", "payload": [1]}
+        assert config_from_dict(data).mlp_depth == PriorSpec.constant(2)

@@ -1,0 +1,164 @@
+"""Byte identity of generated output, pinned as a tree digest.
+
+A refactor that must not change the output keeps ``GOLDEN_TREE_DIGEST``; a
+change that alters the bytes on purpose re-pins it and says so. The other
+tests here compare the fast paths of SCM realization and the CSV writer with
+plain references written in this file.
+"""
+
+import copy
+import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import plurelgen
+from conftest import make_table
+from plurelgen.core import PriorSpec, SeededRng, default_config, save_config, split_seed
+from plurelgen.io import write_table_csv
+from plurelgen.neural import mlp_forward
+from plurelgen.schema_gen import topological_order
+from plurelgen.scm_gen import (
+    _foreign_refs_for,
+    _signal_vec,
+    aggregate_latent,
+    build_scm,
+    format_timestamp,
+    generate_database,
+    realize_table_values,
+    sample_causal_graph,
+    softmax,
+)
+
+# `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
+# 20-50 entity rows and 50-200 activity rows, one BLAS thread
+GOLDEN_TREE_DIGEST = "58fccf1ca292fd5c31699a86323753387127cf63673fbd80e3d5879ddc958cc2"
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file's relative path and the sha256 of its bytes, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+def small_config():
+    return replace(
+        default_config(),
+        rows_entity=PriorSpec.uniform_range(20, 50),
+        rows_activity=PriorSpec.uniform_range(50, 200),
+    )
+
+
+def test_generate_tree_digest_is_pinned(tmp_path):
+    config = small_config()
+    config_path = tmp_path / "config.json"
+    save_config(config, config_path)
+    out = tmp_path / "out"
+    src = Path(plurelgen.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PLURELGEN_THREADS="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [
+        sys.executable, "-m", "plurelgen.cli", "generate", "--config", str(config_path),
+        "--seed", "42", "--num-dbs", "2", "--out", str(out),
+    ]
+    subprocess.run(cmd, env=env, check=True, capture_output=True)
+    assert tree_digest(out) == GOLDEN_TREE_DIGEST
+
+
+def _project_rowwise(proj, values):
+    """Every row through the projector MLP, categorical rows via their embedding."""
+    if proj.embedding is None:
+        return mlp_forward(proj.mlp, np.asarray(values, dtype=np.float64)[:, None])
+    return mlp_forward(proj.mlp, proj.embedding.rows[np.asarray(values, dtype=np.int64) - 1])
+
+
+def _realize_gather_then_project(scm, num_rows, gathered, rng):
+    """Reference realization: foreign values gathered through the FK, then projected."""
+    rs = np.arange(1, num_rows + 1, dtype=np.float64)
+    values = {}
+    for v in scm.topo:
+        if v in scm.sources:
+            sm = scm.sources[v]
+            if sm.temporal is not None:
+                values[v] = _signal_vec(rs, sm.temporal, rng)
+            else:
+                g = np.column_stack([_signal_vec(rs, p, rng) for p in sm.category_temporals])
+                values[v] = rng.categorical_rows(softmax(g)) + 1
+            continue
+        m = scm.mechanisms[v]
+        u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
+        projected = [_project_rowwise(p, x) for p, x in zip(m.foreign_proj, gathered)]
+        projected += [_project_rowwise(p, values[j]) for p, j in zip(m.local_proj, m.local_inputs)]
+        weights = [p.weight for p in m.foreign_proj] + [p.weight for p in m.local_proj]
+        latent = mlp_forward(m.recon_mlp, aggregate_latent(u, m.exo_weight, projected, weights))
+        if m.recon_embedding is None:
+            values[v] = latent[:, 0]
+        else:
+            values[v] = np.argmax(latent @ m.recon_embedding.rows.T, axis=1).astype(np.int64) + 1
+    return values
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_realize_matches_gather_then_project(seed):
+    config = small_config()
+    db = generate_database(config, seed)
+    graph = db.schema
+    children = [t for t in topological_order(graph) if graph.meta[t].fk_parents]
+    assert children
+    kinds = set()
+    for t in children:
+        meta, table = graph.meta[t], db.tables[graph.names[t]]
+        rng = SeededRng(split_seed(seed, 2 + t)).spawn(0)
+        causal = sample_causal_graph(meta.num_feature_columns, config, rng)
+        refs = _foreign_refs_for(t, graph, db.tables)
+        scm = build_scm(causal, meta.kind, meta.num_rows, refs, config, rng)
+        fk = {table.fk_targets[c]: table.fk_columns[c] - 1 for c in table.fk_names}
+        columns = [(db.tables[r.parent].features[r.column], fk[r.parent]) for r in refs]
+        gathered = [col[index] for col, index in columns]
+        new = realize_table_values(scm, meta.num_rows, columns, copy.deepcopy(rng))
+        expected = _realize_gather_then_project(scm, meta.num_rows, gathered, rng)
+        assert new.keys() == expected.keys()
+        for v in expected:
+            assert np.array_equal(new[v], expected[v])
+        for col, node in zip(table.feature_names, causal.feature_nodes):
+            assert np.array_equal(table.features[col], new[node])
+        kinds |= {r.dtype for r in refs}
+    assert kinds == {"numeric", "categorical"}
+
+
+def test_write_table_csv_matches_rowwise_rendering(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 5000  # more than one block of rows
+    numeric = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+    numeric[:4] = [0.0, -0.0, 1e300, 5e-324]
+    table = make_table(
+        "t",
+        n,
+        {"feature_1": numeric, "feature_2": rng.integers(1, 11, size=n)},
+        {"feature_1": "numeric", "feature_2": "categorical"},
+        fk={"foreign_row_1": rng.integers(1, 900, size=n)},
+        fk_targets={"foreign_row_1": "p"},
+        timestamps=np.sort(rng.integers(-10**9, 2 * 10**9, size=n)),
+        kind="activity",
+    )
+    table.null_mask["feature_1"] = rng.uniform(size=n) < 0.1
+    table.null_mask["feature_2"] = rng.uniform(size=n) < 0.3
+    path = tmp_path / "t.csv"
+    write_table_csv(table, path)
+
+    lines = ["row_idx,foreign_row_1,feature_1,feature_2,timestamp"]
+    for r in range(n):
+        num = "" if table.null_mask["feature_1"][r] else repr(float(numeric[r]))
+        cat = "" if table.null_mask["feature_2"][r] else str(int(table.features["feature_2"][r]))
+        fk = str(int(table.fk_columns["foreign_row_1"][r]))
+        lines.append(",".join([str(r + 1), fk, num, cat, format_timestamp(table.timestamps[r])]))
+    assert path.read_text() == "\n".join(lines) + "\n"
