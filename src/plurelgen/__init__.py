@@ -9,7 +9,6 @@ from .core import (
     default_config,
     draw,
     load_config,
-    sample_beta,
     save_config,
     split_seed,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "default_config",
     "draw",
     "load_config",
-    "sample_beta",
     "save_config",
     "split_seed",
     "RelationalDatabase",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -21,7 +22,8 @@ __all__ = [
     "SeededRng",
     "PriorSpec",
     "draw",
-    "sample_beta",
+    "parse_date",
+    "format_timestamp",
     "GenConfig",
     "default_config",
     "config_to_dict",
@@ -124,11 +126,10 @@ class SeededRng:
         return int(np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1))
 
     def categorical_rows(self, probs: np.ndarray) -> np.ndarray:
-        """One categorical draw per row of a (n, k) probability matrix."""
-        cdf = np.cumsum(probs, axis=1)
-        u = self._gen.uniform(0.0, 1.0, size=probs.shape[0])
-        idx = (cdf >= u[:, None] * cdf[:, -1:]).argmax(axis=1)
-        return idx
+        """One categorical draw (an index) per row of a (..., k) probability array."""
+        cdf = np.cumsum(probs, axis=-1)
+        u = self._gen.uniform(0.0, 1.0, size=probs.shape[:-1])
+        return (cdf >= u[..., None] * cdf[..., -1:]).argmax(axis=-1)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -231,6 +232,15 @@ def _choices(prior: PriorSpec, name: str) -> tuple:
     return _points(prior)
 
 
+def _dates(prior: PriorSpec, name: str) -> tuple:
+    """The epoch seconds of the dates a constant or set prior draws from."""
+    texts = _choices(prior, name)
+    try:
+        return tuple(parse_date(str(t)) for t in texts)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def draw(prior: PriorSpec, rng: SeededRng, gamma: float = 2.0):
     """Sample one value from ``prior``.
 
@@ -251,9 +261,27 @@ def draw(prior: PriorSpec, rng: SeededRng, gamma: float = 2.0):
     return float(rng.uniform(float(lo), float(hi)))
 
 
-def sample_beta(alpha: float, beta: float, rng: SeededRng, size=None):
-    """Beta(alpha, beta) draw(s) on [0, 1]."""
-    return rng.beta(alpha, beta, size=size)
+# ---------------------------------------------------------------------------
+# Timestamp text
+# ---------------------------------------------------------------------------
+
+
+def parse_date(text: str) -> int:
+    """Calendar date (or full ISO timestamp) -> UTC epoch seconds."""
+    if "T" in text:
+        dt = datetime.strptime(text.replace("Z", ""), "%Y-%m-%dT%H:%M:%S")
+    else:
+        dt = datetime.strptime(text, "%Y-%m-%d")
+    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+
+
+def format_timestamp(epoch_seconds):
+    """ISO-8601 UTC seconds with a trailing Z, years zero-padded to four digits.
+
+    A str for one timestamp; an array of str for an array of them.
+    """
+    stamps = np.asarray(epoch_seconds, dtype=np.int64).astype("datetime64[s]")
+    return np.datetime_as_string(stamps, unit="s") + "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +367,19 @@ class GenConfig:
         for name, fixed in (("mlp_input_dim", 1), ("mlp_depth", 2)):
             if any(v != fixed for v in _numbers(getattr(self, name), name)):
                 raise ConfigError(f"{name} must be {fixed}, the only value the generator supports")
-        for name in ("rows_entity", "rows_activity"):
+        for name in ("rows_entity", "rows_activity", "num_categories", "mlp_hidden_dim"):
             if min(_numbers(getattr(self, name), name)) < 1:
-                raise ConfigError(f"{name} must not draw fewer than 1 row")
+                raise ConfigError(f"{name} must not draw a value below 1")
+        for name in ("feature_node_fraction", "cycle_frequency"):
+            if min(_numbers(getattr(self, name), name)) <= 0:
+                raise ConfigError(f"{name} must be positive")
         null_fractions = _numbers(self.null_fraction, "null_fraction")
         if not all(0.0 <= v <= 1.0 for v in null_fractions):
             raise ConfigError(f"null_fraction must lie within [0, 1], got {null_fractions}")
-        tmin = str(self.timestamp_min.payload)
-        tmax = str(self.timestamp_max.payload)
-        if tmin >= tmax:  # ISO dates compare lexicographically
-            raise ConfigError(f"timestamp_min must precede timestamp_max ({tmin} vs {tmax})")
+        if max(_dates(self.timestamp_min, "timestamp_min")) >= min(
+            _dates(self.timestamp_max, "timestamp_max")
+        ):
+            raise ConfigError("every timestamp_min must precede every timestamp_max")
         for name, known in (
             ("schema_graph_priors", SCHEMA_FAMILIES),
             ("scm_graph_priors", SCM_FAMILIES),

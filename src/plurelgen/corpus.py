@@ -3,7 +3,10 @@
 A context starts at a seed feature cell, includes whole rows (all feature
 cells plus the timestamp), always follows child-to-parent key links, and
 subsamples parent-to-child links to a bounded fan-out, stopping at a token
-budget. Rows timestamped after the seed row are never included.
+budget. The fan-out cap is checked only when a child row is sampled; rows
+reached through child-to-parent links are always added, so a parent row can
+end up with more referencing rows than the cap. Rows timestamped after the
+seed row are never included.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SeededRng, split_seed
+from .core import ConfigError, SeededRng, format_timestamp, split_seed
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
     GeneratedTable,
     RelationalDatabase,
-    format_timestamp,
 )
 
 __all__ = [
@@ -162,9 +164,12 @@ def bfs_context(
 ) -> ContextExample:
     """Build one masked-cell context around ``seed_cell`` = (table, column, row).
 
-    Child-to-parent links are always followed; parent-to-child links are
-    subsampled so no parent row ends up with more than ``width`` referencing
-    rows in the context. Rows timestamped after the seed row are excluded.
+    Child-to-parent links are always followed. Parent-to-child links are
+    subsampled: a sampled child is skipped once any parent row it references
+    has ``width`` referencing rows in the context. Every added row counts
+    toward its parents, but only sampled children are checked, so a row
+    added through a child-to-parent link can take a parent past ``width``.
+    Rows timestamped after the seed row are excluded.
     """
     if rng is None:
         rng = SeededRng(0)

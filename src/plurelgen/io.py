@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, format_timestamp, parse_date
 from .corpus import example_to_json
 from .schema_gen import SchemaGraph, TableMeta
 from .scm_gen import (
@@ -23,7 +23,6 @@ from .scm_gen import (
     NUMERIC,
     GeneratedTable,
     RelationalDatabase,
-    parse_date,
 )
 
 __all__ = [
@@ -115,12 +114,6 @@ def _feature_text(values: np.ndarray, dtype: str, mask: np.ndarray) -> list[str]
     return text
 
 
-def _timestamp_text(epoch_seconds: np.ndarray) -> list[str]:
-    """ISO-8601 UTC seconds with a trailing Z; ``format_timestamp``'s text for years 1000-9999."""
-    stamps = np.asarray(epoch_seconds, dtype=np.int64).astype("datetime64[s]")
-    return np.char.add(np.datetime_as_string(stamps, unit="s"), "Z").tolist()
-
-
 def write_table_csv(table: GeneratedTable, path) -> None:
     header = ["row_idx", *table.fk_names, *table.feature_names]
     if table.timestamps is not None:
@@ -142,7 +135,7 @@ def write_table_csv(table: GeneratedTable, path) -> None:
                 for c in table.feature_names
             )
             if table.timestamps is not None:
-                columns.append(_timestamp_text(table.timestamps[lo:hi]))
+                columns.append(format_timestamp(table.timestamps[lo:hi]).tolist())
             writer.writerows(zip(*columns))
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "init_mlp",
     "mlp_forward",
     "init_embedding",
-    "embed_category",
     "decode_category",
     "ACTIVATIONS",
 ]
@@ -155,16 +154,9 @@ def init_embedding(num_categories: int, dim: int, rng: SeededRng) -> EmbeddingMa
     return EmbeddingMatrix(rows=rng.standard_normal((num_categories, dim)))
 
 
-def embed_category(embedding: EmbeddingMatrix, category: int) -> np.ndarray:
-    """Row lookup for a 1-based category index."""
-    if not 1 <= category <= embedding.num_categories:
-        raise ValueError(
-            f"category {category} outside [1, {embedding.num_categories}]"
-        )
-    return embedding.rows[category - 1]
+def decode_category(embedding: EmbeddingMatrix, latent: np.ndarray):
+    """1-based category of highest inner product per latent row (n, d), or for one (d,) vector.
 
-
-def decode_category(embedding: EmbeddingMatrix, latent: np.ndarray) -> int:
-    """Highest inner product wins; ties resolve to the lowest category index."""
-    scores = embedding.rows @ np.asarray(latent, dtype=np.float64)
-    return int(np.argmax(scores)) + 1
+    Ties resolve to the lowest category index.
+    """
+    return np.argmax(latent @ embedding.rows.T, axis=-1) + 1

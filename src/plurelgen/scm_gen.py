@@ -24,17 +24,17 @@ import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from functools import cached_property
 
 import networkx as nx
 import numpy as np
 
-from .core import GenConfig, SeededRng, StructuralError, draw, split_seed
+from .core import GenConfig, SeededRng, StructuralError, draw, parse_date, split_seed
 from .fk_gen import populate_foreign_keys
 from .neural import (
     EmbeddingMatrix,
     TinyMlp,
+    decode_category,
     init_embedding,
     init_mlp,
     mlp_forward,
@@ -59,7 +59,6 @@ __all__ = [
     "TemporalParams",
     "trend",
     "cycle",
-    "fluc",
     "fluc_from_noise",
     "temporal_signal",
     "softmax",
@@ -70,15 +69,12 @@ __all__ = [
     "ForeignFeatureRef",
     "ScmSpec",
     "build_scm",
-    "realize_row",
     "realize_table_values",
     "GeneratedTable",
     "RelationalDatabase",
     "generate_table",
     "inject_nulls",
     "generate_database",
-    "parse_date",
-    "format_timestamp",
 ]
 
 NUMERIC = "numeric"
@@ -129,47 +125,30 @@ class TemporalParams:
     fluc: FlucParams
 
 
-def trend(r: float, p: TrendParams) -> float:
-    """min(scale * (r / total_rows)^exponent + offset, bound)"""
-    return min(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound)
+def trend(r, p: TrendParams):
+    """min(scale * (r / total_rows)^exponent + offset, bound) at row index r (or an array)."""
+    return np.minimum(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound)
 
 
-def cycle(r: float, p: CycleParams) -> float:
-    """min(max(scale * sin(pi * r / period), lower), upper)"""
+def cycle(r, p: CycleParams):
+    """min(max(scale * sin(pi * r / period), lower), upper) at row index r (or an array)."""
     if p.period <= 0:
         raise ValueError(f"cycle period must be positive, got {p.period}")
-    return min(max(p.scale * math.sin(math.pi * r / p.period), p.lower), p.upper)
+    return np.clip(p.scale * np.sin(np.pi * r / p.period), p.lower, p.upper)
 
 
-def fluc_from_noise(p: FlucParams, noise: float) -> float:
-    """min(max(scale * noise, lower), upper) for a given standard-normal draw."""
-    return min(max(p.scale * noise, p.lower), p.upper)
-
-
-def fluc(p: FlucParams, rng: SeededRng) -> float:
-    return fluc_from_noise(p, float(rng.standard_normal()))
-
-
-def temporal_signal(r: float, p: TemporalParams, rng: SeededRng) -> float:
-    """Arithmetic mean of the trend, cycle, and fluctuation components at row r."""
-    return (trend(r, p.trend) + cycle(r, p.cycle) + fluc(p.fluc, rng)) / 3.0
-
-
-def _trend_vec(rs: np.ndarray, p: TrendParams) -> np.ndarray:
-    return np.minimum(p.scale * (rs / p.total_rows) ** p.exponent + p.offset, p.bound)
-
-
-def _cycle_vec(rs: np.ndarray, p: CycleParams) -> np.ndarray:
-    return np.clip(p.scale * np.sin(np.pi * rs / p.period), p.lower, p.upper)
-
-
-def _fluc_vec(p: FlucParams, noise: np.ndarray) -> np.ndarray:
+def fluc_from_noise(p: FlucParams, noise):
+    """min(max(scale * noise, lower), upper) for given standard-normal draw(s)."""
     return np.clip(p.scale * noise, p.lower, p.upper)
 
 
-def _signal_vec(rs: np.ndarray, p: TemporalParams, rng: SeededRng) -> np.ndarray:
-    noise = rng.standard_normal(rs.shape[0])
-    return (_trend_vec(rs, p.trend) + _cycle_vec(rs, p.cycle) + _fluc_vec(p.fluc, noise)) / 3.0
+def temporal_signal(r, p: TemporalParams, rng: SeededRng):
+    """Arithmetic mean of the trend, cycle, and fluctuation components at row index r.
+
+    ``r`` may be an array of row indices; one standard-normal draw is made per index.
+    """
+    noise = rng.standard_normal(np.shape(r))
+    return (trend(r, p.trend) + cycle(r, p.cycle) + fluc_from_noise(p.fluc, noise)) / 3.0
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -179,14 +158,13 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def categorical_source_sample(
-    r: float, category_params: tuple[TemporalParams, ...], rng: SeededRng
-) -> int:
-    """Draw a category from the softmax of the per-category temporal signals at row r."""
-    if len(category_params) < 2:
-        raise ValueError("categorical sources need at least 2 categories")
-    g = np.array([temporal_signal(r, p, rng) for p in category_params])
-    return rng.weighted_index(softmax(g)) + 1
+def categorical_source_sample(r, category_params: tuple[TemporalParams, ...], rng: SeededRng):
+    """Draw a 1-based category from the softmax of the per-category temporal signals.
+
+    ``r`` may be an array of row indices; one category is drawn per index.
+    """
+    g = np.stack([temporal_signal(r, p, rng) for p in category_params], axis=-1)
+    return rng.categorical_rows(softmax(g)) + 1
 
 
 def aggregate_latent(
@@ -558,12 +536,9 @@ def realize_table_values(
         if v in scm.sources:
             sm = scm.sources[v]
             if sm.temporal is not None:
-                values[v] = _signal_vec(rs, sm.temporal, rng)
+                values[v] = temporal_signal(rs, sm.temporal, rng)
             else:
-                g = np.column_stack(
-                    [_signal_vec(rs, p, rng) for p in sm.category_temporals]
-                )
-                values[v] = rng.categorical_rows(softmax(g)) + 1
+                values[v] = categorical_source_sample(rs, sm.category_temporals, rng)
             continue
         m = scm.mechanisms[v]
         u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
@@ -574,51 +549,7 @@ def realize_table_values(
         if m.recon_embedding is None:
             values[v] = mlp_forward(m.recon_mlp, e)[:, 0]
         else:
-            latent = mlp_forward(m.recon_mlp, e)
-            scores = latent @ m.recon_embedding.rows.T
-            values[v] = np.argmax(scores, axis=1).astype(np.int64) + 1
-    return values
-
-
-def realize_row(
-    scm: ScmSpec,
-    foreign_row_values: list,
-    r: int,
-    rng: SeededRng,
-) -> dict[int, float | int]:
-    """Single-row realization. One call is one forward pass through the causal graph.
-
-    foreign_row_values aligns with scm.foreign_refs and holds the parent-row
-    cell value for each foreign feature column (empty for parentless tables).
-    """
-    if len(foreign_row_values) != len(scm.foreign_refs):
-        raise ValueError("foreign value count does not match the mechanism's foreign inputs")
-    values: dict[int, float | int] = {}
-    for v in scm.topo:
-        if v in scm.sources:
-            sm = scm.sources[v]
-            if sm.temporal is not None:
-                values[v] = temporal_signal(r, sm.temporal, rng)
-            else:
-                values[v] = categorical_source_sample(r, sm.category_temporals, rng)
-            continue
-        m = scm.mechanisms[v]
-        u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=scm.hidden_dim)
-        projected = [
-            _project_batch(proj, np.array([val]))[0]
-            for proj, val in zip(m.foreign_proj, foreign_row_values)
-        ]
-        projected += [
-            _project_batch(proj, np.array([values[j]]))[0]
-            for proj, j in zip(m.local_proj, m.local_inputs)
-        ]
-        weights = [p.weight for p in m.foreign_proj] + [p.weight for p in m.local_proj]
-        e = aggregate_latent(u, m.exo_weight, projected, weights)
-        if m.recon_embedding is None:
-            values[v] = float(mlp_forward(m.recon_mlp, e)[0])
-        else:
-            latent = mlp_forward(m.recon_mlp, e)
-            values[v] = int(np.argmax(m.recon_embedding.rows @ latent)) + 1
+            values[v] = decode_category(m.recon_embedding, mlp_forward(m.recon_mlp, e))
     return values
 
 
@@ -659,21 +590,6 @@ class RelationalDatabase:
 
     def table_order(self) -> list[str]:
         return [self.schema.names[t] for t in topological_order(self.schema)]
-
-
-def parse_date(text: str) -> int:
-    """Calendar date (or full ISO timestamp) -> UTC epoch seconds."""
-    if "T" in text:
-        dt = datetime.strptime(text.replace("Z", ""), "%Y-%m-%dT%H:%M:%S")
-    else:
-        dt = datetime.strptime(text, "%Y-%m-%d")
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
-
-
-def format_timestamp(epoch_seconds: int) -> str:
-    return datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
 
 
 def _sample_timestamps(num_rows: int, t_min: int, t_max: int, rng: SeededRng) -> np.ndarray:

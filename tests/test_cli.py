@@ -61,6 +61,24 @@ class TestGenerate:
         bad.write_text(json.dumps({"num_tables": {"kind": "range-uniform", "payload": [9, 2]}}))
         assert cmd_generate(str(bad), 1, 1, str(tmp_path / "o2")) == 2
 
+    @pytest.mark.parametrize(
+        "name, prior",
+        [
+            ("timestamp_min", {"kind": "set-uniform", "payload": ["1990-01-01", "2030-01-01"]}),
+            ("timestamp_min", {"kind": "constant", "payload": "1990-13-45"}),
+            ("cycle_frequency", {"kind": "constant", "payload": 0.0}),
+            ("num_categories", {"kind": "constant", "payload": 0}),
+            ("feature_node_fraction", {"kind": "constant", "payload": 0.0}),
+            ("mlp_hidden_dim", {"kind": "constant", "payload": 0}),
+        ],
+    )
+    def test_rejected_prior_is_one_line_naming_the_field(self, tmp_path, capsys, name, prior):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({name: prior}))
+        assert cmd_generate(str(bad), 1, 1, str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
     def test_meta_contents(self, generated_root):
         meta = json.loads((OutputLayout(generated_root).db_dir(1) / "meta.json").read_text())
         assert meta["master_seed"] == 42

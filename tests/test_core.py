@@ -15,7 +15,6 @@ from plurelgen.core import (
     config_to_dict,
     draw,
     load_config,
-    sample_beta,
     save_config,
     split_seed,
 )
@@ -134,16 +133,15 @@ class TestSampleBeta:
         "a,b,mean", [(1.0, 1.0, 0.5), (4.0, 1.0, 0.8), (2.0, 3.0, 0.4)]
     )
     def test_empirical_mean(self, a, b, mean):
-        rng = SeededRng(5)
-        xs = sample_beta(a, b, rng, size=100_000)
+        xs = SeededRng(5).beta(a, b, size=100_000)
         assert np.all((xs >= 0) & (xs <= 1))
         assert abs(xs.mean() - mean) < 0.01
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
-            sample_beta(0.0, 1.0, SeededRng(0))
+            SeededRng(0).beta(0.0, 1.0)
         with pytest.raises(ConfigError):
-            sample_beta(1.0, -2.0, SeededRng(0))
+            SeededRng(0).beta(1.0, -2.0)
 
 
 class TestSeededRng:
@@ -297,6 +295,37 @@ class TestValidateRejectsWhatCannotGenerate:
         cfg = _tiny(config, **{name: PriorSpec.constant(tag)})
         cfg.validate()
         generate_database(cfg, 2)
+
+    def test_set_timestamp_min_after_a_maximum(self, config):
+        late = PriorSpec.set_of("1990-01-01", "2030-01-01")
+        with pytest.raises(ConfigError, match="timestamp_min"):
+            _tiny(config, timestamp_min=late).validate()
+        cfg = _tiny(config, timestamp_min=PriorSpec.set_of("1990-01-01", "2000-01-01"))
+        cfg.validate()
+        generate_database(cfg, 2)
+
+    def test_malformed_timestamp(self, config):
+        with pytest.raises(ConfigError, match="timestamp_min"):
+            _tiny(config, timestamp_min=PriorSpec.constant("1990-13-45")).validate()
+        with pytest.raises(ConfigError, match="timestamp_max"):
+            _tiny(config, timestamp_max=PriorSpec.set_of("2025-01-01", 2030)).validate()
+
+    @pytest.mark.parametrize(
+        "name, bad, good",
+        [
+            ("cycle_frequency", PriorSpec.constant(0.0), PriorSpec.constant(0.5)),
+            ("num_categories", PriorSpec.constant(0), PriorSpec.constant(1)),
+            ("feature_node_fraction", PriorSpec.uniform_range(0.0, 0.9), PriorSpec.constant(0.5)),
+            ("mlp_hidden_dim", PriorSpec.constant(0), PriorSpec.constant(1)),
+        ],
+    )
+    def test_numeric_domain(self, config, name, bad, good):
+        with pytest.raises(ConfigError, match=name):
+            _tiny(config, **{name: bad}).validate()
+        cfg = _tiny(config, **{name: good})
+        cfg.validate()
+        for seed in range(3):
+            generate_database(cfg, seed)
 
     def test_keys_still_load(self, config):
         data = config_to_dict(config)

@@ -1,9 +1,11 @@
-"""Byte identity of generated output, pinned as a tree digest.
+"""Byte identity of generated output, pinned as digests.
 
-A refactor that must not change the output keeps ``GOLDEN_TREE_DIGEST``; a
-change that alters the bytes on purpose re-pins it and says so. The other
-tests here compare the fast paths of SCM realization and the CSV writer with
-plain references written in this file.
+A refactor that must not change the output keeps ``GOLDEN_TREE_DIGEST`` (a
+``generate`` tree) and ``GOLDEN_CORPUS_DIGEST`` (a ``corpus`` file built from
+it); a change that alters the bytes on purpose re-pins them and says so. The
+other tests here compare the fast paths of SCM realization and the CSV writer
+with plain references written in this file, and the timestamp text of the CSV
+writer with that of the corpus.
 """
 
 import copy
@@ -12,32 +14,38 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plurelgen
-from conftest import make_table
+from conftest import make_database, make_table
 from plurelgen.core import PriorSpec, SeededRng, default_config, save_config, split_seed
+from plurelgen.corpus import bfs_context, example_to_json
 from plurelgen.io import write_table_csv
 from plurelgen.neural import mlp_forward
 from plurelgen.schema_gen import topological_order
 from plurelgen.scm_gen import (
     _foreign_refs_for,
-    _signal_vec,
     aggregate_latent,
     build_scm,
-    format_timestamp,
     generate_database,
     realize_table_values,
     sample_causal_graph,
     softmax,
+    temporal_signal,
 )
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
 GOLDEN_TREE_DIGEST = "58fccf1ca292fd5c31699a86323753387127cf63673fbd80e3d5879ddc958cc2"
+# `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
+GOLDEN_CORPUS_DIGEST = "ed68fbabbb69a2c825fe5abe663e294e1be9ac734bb34bb12a2851fc7b28a1a5"
+
+EPOCH = datetime(1970, 1, 1)
+YEAR_500 = int((datetime(500, 6, 1) - EPOCH).total_seconds())
 
 
 def tree_digest(root: Path) -> str:
@@ -57,21 +65,40 @@ def small_config():
     )
 
 
-def test_generate_tree_digest_is_pinned(tmp_path):
-    config = small_config()
-    config_path = tmp_path / "config.json"
-    save_config(config, config_path)
-    out = tmp_path / "out"
+def _run_cli(*args: str) -> None:
+    """``plurelgen <args>`` in a fresh interpreter on one thread and one BLAS thread."""
     src = Path(plurelgen.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), PLURELGEN_THREADS="1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    cmd = [
-        sys.executable, "-m", "plurelgen.cli", "generate", "--config", str(config_path),
-        "--seed", "42", "--num-dbs", "2", "--out", str(out),
-    ]
+    cmd = [sys.executable, "-m", "plurelgen.cli", *args]
     subprocess.run(cmd, env=env, check=True, capture_output=True)
-    assert tree_digest(out) == GOLDEN_TREE_DIGEST
+
+
+def _generate_golden_tree(tmp_path) -> Path:
+    config_path = tmp_path / "config.json"
+    save_config(small_config(), config_path)
+    out = tmp_path / "out"
+    _run_cli(
+        "generate", "--config", str(config_path), "--seed", "42", "--num-dbs", "2",
+        "--out", str(out),
+    )
+    return out
+
+
+def test_generate_tree_digest_is_pinned(tmp_path):
+    assert tree_digest(_generate_golden_tree(tmp_path)) == GOLDEN_TREE_DIGEST
+
+
+def test_corpus_digest_is_pinned(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _run_cli(
+        "corpus", str(_generate_golden_tree(tmp_path)), "--tokens", "20000", "--seed", "7",
+        "--out", str(corpus),
+    )
+    data = corpus.read_bytes()
+    assert b'"type":"timestamp"' in data
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_CORPUS_DIGEST
 
 
 def _project_rowwise(proj, values):
@@ -89,9 +116,9 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
         if v in scm.sources:
             sm = scm.sources[v]
             if sm.temporal is not None:
-                values[v] = _signal_vec(rs, sm.temporal, rng)
+                values[v] = temporal_signal(rs, sm.temporal, rng)
             else:
-                g = np.column_stack([_signal_vec(rs, p, rng) for p in sm.category_temporals])
+                g = np.column_stack([temporal_signal(rs, p, rng) for p in sm.category_temporals])
                 values[v] = rng.categorical_rows(softmax(g)) + 1
             continue
         m = scm.mechanisms[v]
@@ -147,7 +174,7 @@ def test_write_table_csv_matches_rowwise_rendering(tmp_path):
         {"feature_1": "numeric", "feature_2": "categorical"},
         fk={"foreign_row_1": rng.integers(1, 900, size=n)},
         fk_targets={"foreign_row_1": "p"},
-        timestamps=np.sort(rng.integers(-10**9, 2 * 10**9, size=n)),
+        timestamps=np.sort(np.append(rng.integers(-10**9, 2 * 10**9, size=n - 1), YEAR_500)),
         kind="activity",
     )
     table.null_mask["feature_1"] = rng.uniform(size=n) < 0.1
@@ -160,5 +187,22 @@ def test_write_table_csv_matches_rowwise_rendering(tmp_path):
         num = "" if table.null_mask["feature_1"][r] else repr(float(numeric[r]))
         cat = "" if table.null_mask["feature_2"][r] else str(int(table.features["feature_2"][r]))
         fk = str(int(table.fk_columns["foreign_row_1"][r]))
-        lines.append(",".join([str(r + 1), fk, num, cat, format_timestamp(table.timestamps[r])]))
+        stamp = (EPOCH + timedelta(seconds=int(table.timestamps[r]))).isoformat() + "Z"
+        lines.append(",".join([str(r + 1), fk, num, cat, stamp]))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_year_500_timestamp_has_one_spelling(tmp_path):
+    table = make_table(
+        "t", 2, {"feature_1": [1.5, 2.5]}, {"feature_1": "numeric"},
+        timestamps=[YEAR_500, YEAR_500 + 60], kind="activity",
+    )
+    path = tmp_path / "t.csv"
+    write_table_csv(table, path)
+    csv_stamp = path.read_text().splitlines()[1].split(",")[-1]
+    example = bfs_context(make_database([table], []), ("t", "feature_1", 1))
+    corpus_stamps = [
+        tok["v"] for tok in example_to_json(example)["tokens"] if tok["type"] == "timestamp"
+    ]
+    assert csv_stamp == "0500-06-01T00:00:00Z"
+    assert corpus_stamps == [csv_stamp]

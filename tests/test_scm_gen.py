@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import databases_equal
-from plurelgen.core import PriorSpec, SeededRng, split_seed
+from plurelgen.core import PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -17,13 +17,10 @@ from plurelgen.scm_gen import (
     build_scm,
     categorical_source_sample,
     cycle,
-    fluc,
     fluc_from_noise,
     generate_database,
     generate_table,
     inject_nulls,
-    parse_date,
-    realize_row,
     realize_table_values,
     sample_causal_graph,
     softmax,
@@ -59,57 +56,75 @@ def _rand_fluc(rng):
 
 
 class TestTemporalClosedForms:
+    """Each closed form at single row indices and at the same indices as one array."""
+
     def test_trend_against_formula(self):
         rng = SeededRng(0)
         for _ in range(100):
             p = _rand_trend(rng)
-            r = float(rng.integers(1, p.total_rows))
-            want = min(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound)
-            assert abs(trend(r, p) - want) < 1e-12
+            rs = rng.integers(1, p.total_rows, size=5).astype(float)
+            want = [min(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound) for r in rs]
+            assert all(abs(trend(r, p) - w) < 1e-12 for r, w in zip(rs, want))
+            assert np.all(np.abs(trend(rs, p) - want) < 1e-12)
 
     def test_trend_examples(self):
         assert trend(100, TrendParams(1.0, 1.0, 0.0, 2.0, 100)) == 1.0
         p = TrendParams(0.0, 1.0, 0.5, 10.0, 77)
         for r in (1, 10, 77):
             assert trend(r, p) == 1.5
+        assert np.all(trend(np.array([1.0, 10.0, 77.0]), p) == 1.5)
         assert trend(100, TrendParams(0.5, 5.0, 0.0, 1.0, 100)) == 1.0  # clipped
 
     def test_cycle_against_formula(self):
         rng = SeededRng(1)
         for _ in range(100):
             p = _rand_cycle(rng)
-            r = float(rng.integers(0, 5000))
-            want = min(max(p.scale * math.sin(math.pi * r / p.period), p.lower), p.upper)
-            assert abs(cycle(r, p) - want) < 1e-12
+            rs = rng.integers(0, 5000, size=5).astype(float)
+            want = [
+                min(max(p.scale * math.sin(math.pi * r / p.period), p.lower), p.upper) for r in rs
+            ]
+            assert all(abs(cycle(r, p) - w) < 1e-12 for r, w in zip(rs, want))
+            assert np.all(np.abs(cycle(rs, p) - want) < 1e-12)
 
     def test_cycle_examples(self):
         assert cycle(0, CycleParams(3.0, 1.0, -1.0, 1.0)) == 0.0
         assert cycle(1, CycleParams(2.0, 1.0, -1.0, 1.0)) == 1.0  # sin(pi/2)
         assert cycle(3, CycleParams(2.0, 1.0, -0.5, 1.0)) == -0.5  # clamped from -1
+        clamped = CycleParams(2.0, 1.0, -0.5, 1.0)
+        assert np.array_equal(cycle(np.array([1.0, 3.0]), clamped), [1.0, -0.5])
+        with pytest.raises(ValueError):
+            cycle(np.array([1.0]), CycleParams(0.0, 1.0, -1.0, 1.0))
 
     def test_fluc_against_formula(self):
         rng = SeededRng(2)
         for _ in range(100):
             p = _rand_fluc(rng)
-            n = float(rng.standard_normal())
-            want = min(max(p.scale * n, p.lower), p.upper)
-            assert abs(fluc_from_noise(p, n) - want) < 1e-12
+            noise = rng.standard_normal(5)
+            want = [min(max(p.scale * n, p.lower), p.upper) for n in noise]
+            assert all(abs(fluc_from_noise(p, n) - w) < 1e-12 for n, w in zip(noise, want))
+            assert np.all(np.abs(fluc_from_noise(p, noise) - want) < 1e-12)
 
     def test_fluc_examples(self):
-        assert fluc(FlucParams(0.0, -1.0, 1.0), SeededRng(3)) == 0.0
+        assert fluc_from_noise(FlucParams(0.0, -1.0, 1.0), 1.7) == 0.0
         assert fluc_from_noise(FlucParams(0.05, -1.0, 1.0), 2.0) == pytest.approx(0.1)
         assert fluc_from_noise(FlucParams(0.05, -1.0, 1.0), 100.0) == 1.0  # clamped
+        noise = np.array([-4.0, 1.0])
+        assert np.array_equal(fluc_from_noise(FlucParams(0.5, -1.0, 1.0), noise), [-1.0, 0.5])
 
     def test_signal_is_arithmetic_mean(self):
         rng = SeededRng(4)
-        for _ in range(100):
+        for k in range(100):
             p = TemporalParams(_rand_trend(rng), _rand_cycle(rng), _rand_fluc(rng))
-            r = float(rng.integers(1, 1000))
-            probe = SeededRng(split_seed(99, int(r)))
-            got = temporal_signal(r, p, probe)
-            noise = float(SeededRng(split_seed(99, int(r))).standard_normal())
-            want = (trend(r, p.trend) + cycle(r, p.cycle) + fluc_from_noise(p.fluc, noise)) / 3.0
-            assert abs(got - want) < 1e-12
+            rs = rng.integers(1, 1000, size=5).astype(float)
+            noise = SeededRng(split_seed(99, k)).standard_normal(5)
+            want = [
+                (trend(r, p.trend) + cycle(r, p.cycle) + fluc_from_noise(p.fluc, n)) / 3.0
+                for r, n in zip(rs, noise)
+            ]
+            probe = SeededRng(split_seed(99, k))
+            assert all(abs(temporal_signal(r, p, probe) - w) < 1e-12 for r, w in zip(rs, want))
+            got = temporal_signal(rs, p, SeededRng(split_seed(99, k)))
+            assert np.all(np.abs(got - want) < 1e-12)
 
     def test_signal_zero_components(self):
         p = TemporalParams(
@@ -148,7 +163,7 @@ class TestCategoricalSource:
             FlucParams(0.0, -3.0, 3.0),
         )
         rng = SeededRng(6)
-        draws = np.array([categorical_source_sample(3, (p, p, p, p), rng) for _ in range(100_000)])
+        draws = categorical_source_sample(np.full(100_000, 3.0), (p, p, p, p), rng)
         freqs = np.bincount(draws, minlength=5)[1:5] / draws.size
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
@@ -165,7 +180,7 @@ class TestCategoricalSource:
             FlucParams(0.0, -3.0, 3.0),
         )
         rng = SeededRng(7)
-        draws = np.array([categorical_source_sample(5, (zero, ln3), rng) for _ in range(200_000)])
+        draws = categorical_source_sample(np.full(200_000, 5.0), (zero, ln3), rng)
         freqs = np.bincount(draws, minlength=3)[1:3] / draws.size
         assert abs(freqs[0] - 0.25) < 0.01
         assert abs(freqs[1] - 0.75) < 0.01
@@ -175,6 +190,14 @@ class TestCategoricalSource:
         rng = SeededRng(11)
         for _ in range(500):
             assert 1 <= categorical_source_sample(2, (p, p, p), rng) <= 3
+        draws = categorical_source_sample(np.arange(1.0, 501.0), (p, p, p), rng)
+        assert draws.shape == (500,) and draws.min() >= 1 and draws.max() <= 3
+
+    def test_single_category(self):
+        rng = SeededRng(12)
+        p = TemporalParams(_rand_trend(rng), _rand_cycle(rng), _rand_fluc(rng))
+        assert categorical_source_sample(4, (p,), SeededRng(15)) == 1
+        assert np.all(categorical_source_sample(np.arange(1.0, 51.0), (p,), SeededRng(15)) == 1)
 
 
 class TestAggregateLatent:
@@ -263,16 +286,11 @@ def _build_simple_scm(config, kind, num_rows, num_features, seed):
 
 
 class TestRealization:
-    def test_realize_row_deterministic(self, config):
-        graph, scm, _ = _build_simple_scm(config, "activity", 100, 5, seed=1)
-        a = realize_row(scm, [], 7, SeededRng(42))
-        b = realize_row(scm, [], 7, SeededRng(42))
-        assert a == b
-
-    def test_realize_row_foreign_count_mismatch(self, config):
+    def test_realize_table_values_foreign_count_mismatch(self, config):
         _, scm, _ = _build_simple_scm(config, "entity", 50, 4, seed=2)
         with pytest.raises(ValueError):
-            realize_row(scm, [1.0], 1, SeededRng(0))
+            one_column = [(np.ones(3), np.zeros(50, dtype=np.int64))]
+            realize_table_values(scm, 50, one_column, SeededRng(0))
 
     def test_realize_table_types_and_shapes(self, config):
         graph, scm, _ = _build_simple_scm(config, "activity", 200, 6, seed=3)
