@@ -9,6 +9,7 @@ PLURELGEN_THREADS environment variable caps the generate worker pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,30 +64,42 @@ def _generate_one(config: GenConfig, master_seed: int, index: int, out_root: str
     return index
 
 
+def _rejects(*errors: type[Exception]):
+    """A command that raises one of ``errors`` prints one ``error:`` line and returns 2."""
+    def wrap(command):
+        @functools.wraps(command)
+        def run(*args, **kwargs) -> int:
+            try:
+                return command(*args, **kwargs)
+            except errors as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+        return run
+    return wrap
+
+
+@_rejects(ConfigError, OSError)
 def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_dir: str) -> int:
     """Generate num_dbs databases under out_dir/db_<i>, one split seed each."""
-    try:
-        config = _resolve_config(config_path)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        workers = _worker_count()
-        if workers == 1 or num_dbs <= 1:
-            for i in range(num_dbs):
-                _generate_one(config, master_seed, i, str(out))
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, num_dbs)) as pool:
-                jobs = [
-                    pool.submit(_generate_one, config, master_seed, i, str(out))
-                    for i in range(num_dbs)
-                ]
-                for job in jobs:
-                    job.result()
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _resolve_config(config_path)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    workers = _worker_count()
+    if workers == 1 or num_dbs <= 1:
+        for i in range(num_dbs):
+            _generate_one(config, master_seed, i, str(out))
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, num_dbs)) as pool:
+            jobs = [
+                pool.submit(_generate_one, config, master_seed, i, str(out))
+                for i in range(num_dbs)
+            ]
+            for job in jobs:
+                job.result()
     return 0
 
 
+@_rejects(ConfigError, OSError)
 def cmd_corpus(
     db_paths: list[str],
     target_tokens: int,
@@ -96,56 +109,40 @@ def cmd_corpus(
     out_path: str,
 ) -> int:
     """Build a masked-cell corpus from one or more generated database directories."""
-    try:
-        dbs = []
-        for path in db_paths:
-            for d in find_database_dirs(path):
-                dbs.append((d.name, load_database(d)))
-        stream = build_corpus(dbs, target_tokens, context_len, width, seed)
-        _, tokens = write_corpus_file(stream, out_path)
-        print(tokens)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dbs = []
+    for path in db_paths:
+        for d in find_database_dirs(path):
+            dbs.append((d.name, load_database(d)))
+    stream = build_corpus(dbs, target_tokens, context_len, width, seed)
+    _, tokens = write_corpus_file(stream, out_path)
+    print(tokens)
     return 0
 
 
+@_rejects(ConfigError, OSError)
 def cmd_stats(db_path: str, report_path: str) -> int:
     """Diversity report over every database found under db_path."""
-    try:
-        dbs = [(d.name, load_database(d)) for d in find_database_dirs(db_path)]
-        write_json(diversity_report(dbs).to_dict(), report_path)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dbs = [(d.name, load_database(d)) for d in find_database_dirs(db_path)]
+    write_json(diversity_report(dbs).to_dict(), report_path)
     return 0
 
 
+@_rejects(ConfigError, OSError, ValueError, FitDegenerateError)
 def cmd_fit(points_path: str, out_path: str) -> int:
     """Fit the saturating power law to a two-column (x, loss) CSV."""
-    try:
-        fit = fit_power_law(read_points_csv(points_path))
-        write_json(
-            {"A": fit.A, "alpha": fit.alpha, "C": fit.C, "residual": fit.residual},
-            out_path,
-        )
-    except (ConfigError, OSError, ValueError, FitDegenerateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fit = fit_power_law(read_points_csv(points_path))
+    write_json({"A": fit.A, "alpha": fit.alpha, "C": fit.C, "residual": fit.residual}, out_path)
     return 0
 
 
+@_rejects(ConfigError, OSError)
 def cmd_profile(
     config_path: str | None, counts: list[int], repeats: int, out_path: str, seed: int = 0
 ) -> int:
     """Measure single-threaded generation latency and peak memory per table count."""
-    try:
-        config = _resolve_config(config_path)
-        rows = profile_generation(config, counts, repeats=repeats, seed=seed)
-        write_profile_csv(rows, out_path)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _resolve_config(config_path)
+    rows = profile_generation(config, counts, repeats=repeats, seed=seed)
+    write_profile_csv(rows, out_path)
     return 0
 
 
@@ -165,6 +162,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--num-dbs", type=int, default=1)
     p.add_argument("--out", required=True, help="output root directory")
+    p.set_defaults(run=lambda a: cmd_generate(a.config, a.seed, a.num_dbs, a.out))
 
     p = sub.add_parser("corpus", help="build a masked-cell prediction corpus")
     p.add_argument("db_dirs", nargs="+", help="database directories or roots of db_* dirs")
@@ -173,14 +171,19 @@ def main(argv=None) -> int:
     p.add_argument("--width", type=int, default=DEFAULT_WIDTH)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output corpus.jsonl path")
+    p.set_defaults(
+        run=lambda a: cmd_corpus(a.db_dirs, a.tokens, a.context_len, a.width, a.seed, a.out)
+    )
 
     p = sub.add_parser("stats", help="diversity report over generated databases")
     p.add_argument("db_dir")
     p.add_argument("--report", required=True, help="output report JSON path")
+    p.set_defaults(run=lambda a: cmd_stats(a.db_dir, a.report))
 
     p = sub.add_parser("fit", help="fit a saturating power law to (x, loss) points")
     p.add_argument("points", help="two-column CSV of x, loss")
     p.add_argument("--out", required=True, help="output fit JSON path")
+    p.set_defaults(run=lambda a: cmd_fit(a.points, a.out))
 
     p = sub.add_parser("profile", help="profile generation latency and memory")
     p.add_argument("--config", default=None)
@@ -188,19 +191,10 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=lambda a: cmd_profile(a.config, a.counts, a.repeats, a.out, a.seed))
 
     args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args.config, args.seed, args.num_dbs, args.out)
-    if args.command == "corpus":
-        return cmd_corpus(args.db_dirs, args.tokens, args.context_len, args.width, args.seed, args.out)
-    if args.command == "stats":
-        return cmd_stats(args.db_dir, args.report)
-    if args.command == "fit":
-        return cmd_fit(args.points, args.out)
-    if args.command == "profile":
-        return cmd_profile(args.config, args.counts, args.repeats, args.out, args.seed)
-    raise AssertionError(f"unhandled command {args.command}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

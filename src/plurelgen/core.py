@@ -8,10 +8,11 @@ pair fully determines the output bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "parse_date",
     "format_timestamp",
     "GenConfig",
+    "FIELD_RULES",
     "default_config",
     "config_to_dict",
     "config_from_dict",
@@ -180,13 +182,12 @@ class PriorSpec:
             if not (isinstance(self.payload, tuple) and len(self.payload) == 2):
                 raise ConfigError(f"{name}: range payload must be a (lo, hi) pair")
             lo, hi = self.payload
+            if not (_is_number(lo) and _is_number(hi)):
+                raise ConfigError(f"{name}: range ends must be numbers, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise ConfigError(f"{name}: range requires lo <= hi, got ({lo}, {hi})")
-            if self.kind == "range-power-law":
-                if not (_is_int(lo) and _is_int(hi)) or lo < 1:
-                    raise ConfigError(
-                        f"{name}: power-law sampling needs a positive integer range"
-                    )
+            if self.kind == "range-power-law" and not (_is_int(lo) and _is_int(hi) and lo >= 1):
+                raise ConfigError(f"{name}: power-law sampling needs a positive integer range")
         elif self.kind == "set-uniform":
             if not isinstance(self.payload, tuple) or len(self.payload) == 0:
                 raise ConfigError(f"{name}: set payload must be a non-empty tuple")
@@ -210,35 +211,13 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    """A finite real number; booleans are not numbers."""
+    return _is_int(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
 
 
 def _points(prior: PriorSpec) -> tuple:
     """The values a prior names: its constant, its set, or the two ends of its range."""
     return (prior.payload,) if prior.kind == "constant" else tuple(prior.payload)
-
-
-def _numbers(prior: PriorSpec, name: str) -> tuple:
-    points = _points(prior)
-    if not all(_is_number(v) for v in points):
-        raise ConfigError(f"{name}: expected numbers, got {prior.payload!r}")
-    return points
-
-
-def _choices(prior: PriorSpec, name: str) -> tuple:
-    """The items a constant or set prior draws from; a constant is one item."""
-    if prior.kind not in ("constant", "set-uniform"):
-        raise ConfigError(f"{name}: expected a constant or a set, got a {prior.kind} prior")
-    return _points(prior)
-
-
-def _dates(prior: PriorSpec, name: str) -> tuple:
-    """The epoch seconds of the dates a constant or set prior draws from."""
-    texts = _choices(prior, name)
-    try:
-        return tuple(parse_date(str(t)) for t in texts)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
 
 
 def draw(prior: PriorSpec, rng: SeededRng, gamma: float = 2.0):
@@ -305,6 +284,86 @@ MLP_INIT_SCHEMES = (
     "sparse",
 )
 MLP_ACTIVATIONS = ("relu", "elu", "silu", "softsign", "tanh")
+HSBM_MAX_LEVELS = 5  # the deepest block hierarchy the foreign-key sampler builds
+
+
+class FieldRule(NamedTuple):
+    """What one prior field of :class:`GenConfig` may hold."""
+
+    kinds: tuple[str, ...]  # the prior kinds the field takes
+    check: Callable[[Any], bool]  # must hold for every point the prior names
+    domain: str  # the domain in words, for the ConfigError
+
+
+def _is_date(x) -> bool:
+    try:
+        parse_date(str(x))
+    except ValueError:
+        return False
+    return True
+
+
+def _is_beta_pair(x) -> bool:
+    return isinstance(x, (tuple, list)) and len(x) == 2 and all(_is_number(v) and v > 0 for v in x)
+
+
+# Tags, dates and Beta pairs are drawn as given, so they take no range.
+_POINT_KINDS = ("constant", "set-uniform")
+
+
+def _tags(known: tuple[str, ...]) -> FieldRule:
+    return FieldRule(_POINT_KINDS, lambda x: x in known, "one of " + ", ".join(known))
+
+
+def _integers(lo: int, hi: float = math.inf) -> FieldRule:
+    domain = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
+    return FieldRule(_KINDS, lambda x: _is_int(x) and lo <= x <= hi, domain)
+
+
+_NUMBER = FieldRule(_KINDS, _is_number, "a number")
+_POSITIVE = FieldRule(_KINDS, lambda x: _is_number(x) and x > 0, "a number > 0")
+_FRACTION = FieldRule(_KINDS, lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]")
+_DATE = FieldRule(_POINT_KINDS, _is_date, "a date, YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS")
+
+# One rule per prior field. A range prior is checked at its two ends, so every
+# check is a property that holds between two ends when it holds at both.
+FIELD_RULES: dict[str, FieldRule] = {
+    "schema_graph_priors": _tags(SCHEMA_FAMILIES),
+    "num_tables": _integers(2),  # networkx's barabasi-albert and watts-strogatz need 2 nodes
+    "rows_entity": _integers(1),
+    "rows_activity": _integers(1),
+    "num_columns": _integers(1),
+    "timestamp_min": _DATE,
+    "timestamp_max": _DATE,
+    "null_fraction": _FRACTION,
+    "scm_graph_priors": _tags(SCM_FAMILIES),
+    "feature_node_fraction": _POSITIVE,
+    "num_categories": _integers(1),
+    "mlp_init_schemes": _tags(MLP_INIT_SCHEMES),
+    "mlp_activations": _tags(MLP_ACTIVATIONS),
+    # a numeric input and a numeric output are one scalar each, and TinyMlp has depth 2
+    "mlp_input_dim": _integers(1, 1),
+    "mlp_hidden_dim": _integers(1),
+    "mlp_output_dim": _integers(1, 1),
+    "mlp_depth": _integers(2, 2),
+    "exogenous_priors": FieldRule(_POINT_KINDS, _is_beta_pair, "a pair of positive Beta shapes"),
+    "hsbm_levels": _integers(1, HSBM_MAX_LEVELS),
+    "hsbm_clusters_per_level": _integers(1),
+    "trend_exponent": _NUMBER,
+    "trend_scale_activity": _NUMBER,
+    "trend_scale_entity": _NUMBER,
+    "cycle_frequency": _POSITIVE,
+    "cycle_scale_activity": _NUMBER,
+    "cycle_scale_entity": _NUMBER,
+    "noise_scale_activity": _NUMBER,
+    "noise_scale_entity": _NUMBER,
+    "ba_edge_dropout": _NUMBER,
+    "ba_attachment": _integers(1),
+    "er_edge_prob": _NUMBER,
+    "ws_rewire_prob": _NUMBER,
+    "layered_depth": _integers(1),
+    "layered_edge_dropout": _NUMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -356,50 +415,24 @@ class GenConfig:
     power_law_exponent: float = 2.0
 
     def validate(self) -> None:
-        for f in fields(self):
-            if f.name == "power_law_exponent":
-                continue
-            prior: PriorSpec = getattr(self, f.name)
+        """Raise a ConfigError naming the field unless every value the priors can draw generates."""
+        for name, rule in FIELD_RULES.items():
+            prior = getattr(self, name)
             if not isinstance(prior, PriorSpec):
-                raise ConfigError(f"{f.name} must be a PriorSpec")
-            prior.validate(f.name)
-        # the numeric projector feeds one scalar, and TinyMlp is fixed at depth 2
-        for name, fixed in (("mlp_input_dim", 1), ("mlp_depth", 2)):
-            if any(v != fixed for v in _numbers(getattr(self, name), name)):
-                raise ConfigError(f"{name} must be {fixed}, the only value the generator supports")
-        for name in ("rows_entity", "rows_activity", "num_categories", "mlp_hidden_dim"):
-            if min(_numbers(getattr(self, name), name)) < 1:
-                raise ConfigError(f"{name} must not draw a value below 1")
-        for name in ("feature_node_fraction", "cycle_frequency"):
-            if min(_numbers(getattr(self, name), name)) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        null_fractions = _numbers(self.null_fraction, "null_fraction")
-        if not all(0.0 <= v <= 1.0 for v in null_fractions):
-            raise ConfigError(f"null_fraction must lie within [0, 1], got {null_fractions}")
-        if max(_dates(self.timestamp_min, "timestamp_min")) >= min(
-            _dates(self.timestamp_max, "timestamp_max")
-        ):
+                raise ConfigError(f"{name} must be a PriorSpec")
+            prior.validate(name)
+            if prior.kind not in rule.kinds:
+                raise ConfigError(f"{name} takes {' or '.join(rule.kinds)}, not {prior.kind}")
+            for point in _points(prior):
+                if not rule.check(point):
+                    raise ConfigError(f"{name} must be {rule.domain}, got {point!r}")
+        latest_min = max(parse_date(str(t)) for t in _points(self.timestamp_min))
+        if latest_min >= min(parse_date(str(t)) for t in _points(self.timestamp_max)):
             raise ConfigError("every timestamp_min must precede every timestamp_max")
-        for name, known in (
-            ("schema_graph_priors", SCHEMA_FAMILIES),
-            ("scm_graph_priors", SCM_FAMILIES),
-            ("mlp_init_schemes", MLP_INIT_SCHEMES),
-            ("mlp_activations", MLP_ACTIVATIONS),
-        ):
-            for tag in _choices(getattr(self, name), name):
-                if tag not in known:
-                    raise ConfigError(f"{name}: unknown tag {tag!r}")
-        for pair in _choices(self.exogenous_priors, "exogenous_priors"):
-            if not (
-                isinstance(pair, (tuple, list))
-                and len(pair) == 2
-                and all(_is_number(x) and x > 0 for x in pair)
-            ):
-                raise ConfigError(
-                    f"exogenous_priors: Beta parameters must be positive pairs, got {pair!r}"
-                )
-        if self.power_law_exponent <= 0:
-            raise ConfigError("power_law_exponent must be positive")
+        if not (_is_number(self.power_law_exponent) and self.power_law_exponent > 0):
+            raise ConfigError(
+                f"power_law_exponent must be a number > 0, got {self.power_law_exponent!r}"
+            )
 
     def with_num_tables(self, count: int) -> "GenConfig":
         """Copy of this config with the table count pinned to a constant."""
@@ -462,25 +495,17 @@ def _payload_to_json(prior: PriorSpec):
 
 
 def _payload_from_json(kind: str, payload):
-    if kind == "set-uniform":
-        if not isinstance(payload, list):
-            raise ConfigError(f"set payload must be a list, got {payload!r}")
+    """JSON lists become tuples; PriorSpec.validate rejects any other shape by field name."""
+    if kind != "constant" and isinstance(payload, list):
         return tuple(tuple(x) if isinstance(x, list) else x for x in payload)
-    if kind in ("range-uniform", "range-power-law"):
-        if not isinstance(payload, list) or len(payload) != 2:
-            raise ConfigError(f"range payload must be [lo, hi], got {payload!r}")
-        return tuple(payload)
     return payload
 
 
 def config_to_dict(config: GenConfig) -> dict:
-    out: dict[str, Any] = {}
-    for f in fields(config):
-        if f.name == "power_law_exponent":
-            out[f.name] = config.power_law_exponent
-            continue
-        prior: PriorSpec = getattr(config, f.name)
-        out[f.name] = {"kind": prior.kind, "payload": _payload_to_json(prior)}
+    out: dict[str, Any] = {"power_law_exponent": config.power_law_exponent}
+    for name in FIELD_RULES:
+        prior: PriorSpec = getattr(config, name)
+        out[name] = {"kind": prior.kind, "payload": _payload_to_json(prior)}
     return out
 
 
@@ -493,18 +518,14 @@ def config_from_dict(data: dict) -> GenConfig:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
         if key == "power_law_exponent":
-            kwargs[key] = float(value)
+            # a non-number is kept, so validate() rejects it by name
+            kwargs[key] = float(value) if _is_number(value) else value
             continue
         if not isinstance(value, dict) or "kind" not in value or "payload" not in value:
             raise ConfigError(f"{key}: expected an object with 'kind' and 'payload'")
         kind = value["kind"]
         kwargs[key] = PriorSpec(kind, _payload_from_json(kind, value["payload"]))
-    missing = known - set(kwargs) - {"power_law_exponent"}
-    if missing:
-        defaults = default_config()
-        for name in missing:
-            kwargs[name] = getattr(defaults, name)
-    cfg = GenConfig(**kwargs)
+    cfg = replace(default_config(), **kwargs)
     cfg.validate()
     return cfg
 

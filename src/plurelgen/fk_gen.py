@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GenConfig, SeededRng, StructuralError, draw
+from .core import HSBM_MAX_LEVELS, GenConfig, SeededRng, StructuralError, draw
 
 __all__ = [
     "BlockHierarchy",
@@ -26,9 +26,6 @@ __all__ = [
 DIAGONAL_PROB = 0.9
 OFF_BLOCK_LOW = 0.001
 OFF_BLOCK_HIGH = 0.002
-
-MIN_LEVELS = 1
-MAX_LEVELS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +62,8 @@ def assign_block_hierarchy(
     if num_rows < 1:
         raise ValueError(f"num_rows must be >= 1, got {num_rows}")
     levels = len(blocks_per_level)
-    if not MIN_LEVELS <= levels <= MAX_LEVELS:
-        raise ValueError(f"hierarchy must have {MIN_LEVELS}..{MAX_LEVELS} levels, got {levels}")
+    if not 1 <= levels <= HSBM_MAX_LEVELS:
+        raise ValueError(f"hierarchy must have 1..{HSBM_MAX_LEVELS} levels, got {levels}")
     if any(b < 1 for b in blocks_per_level):
         raise ValueError(f"block counts must be >= 1, got {blocks_per_level}")
     labels = np.empty((num_rows, levels), dtype=np.int64)

@@ -15,6 +15,7 @@ __all__ = [
     "sample_schema_graph",
     "assign_table_metadata",
     "topological_order",
+    "kahn_order",
     "random_tree_edges",
     "orient_by_permutation",
     "orient_tree",
@@ -180,15 +181,19 @@ def assign_table_metadata(graph: SchemaGraph, config: GenConfig, rng: SeededRng)
 
 def topological_order(graph: SchemaGraph) -> list[int]:
     """Parents before children; ties broken by ascending table index."""
-    n = graph.num_tables
-    indeg = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for p, c in graph.edges:
+    return kahn_order(graph.num_tables, graph.edges)
+
+
+def kahn_order(num_nodes: int, edges) -> list[int]:
+    """Kahn's sort of nodes 0..num_nodes-1, lowest index first; raises on a self-loop or cycle."""
+    indeg = [0] * num_nodes
+    children: list[list[int]] = [[] for _ in range(num_nodes)]
+    for p, c in edges:
         if p == c:
-            raise StructuralError(f"self-loop on table {p}")
+            raise StructuralError(f"self-loop on node {p}")
         indeg[c] += 1
         children[p].append(c)
-    ready = [t for t in range(n) if indeg[t] == 0]
+    ready = [t for t in range(num_nodes) if indeg[t] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -198,6 +203,6 @@ def topological_order(graph: SchemaGraph) -> list[int]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, c)
-    if len(order) != n:
-        raise StructuralError("cycle detected in schema graph")
+    if len(order) != num_nodes:
+        raise StructuralError("cycle detected in graph")
     return order

@@ -20,7 +20,6 @@ bit differently.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -43,6 +42,7 @@ from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
     assign_table_metadata,
+    kahn_order,
     orient_by_permutation,
     orient_tree,
     random_tree_edges,
@@ -212,24 +212,7 @@ class CausalGraph:
         return tuple(v for v in range(self.num_nodes) if v not in targets)
 
     def topo_order(self) -> list[int]:
-        indeg = [0] * self.num_nodes
-        for _, w in self.edges:
-            indeg[w] += 1
-        order, ready = [], sorted(v for v in range(self.num_nodes) if indeg[v] == 0)
-        succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, w in self.edges:
-            succ[u].append(w)
-        heapq.heapify(ready)
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for w in succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(order) != self.num_nodes:
-            raise StructuralError("cycle in causal graph")
-        return order
+        return kahn_order(self.num_nodes, self.edges)
 
 
 def _total_node_count(num_feature_cols: int, config: GenConfig, rng: SeededRng) -> int:
@@ -396,9 +379,8 @@ def _make_projector(
     scheme = draw(config.mlp_init_schemes, rng)
     act = draw(config.mlp_activations, rng)
     if dtype == NUMERIC:
-        in_dim = int(draw(config.mlp_input_dim, rng))
         return InputProjector(
-            mlp=init_mlp(in_dim, hidden, scheme, act, rng, hidden), embedding=None, weight=weight
+            mlp=init_mlp(1, hidden, scheme, act, rng, hidden), embedding=None, weight=weight
         )
     emb = init_embedding(int(cardinality), hidden, rng)
     return InputProjector(
@@ -422,7 +404,6 @@ def build_scm(
     its own data type.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
-    out_scalar = int(draw(config.mlp_output_dim, rng))
     sources: dict[int, SourceMechanism] = {}
     mechanisms: dict[int, NodeMechanism] = {}
     topo = graph.topo_order()
@@ -461,7 +442,7 @@ def build_scm(
         scheme = draw(config.mlp_init_schemes, rng)
         act = draw(config.mlp_activations, rng)
         if graph.node_types[v] == NUMERIC:
-            recon = init_mlp(hidden, out_scalar, scheme, act, rng, hidden)
+            recon = init_mlp(hidden, 1, scheme, act, rng, hidden)
             recon_emb = None
         else:
             recon = init_mlp(hidden, hidden, scheme, act, rng, hidden)

@@ -79,6 +79,31 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("num_tables", {"kind": "range-uniform", "payload": ["a", 3]}),
+            ("power_law_exponent", "abc"),
+            ("mlp_output_dim", {"kind": "constant", "payload": 0}),
+            ("mlp_output_dim", {"kind": "constant", "payload": 2}),
+            ("layered_depth", {"kind": "constant", "payload": 0}),
+            ("hsbm_levels", {"kind": "constant", "payload": 0}),
+            ("hsbm_clusters_per_level", {"kind": "constant", "payload": 0}),
+            ("num_tables", {"kind": "constant", "payload": 1}),
+            ("num_tables", {"kind": "range-uniform", "payload": [3, 20.5]}),
+            ("num_columns", {"kind": "constant", "payload": 0}),
+            ("ba_attachment", {"kind": "constant", "payload": 0}),
+            ("trend_exponent", {"kind": "constant", "payload": "x"}),
+            ("rows_entity", {"kind": "constant", "payload": 7.5}),
+        ],
+    )
+    def test_main_rejects_a_config_in_one_line(self, tmp_path, capsys, name, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({name: value}))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
     def test_meta_contents(self, generated_root):
         meta = json.loads((OutputLayout(generated_root).db_dir(1) / "meta.json").read_text())
         assert meta["master_seed"] == 42

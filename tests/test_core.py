@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurelgen.core import (
+    FIELD_RULES,
     ConfigError,
+    GenConfig,
     PriorSpec,
     SeededRng,
     config_from_dict,
@@ -327,8 +330,100 @@ class TestValidateRejectsWhatCannotGenerate:
         for seed in range(3):
             generate_database(cfg, seed)
 
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("mlp_output_dim", PriorSpec.constant(0)),
+            ("mlp_output_dim", PriorSpec.constant(2)),
+            ("layered_depth", PriorSpec.constant(0)),
+            ("hsbm_levels", PriorSpec.constant(0)),
+            ("hsbm_levels", PriorSpec.uniform_range(1, 6)),
+            ("hsbm_clusters_per_level", PriorSpec.constant(0)),
+            ("num_tables", PriorSpec.constant(0)),
+            ("num_tables", PriorSpec.constant(1)),
+            ("num_tables", PriorSpec.constant(2.5)),
+            ("num_tables", PriorSpec.uniform_range(3, 20.5)),
+            ("num_tables", PriorSpec.uniform_range("a", 3)),
+            ("num_columns", PriorSpec.constant(0)),
+            ("ba_attachment", PriorSpec.constant(0)),
+            ("trend_exponent", PriorSpec.constant("x")),
+            ("rows_entity", PriorSpec.constant(7.5)),
+        ],
+    )
+    def test_outside_the_field_domain(self, config, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            _tiny(config, **{name: bad}).validate()
+
+    @pytest.mark.parametrize("family", ["barabasi-albert", "reverse-random-tree", "watts-strogatz"])
+    def test_two_tables_generate_in_every_schema_family(self, config, family):
+        cfg = _tiny(
+            config,
+            num_tables=PriorSpec.constant(2),
+            schema_graph_priors=PriorSpec.constant(family),
+            hsbm_levels=PriorSpec.constant(5),
+            layered_depth=PriorSpec.constant(1),
+            ba_attachment=PriorSpec.constant(1),
+        )
+        cfg.validate()
+        for seed in range(3):
+            assert generate_database(cfg, seed).schema.num_tables == 2
+
+    def test_power_law_exponent_must_be_a_number(self, config):
+        with pytest.raises(ConfigError, match="power_law_exponent"):
+            config_from_dict({"power_law_exponent": "abc"})
+        with pytest.raises(ConfigError, match="power_law_exponent"):
+            replace(config, power_law_exponent=None).validate()
+        assert config_from_dict({"power_law_exponent": 3}).power_law_exponent == 3.0
+
     def test_keys_still_load(self, config):
         data = config_to_dict(config)
         data["mlp_depth"] = {"kind": "constant", "payload": 2}
         data["mlp_input_dim"] = {"kind": "set-uniform", "payload": [1]}
         assert config_from_dict(data).mlp_depth == PriorSpec.constant(2)
+
+
+# Hostile points for the property test. They are written out here, not read
+# from FIELD_RULES, so a wrong rule cannot hide itself.
+_HOSTILE_POINTS = (
+    0, 1, 2, 5, 6, -1, 0.5, 2.5, "x", True, None,
+    "1990-01-01", "2030-01-01", "1990-13-45",
+    (2.0, 3.0), (0.0, 1.0), (0.5, -1),
+    "relu", "sparse", "layered", "random-tree", "barabasi-albert", "watts-strogatz",
+)
+_PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
+_CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
+
+
+class TestEveryAcceptedConfigGenerates:
+    def test_rule_table_covers_every_prior_field(self):
+        hints = get_type_hints(GenConfig)
+        assert set(FIELD_RULES) == {name for name, t in hints.items() if t is PriorSpec}
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(
+        names=st.lists(st.sampled_from(_CONFIG_FIELDS), min_size=1, max_size=2, unique=True),
+        data=st.data(),
+    )
+    def test_validate_rejects_or_generate_succeeds(self, config, names, data):
+        """Every config validate() accepts generates; the rest raise a ConfigError."""
+        point = st.sampled_from(_HOSTILE_POINTS)
+        small = {
+            "num_tables": PriorSpec.uniform_range(2, 4),
+            "num_columns": PriorSpec.uniform_range(1, 4),
+            "rows_entity": PriorSpec.uniform_range(3, 12),
+            "rows_activity": PriorSpec.uniform_range(3, 12),
+        }
+        for name in names:
+            kind = data.draw(st.sampled_from(_PRIOR_KINDS))
+            if name == "power_law_exponent":
+                small[name] = data.draw(point)
+            elif kind == "constant":
+                small[name] = PriorSpec.constant(data.draw(point))
+            else:
+                small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
+        cfg = replace(config, **small)
+        try:
+            cfg.validate()
+        except ConfigError:
+            return
+        generate_database(cfg, data.draw(st.integers(0, 3)))
