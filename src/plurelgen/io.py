@@ -81,7 +81,8 @@ def database_schema_dict(db: RelationalDatabase) -> dict:
                 {"name": fk, "role": "fk", "dtype": "int", "fk_target": table.fk_targets[fk]}
             )
         for col in table.feature_names:
-            columns.append({"name": col, "role": "feature", "dtype": table.feature_types[col]})
+            dtype, card = table.feature_types[col], table.feature_cards[col]
+            columns.append({"name": col, "role": "feature", "dtype": dtype, "cardinality": card})
         if table.timestamps is not None:
             columns.append({"name": TIMESTAMP_COLUMN, "role": "timestamp", "dtype": "timestamp"})
         tables.append(
@@ -144,10 +145,9 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
     fk_targets = {
         c["name"]: c["fk_target"] for c in spec["columns"] if c["role"] == "fk"
     }
-    feature_names = [c["name"] for c in spec["columns"] if c["role"] == "feature"]
-    feature_types = {
-        c["name"]: c["dtype"] for c in spec["columns"] if c["role"] == "feature"
-    }
+    feature_specs = [c for c in spec["columns"] if c["role"] == "feature"]
+    feature_names = [c["name"] for c in feature_specs]
+    feature_types = {c["name"]: c["dtype"] for c in feature_specs}
     has_ts = any(c["role"] == "timestamp" for c in spec["columns"])
     num_rows = int(spec["num_rows"])
 
@@ -187,7 +187,7 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
         fk_columns=fk_data,
         feature_names=tuple(feature_names),
         feature_types=feature_types,
-        feature_cards={c: None for c in feature_names},
+        feature_cards={c["name"]: c.get("cardinality") for c in feature_specs},
         features=features,
         null_mask=null_mask,
         timestamps=timestamps,

@@ -131,6 +131,7 @@ class TestRoundTrip:
             a, b = db.tables[name], loaded.tables[name]
             assert a.feature_names == b.feature_names
             assert a.feature_types == b.feature_types
+            assert a.feature_cards == b.feature_cards
             for col in a.fk_names:
                 assert np.array_equal(a.fk_columns[col], b.fk_columns[col])
             for col in a.feature_names:
@@ -145,6 +146,18 @@ class TestRoundTrip:
         save_database(db, tmp_path / "db")
         loaded = load_database(tmp_path / "db")
         assert database_schema_dict(loaded) == database_schema_dict(db)
+
+    def test_schema_without_cardinalities_loads(self, config, tmp_path):
+        db = generate_database(config, 34)
+        save_database(db, tmp_path / "db")
+        path = OutputLayout.schema_path(tmp_path / "db")
+        schema = json.loads(path.read_text())
+        for spec in schema["tables"]:
+            for column in spec["columns"]:
+                column.pop("cardinality", None)
+        path.write_text(json.dumps(schema))
+        for table in load_database(tmp_path / "db").tables.values():
+            assert set(table.feature_cards.values()) == {None}
 
     def test_csv_format(self, config, tmp_path):
         db = generate_database(config, 35)

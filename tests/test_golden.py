@@ -40,7 +40,7 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "58fccf1ca292fd5c31699a86323753387127cf63673fbd80e3d5879ddc958cc2"
+GOLDEN_TREE_DIGEST = "1fdb8c70b058ccca42f99f6205faaa04980734b5105e8a7af2bd07e34a6152ae"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
 GOLDEN_CORPUS_DIGEST = "ed68fbabbb69a2c825fe5abe663e294e1be9ac734bb34bb12a2851fc7b28a1a5"
 
