@@ -8,8 +8,8 @@ pair fully determines the output bytes.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -183,7 +183,10 @@ class PriorSpec:
                 raise ConfigError(f"{name}: range payload must be a (lo, hi) pair")
             lo, hi = self.payload
             if not (_is_number(lo) and _is_number(hi)):
-                raise ConfigError(f"{name}: range ends must be numbers, got ({lo!r}, {hi!r})")
+                raise ConfigError(
+                    f"{name}: range ends must be int64 integers or floats in "
+                    f"[-{_FLOAT_BOUND:.4g}, {_FLOAT_BOUND:.4g}], got ({lo!r}, {hi!r})"
+                )
             if lo > hi:
                 raise ConfigError(f"{name}: range requires lo <= hi, got ({lo}, {hi})")
             if self.kind == "range-power-law" and not (_is_int(lo) and _is_int(hi) and lo >= 1):
@@ -192,7 +195,7 @@ class PriorSpec:
             if not isinstance(self.payload, tuple) or len(self.payload) == 0:
                 raise ConfigError(f"{name}: set payload must be a non-empty tuple")
 
-    def support_contains(self, value, gamma: float = 2.0) -> bool:
+    def support_contains(self, value) -> bool:
         """True when ``value`` could have been drawn from this prior."""
         if self.kind == "constant":
             return value == self.payload
@@ -210,9 +213,17 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+# numpy draws integers in int64, and a float range wider than the largest
+# float cannot be drawn, so every numeric point stays inside these bounds.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_BOUND = sys.float_info.max / 2
+
+
 def _is_number(x) -> bool:
-    """A finite real number; booleans are not numbers."""
-    return _is_int(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
+    """An int64 or a float of magnitude at most _FLOAT_BOUND; booleans are not numbers."""
+    if _is_int(x):
+        return -_INT64_MAX - 1 <= x <= _INT64_MAX
+    return isinstance(x, (float, np.floating)) and abs(x) <= _FLOAT_BOUND
 
 
 def _points(prior: PriorSpec) -> tuple:
@@ -307,112 +318,108 @@ def _is_beta_pair(x) -> bool:
     return isinstance(x, (tuple, list)) and len(x) == 2 and all(_is_number(v) and v > 0 for v in x)
 
 
-# Tags, dates and Beta pairs are drawn as given, so they take no range.
+# Tags, dates and Beta pairs are drawn as given, so they take no range. Only
+# num_columns passes power_law_exponent to draw, so only it takes a power law.
 _POINT_KINDS = ("constant", "set-uniform")
+_NUMERIC_KINDS = ("constant", "set-uniform", "range-uniform")
 
 
 def _tags(known: tuple[str, ...]) -> FieldRule:
     return FieldRule(_POINT_KINDS, lambda x: x in known, "one of " + ", ".join(known))
 
 
-def _integers(lo: int, hi: float = math.inf) -> FieldRule:
-    domain = f"an integer >= {lo}" if hi == math.inf else f"an integer in {lo}..{hi}"
-    return FieldRule(_KINDS, lambda x: _is_int(x) and lo <= x <= hi, domain)
+def _integers(lo: int, hi: int = _INT64_MAX) -> FieldRule:
+    return FieldRule(
+        _NUMERIC_KINDS, lambda x: _is_int(x) and lo <= x <= hi, f"an integer in {lo}..{hi}"
+    )
 
 
-_NUMBER = FieldRule(_KINDS, _is_number, "a number")
-_POSITIVE = FieldRule(_KINDS, lambda x: _is_number(x) and x > 0, "a number > 0")
-_FRACTION = FieldRule(_KINDS, lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]")
+_NUMBER = FieldRule(
+    _NUMERIC_KINDS, _is_number, f"a number in [-{_FLOAT_BOUND:.4g}, {_FLOAT_BOUND:.4g}]"
+)
+_POSITIVE = FieldRule(
+    _NUMERIC_KINDS, lambda x: _is_number(x) and x > 0, f"a number in (0, {_FLOAT_BOUND:.4g}]"
+)
+_FRACTION = FieldRule(
+    _NUMERIC_KINDS, lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]"
+)
 _DATE = FieldRule(_POINT_KINDS, _is_date, "a date, YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS")
 
-# One rule per prior field. A range prior is checked at its two ends, so every
-# check is a property that holds between two ends when it holds at both.
-FIELD_RULES: dict[str, FieldRule] = {
-    "schema_graph_priors": _tags(SCHEMA_FAMILIES),
-    "num_tables": _integers(2),  # networkx's barabasi-albert and watts-strogatz need 2 nodes
-    "rows_entity": _integers(1),
-    "rows_activity": _integers(1),
-    "num_columns": _integers(1),
-    "timestamp_min": _DATE,
-    "timestamp_max": _DATE,
-    "null_fraction": _FRACTION,
-    "scm_graph_priors": _tags(SCM_FAMILIES),
-    "feature_node_fraction": _POSITIVE,
-    "num_categories": _integers(1),
-    "mlp_init_schemes": _tags(MLP_INIT_SCHEMES),
-    "mlp_activations": _tags(MLP_ACTIVATIONS),
-    # a numeric input and a numeric output are one scalar each, and TinyMlp has depth 2
-    "mlp_input_dim": _integers(1, 1),
-    "mlp_hidden_dim": _integers(1),
-    "mlp_output_dim": _integers(1, 1),
-    "mlp_depth": _integers(2, 2),
-    "exogenous_priors": FieldRule(_POINT_KINDS, _is_beta_pair, "a pair of positive Beta shapes"),
-    "hsbm_levels": _integers(1, HSBM_MAX_LEVELS),
-    "hsbm_clusters_per_level": _integers(1),
-    "trend_exponent": _NUMBER,
-    "trend_scale_activity": _NUMBER,
-    "trend_scale_entity": _NUMBER,
-    "cycle_frequency": _POSITIVE,
-    "cycle_scale_activity": _NUMBER,
-    "cycle_scale_entity": _NUMBER,
-    "noise_scale_activity": _NUMBER,
-    "noise_scale_entity": _NUMBER,
-    "ba_edge_dropout": _NUMBER,
-    "ba_attachment": _integers(1),
-    "er_edge_prob": _NUMBER,
-    "ws_rewire_prob": _NUMBER,
-    "layered_depth": _integers(1),
-    "layered_edge_dropout": _NUMBER,
-}
+
+def _prior(default: PriorSpec, rule: FieldRule):
+    """A prior field of GenConfig: its built-in default and the rule every config meets.
+
+    A range prior is checked at its two ends, so every rule's check is a
+    property that holds between two ends when it holds at both.
+    """
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass(frozen=True)
 class GenConfig:
     """Full prior specification for database synthesis.
 
-    One field per tunable hyperparameter; see :func:`default_config` for the
-    built-in distribution the generator ships with.
+    One field per tunable hyperparameter, declared with its built-in default
+    and its rule. Building a config (directly, by ``replace`` or by loading a
+    file) validates it, so every GenConfig that exists has passed its rules.
     """
 
     # database-level priors
-    schema_graph_priors: PriorSpec
-    num_tables: PriorSpec
-    rows_entity: PriorSpec
-    rows_activity: PriorSpec
-    num_columns: PriorSpec
-    timestamp_min: PriorSpec
-    timestamp_max: PriorSpec
-    null_fraction: PriorSpec
+    schema_graph_priors: PriorSpec = _prior(
+        PriorSpec.set_of(*SCHEMA_FAMILIES), _tags(SCHEMA_FAMILIES)
+    )
+    # networkx's barabasi-albert and watts-strogatz need 2 nodes
+    num_tables: PriorSpec = _prior(PriorSpec.uniform_range(3, 20), _integers(2))
+    rows_entity: PriorSpec = _prior(PriorSpec.uniform_range(500, 1000), _integers(1))
+    rows_activity: PriorSpec = _prior(PriorSpec.uniform_range(2000, 5000), _integers(1))
+    # the one prior whose draw takes power_law_exponent
+    num_columns: PriorSpec = _prior(
+        PriorSpec.power_law_range(3, 40), _integers(1)._replace(kinds=_KINDS)
+    )
+    timestamp_min: PriorSpec = _prior(PriorSpec.constant("1990-01-01"), _DATE)
+    timestamp_max: PriorSpec = _prior(PriorSpec.constant("2025-01-01"), _DATE)
+    null_fraction: PriorSpec = _prior(PriorSpec.uniform_range(0.01, 0.1), _FRACTION)
     # table/SCM priors
-    scm_graph_priors: PriorSpec
-    feature_node_fraction: PriorSpec
-    num_categories: PriorSpec
-    mlp_init_schemes: PriorSpec
-    mlp_activations: PriorSpec
-    mlp_input_dim: PriorSpec
-    mlp_hidden_dim: PriorSpec
-    mlp_output_dim: PriorSpec
-    mlp_depth: PriorSpec
-    exogenous_priors: PriorSpec
-    hsbm_levels: PriorSpec
-    hsbm_clusters_per_level: PriorSpec
-    trend_exponent: PriorSpec
-    trend_scale_activity: PriorSpec
-    trend_scale_entity: PriorSpec
-    cycle_frequency: PriorSpec
-    cycle_scale_activity: PriorSpec
-    cycle_scale_entity: PriorSpec
-    noise_scale_activity: PriorSpec
-    noise_scale_entity: PriorSpec
+    scm_graph_priors: PriorSpec = _prior(PriorSpec.set_of(*SCM_FAMILIES), _tags(SCM_FAMILIES))
+    feature_node_fraction: PriorSpec = _prior(PriorSpec.uniform_range(0.3, 0.9), _POSITIVE)
+    num_categories: PriorSpec = _prior(PriorSpec.uniform_range(2, 10), _integers(1))
+    mlp_init_schemes: PriorSpec = _prior(
+        PriorSpec.set_of(*MLP_INIT_SCHEMES), _tags(MLP_INIT_SCHEMES)
+    )
+    mlp_activations: PriorSpec = _prior(PriorSpec.set_of(*MLP_ACTIVATIONS), _tags(MLP_ACTIVATIONS))
+    # a numeric input and a numeric output are one scalar each, and TinyMlp has depth 2
+    mlp_input_dim: PriorSpec = _prior(PriorSpec.constant(1), _integers(1, 1))
+    mlp_hidden_dim: PriorSpec = _prior(PriorSpec.constant(32), _integers(1))
+    mlp_output_dim: PriorSpec = _prior(PriorSpec.constant(1), _integers(1, 1))
+    mlp_depth: PriorSpec = _prior(PriorSpec.constant(2), _integers(2, 2))
+    exogenous_priors: PriorSpec = _prior(
+        PriorSpec.set_of((0.5, 0.5), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (4.0, 1.0)),
+        FieldRule(_POINT_KINDS, _is_beta_pair, "a pair of positive Beta shapes"),
+    )
+    hsbm_levels: PriorSpec = _prior(PriorSpec.uniform_range(1, 5), _integers(1, HSBM_MAX_LEVELS))
+    hsbm_clusters_per_level: PriorSpec = _prior(PriorSpec.uniform_range(1, 3), _integers(1))
+    trend_exponent: PriorSpec = _prior(PriorSpec.uniform_range(0.0, 2.0), _NUMBER)
+    trend_scale_activity: PriorSpec = _prior(PriorSpec.uniform_range(-1.0, 1.0), _NUMBER)
+    trend_scale_entity: PriorSpec = _prior(PriorSpec.constant(0.0), _NUMBER)
+    cycle_frequency: PriorSpec = _prior(
+        PriorSpec.set_of(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), _POSITIVE
+    )
+    cycle_scale_activity: PriorSpec = _prior(PriorSpec.uniform_range(-1.0, 1.0), _NUMBER)
+    cycle_scale_entity: PriorSpec = _prior(PriorSpec.constant(0.0), _NUMBER)
+    noise_scale_activity: PriorSpec = _prior(PriorSpec.constant(0.05), _NUMBER)
+    noise_scale_entity: PriorSpec = _prior(PriorSpec.constant(1.0), _NUMBER)
     # DAG-family parameters
-    ba_edge_dropout: PriorSpec
-    ba_attachment: PriorSpec
-    er_edge_prob: PriorSpec
-    ws_rewire_prob: PriorSpec
-    layered_depth: PriorSpec
-    layered_edge_dropout: PriorSpec
-    # exponent for power-law ranges (num_columns); configurable
+    ba_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.4), _NUMBER)
+    ba_attachment: PriorSpec = _prior(PriorSpec.constant(2), _integers(1))
+    er_edge_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.3, 0.8), _NUMBER)
+    ws_rewire_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.1, 0.3), _NUMBER)
+    layered_depth: PriorSpec = _prior(PriorSpec.uniform_range(2, 8), _integers(1))
+    layered_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.1), _NUMBER)
+    # exponent for the power-law range of num_columns
     power_law_exponent: float = 2.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise a ConfigError naming the field unless every value the priors can draw generates."""
@@ -429,9 +436,9 @@ class GenConfig:
         latest_min = max(parse_date(str(t)) for t in _points(self.timestamp_min))
         if latest_min >= min(parse_date(str(t)) for t in _points(self.timestamp_max)):
             raise ConfigError("every timestamp_min must precede every timestamp_max")
-        if not (_is_number(self.power_law_exponent) and self.power_law_exponent > 0):
+        if not _POSITIVE.check(self.power_law_exponent):
             raise ConfigError(
-                f"power_law_exponent must be a number > 0, got {self.power_law_exponent!r}"
+                f"power_law_exponent must be {_POSITIVE.domain}, got {self.power_law_exponent!r}"
             )
 
     def with_num_tables(self, count: int) -> "GenConfig":
@@ -439,48 +446,14 @@ class GenConfig:
         return replace(self, num_tables=PriorSpec.constant(count))
 
 
+FIELD_RULES: dict[str, FieldRule] = {
+    f.name: f.metadata["rule"] for f in fields(GenConfig) if "rule" in f.metadata
+}
+
+
 def default_config() -> GenConfig:
     """The built-in hyperparameter distribution."""
-    cfg = GenConfig(
-        schema_graph_priors=PriorSpec.set_of(*SCHEMA_FAMILIES),
-        num_tables=PriorSpec.uniform_range(3, 20),
-        rows_entity=PriorSpec.uniform_range(500, 1000),
-        rows_activity=PriorSpec.uniform_range(2000, 5000),
-        num_columns=PriorSpec.power_law_range(3, 40),
-        timestamp_min=PriorSpec.constant("1990-01-01"),
-        timestamp_max=PriorSpec.constant("2025-01-01"),
-        null_fraction=PriorSpec.uniform_range(0.01, 0.1),
-        scm_graph_priors=PriorSpec.set_of(*SCM_FAMILIES),
-        feature_node_fraction=PriorSpec.uniform_range(0.3, 0.9),
-        num_categories=PriorSpec.uniform_range(2, 10),
-        mlp_init_schemes=PriorSpec.set_of(*MLP_INIT_SCHEMES),
-        mlp_activations=PriorSpec.set_of(*MLP_ACTIVATIONS),
-        mlp_input_dim=PriorSpec.constant(1),
-        mlp_hidden_dim=PriorSpec.constant(32),
-        mlp_output_dim=PriorSpec.constant(1),
-        mlp_depth=PriorSpec.constant(2),
-        exogenous_priors=PriorSpec.set_of(
-            (0.5, 0.5), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (4.0, 1.0)
-        ),
-        hsbm_levels=PriorSpec.uniform_range(1, 5),
-        hsbm_clusters_per_level=PriorSpec.uniform_range(1, 3),
-        trend_exponent=PriorSpec.uniform_range(0.0, 2.0),
-        trend_scale_activity=PriorSpec.uniform_range(-1.0, 1.0),
-        trend_scale_entity=PriorSpec.constant(0.0),
-        cycle_frequency=PriorSpec.set_of(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        cycle_scale_activity=PriorSpec.uniform_range(-1.0, 1.0),
-        cycle_scale_entity=PriorSpec.constant(0.0),
-        noise_scale_activity=PriorSpec.constant(0.05),
-        noise_scale_entity=PriorSpec.constant(1.0),
-        ba_edge_dropout=PriorSpec.constant(0.4),
-        ba_attachment=PriorSpec.constant(2),
-        er_edge_prob=PriorSpec.uniform_range(0.3, 0.8),
-        ws_rewire_prob=PriorSpec.uniform_range(0.1, 0.3),
-        layered_depth=PriorSpec.uniform_range(2, 8),
-        layered_edge_dropout=PriorSpec.constant(0.1),
-    )
-    cfg.validate()
-    return cfg
+    return GenConfig()
 
 
 # --- config file round-trip ------------------------------------------------
@@ -525,9 +498,7 @@ def config_from_dict(data: dict) -> GenConfig:
             raise ConfigError(f"{key}: expected an object with 'kind' and 'payload'")
         kind = value["kind"]
         kwargs[key] = PriorSpec(kind, _payload_from_json(kind, value["payload"]))
-    cfg = replace(default_config(), **kwargs)
-    cfg.validate()
-    return cfg
+    return GenConfig(**kwargs)
 
 
 def load_config(path) -> GenConfig:

@@ -71,24 +71,12 @@ class TinyMlp:
     def in_dim(self) -> int:
         return int(self.w1.shape[0])
 
-    @property
-    def out_dim(self) -> int:
-        return int(self.w2.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """C x d matrix; row c is the latent vector of category c (1-based)."""
 
     rows: np.ndarray
-
-    @property
-    def num_categories(self) -> int:
-        return int(self.rows.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.rows.shape[1])
 
 
 def _init_weight(shape: tuple[int, int], scheme: str, rng: SeededRng) -> np.ndarray:

@@ -49,9 +49,6 @@ class SchemaGraph:
     def parents(self, t: int) -> tuple[int, ...]:
         return tuple(sorted(p for p, c in self.edges if c == t))
 
-    def children(self, t: int) -> tuple[int, ...]:
-        return tuple(sorted(c for p, c in self.edges if p == t))
-
     def in_degree(self, t: int) -> int:
         return sum(1 for _, c in self.edges if c == t)
 

@@ -690,7 +690,6 @@ def generate_database(config: GenConfig, seed: int) -> RelationalDatabase:
 
     Deterministic in (config, seed); every stage runs on its own split seed.
     """
-    config.validate()
     rng_db = SeededRng(split_seed(seed, 0))
     rng_schema = SeededRng(split_seed(seed, 1))
     graph = sample_schema_graph(config, rng_schema)

@@ -95,6 +95,9 @@ class TestGenerate:
             ("ba_attachment", {"kind": "constant", "payload": 0}),
             ("trend_exponent", {"kind": "constant", "payload": "x"}),
             ("rows_entity", {"kind": "constant", "payload": 7.5}),
+            ("hsbm_clusters_per_level", {"kind": "range-uniform", "payload": [1, 2**70]}),
+            ("trend_scale_activity", {"kind": "range-uniform", "payload": [-1e308, 1e308]}),
+            ("rows_entity", {"kind": "range-power-law", "payload": [5, 10]}),
         ],
     )
     def test_main_rejects_a_config_in_one_line(self, tmp_path, capsys, name, value):

@@ -174,6 +174,16 @@ class TestGenConfig:
     def test_default_is_valid(self, config):
         config.validate()
 
+    def test_built_in_config_is_the_default(self, config):
+        assert GenConfig() == config
+        assert config_from_dict(config_to_dict(GenConfig())) == GenConfig()
+
+    def test_replace_validates(self, config):
+        with pytest.raises(ConfigError, match="num_tables"):
+            replace(config, num_tables=PriorSpec.constant(0))
+        with pytest.raises(ConfigError, match="num_tables"):
+            config.with_num_tables(1)
+
     def test_dict_round_trip(self, config):
         assert config_from_dict(config_to_dict(config)) == config
 
@@ -348,6 +358,16 @@ class TestValidateRejectsWhatCannotGenerate:
             ("ba_attachment", PriorSpec.constant(0)),
             ("trend_exponent", PriorSpec.constant("x")),
             ("rows_entity", PriorSpec.constant(7.5)),
+            # numpy draws neither beyond int64 nor across more than the float range
+            ("hsbm_clusters_per_level", PriorSpec.uniform_range(1, 2**70)),
+            ("hsbm_clusters_per_level", PriorSpec.constant(2**70)),
+            ("trend_scale_activity", PriorSpec.uniform_range(-1e308, 1e308)),
+            ("trend_scale_activity", PriorSpec.set_of(0.0, 1e308)),
+            ("trend_exponent", PriorSpec.constant(-1e308)),
+            # only num_columns is drawn with power_law_exponent
+            ("rows_entity", PriorSpec.power_law_range(1, 3)),
+            ("num_categories", PriorSpec.power_law_range(1, 3)),
+            ("hsbm_levels", PriorSpec.power_law_range(1, 3)),
         ],
     )
     def test_outside_the_field_domain(self, config, name, bad):
@@ -388,6 +408,7 @@ _HOSTILE_POINTS = (
     0, 1, 2, 5, 6, -1, 0.5, 2.5, "x", True, None,
     "1990-01-01", "2030-01-01", "1990-13-45",
     (2.0, 3.0), (0.0, 1.0), (0.5, -1),
+    1e308, -1e308, 2**70,
     "relu", "sparse", "layered", "random-tree", "barabasi-albert", "watts-strogatz",
 )
 _PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
@@ -421,9 +442,8 @@ class TestEveryAcceptedConfigGenerates:
                 small[name] = PriorSpec.constant(data.draw(point))
             else:
                 small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
-        cfg = replace(config, **small)
         try:
-            cfg.validate()
+            cfg = replace(config, **small)
         except ConfigError:
             return
         generate_database(cfg, data.draw(st.integers(0, 3)))
