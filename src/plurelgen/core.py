@@ -102,10 +102,12 @@ class SeededRng:
                 if lo <= x <= hi:
                     return x
         out = self._gen.standard_normal(size=size)
-        bad = (out < lo) | (out > hi)
-        while bad.any():
-            out[bad] = self._gen.standard_normal(size=int(bad.sum()))
-            bad = (out < lo) | (out > hi)
+        flat = out.reshape(-1)  # a view: out is fresh and contiguous
+        # redraw only the entries still outside [lo, hi], in ascending flat order
+        idx = np.flatnonzero((flat < lo) | (flat > hi))
+        while idx.size:
+            flat[idx] = redraw = self._gen.standard_normal(size=idx.size)
+            idx = idx[(redraw < lo) | (redraw > hi)]
         return out
 
     def beta(self, a: float, b: float, size=None):
@@ -436,10 +438,13 @@ class GenConfig:
         latest_min = max(parse_date(str(t)) for t in _points(self.timestamp_min))
         if latest_min >= min(parse_date(str(t)) for t in _points(self.timestamp_max)):
             raise ConfigError("every timestamp_min must precede every timestamp_max")
-        if not _POSITIVE.check(self.power_law_exponent):
-            raise ConfigError(
-                f"power_law_exponent must be {_POSITIVE.domain}, got {self.power_law_exponent!r}"
-            )
+        gamma = self.power_law_exponent
+        if not _POSITIVE.check(gamma):
+            raise ConfigError(f"power_law_exponent must be {_POSITIVE.domain}, got {gamma!r}")
+        # the largest num_columns weight is lo ** -gamma; where it underflows, all are 0
+        cols = self.num_columns
+        if cols.kind == "range-power-law" and float(cols.payload[0]) ** -gamma == 0:
+            raise ConfigError(f"power_law_exponent {gamma!r} makes every num_columns weight 0")
 
     def with_num_tables(self, count: int) -> "GenConfig":
         """Copy of this config with the table count pinned to a constant."""

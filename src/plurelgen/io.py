@@ -4,6 +4,10 @@ Each database lives in ``<root>/db_<index>/`` with ``schema.json``,
 ``meta.json``, and one RFC-4180 CSV per table under ``tables/``. NULL cells
 serialize as empty fields, numerics as shortest round-trip decimals,
 categoricals as integers, timestamps as ISO-8601 UTC.
+
+Table rows are joined with commas unquoted: no header name or cell (an
+integer, a float repr, an empty NULL, an ISO timestamp) holds a comma, quote
+or line break, and ``row_idx`` is never empty, so no row is one empty field.
 """
 
 from __future__ import annotations
@@ -120,8 +124,7 @@ def write_table_csv(table: GeneratedTable, path) -> None:
     if table.timestamps is not None:
         header.append(TIMESTAMP_COLUMN)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for lo in range(0, table.num_rows, CSV_BLOCK_ROWS):
             hi = min(lo + CSV_BLOCK_ROWS, table.num_rows)
             columns = [map(str, range(lo + 1, hi + 1))]
@@ -137,7 +140,7 @@ def write_table_csv(table: GeneratedTable, path) -> None:
             )
             if table.timestamps is not None:
                 columns.append(format_timestamp(table.timestamps[lo:hi]).tolist())
-            writer.writerows(zip(*columns))
+            fh.write("".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
 def _read_table_csv(path, spec: dict) -> GeneratedTable:

@@ -24,12 +24,9 @@ __all__ = [
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp never overflows: its argument is -|x| on both branches
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _relu(x):
@@ -59,12 +56,10 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True, eq=False)
 class TinyMlp:
-    """Depth-2 MLP: input -> hidden -> output, activation after the hidden layer only."""
+    """Depth-2 MLP without biases, ``act(x @ w1) @ w2``: activation after the hidden layer only."""
 
     w1: np.ndarray  # (in_dim, hidden)
-    b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden, out_dim)
-    b2: np.ndarray  # (out_dim,)
     activation: str
 
     @property
@@ -110,20 +105,14 @@ def init_mlp(
     rng: SeededRng,
     hidden_dim: int = 32,
 ) -> TinyMlp:
-    """Initialize a depth-2 MLP; biases are zero under every scheme."""
+    """Initialize a depth-2 MLP; it has no biases, only the two weight matrices."""
     if in_dim < 1 or out_dim < 1 or hidden_dim < 1:
         raise ConfigError("MLP dimensions must be >= 1")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"unknown MLP activation {activation!r}")
     w1 = _init_weight((in_dim, hidden_dim), init_scheme, rng)
     w2 = _init_weight((hidden_dim, out_dim), init_scheme, rng)
-    return TinyMlp(
-        w1=w1,
-        b1=np.zeros(hidden_dim),
-        w2=w2,
-        b2=np.zeros(out_dim),
-        activation=activation,
-    )
+    return TinyMlp(w1=w1, w2=w2, activation=activation)
 
 
 def mlp_forward(mlp: TinyMlp, x: np.ndarray) -> np.ndarray:
@@ -131,9 +120,9 @@ def mlp_forward(mlp: TinyMlp, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mlp.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} does not match MLP in_dim {mlp.in_dim}")
-    act = ACTIVATIONS[mlp.activation]
-    h = act(x @ mlp.w1 + mlp.b1)
-    return h @ mlp.w2 + mlp.b2
+    # with one input, x @ w1 is one product per element, which a broadcast gives directly
+    h = x * mlp.w1[0] if mlp.in_dim == 1 else x @ mlp.w1
+    return ACTIVATIONS[mlp.activation](h) @ mlp.w2
 
 
 def init_embedding(num_categories: int, dim: int, rng: SeededRng) -> EmbeddingMatrix:

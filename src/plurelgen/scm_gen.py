@@ -174,9 +174,9 @@ def aggregate_latent(
 
     ``projected`` may be a generator; each e_k is read once, in order.
     """
-    out = w_u * np.asarray(u, dtype=np.float64)
+    out = w_u * np.asarray(u, dtype=np.float64)  # a new array, so the sum below leaves u alone
     for w_k, e_k in zip(weights, projected):
-        out = out + w_k * e_k
+        out += w_k * e_k
     return out
 
 

@@ -98,6 +98,8 @@ class TestGenerate:
             ("hsbm_clusters_per_level", {"kind": "range-uniform", "payload": [1, 2**70]}),
             ("trend_scale_activity", {"kind": "range-uniform", "payload": [-1e308, 1e308]}),
             ("rows_entity", {"kind": "range-power-law", "payload": [5, 10]}),
+            # 3 ** -1000 underflows every weight of the default num_columns (3, 40)
+            ("power_law_exponent", 1000),
         ],
     )
     def test_main_rejects_a_config_in_one_line(self, tmp_path, capsys, name, value):

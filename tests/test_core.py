@@ -159,6 +159,25 @@ class TestSeededRng:
         assert np.all((xs >= -2.0) & (xs <= 2.0))
         assert abs(xs.mean()) < 0.05
 
+    @pytest.mark.parametrize("shape", [(1, 32), (32, 32), (1000,)])
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (-0.3, 0.1)])
+    def test_truncated_normal_matches_full_mask_loop(self, shape, lo, hi):
+        def full_mask(rng):
+            # the loop the narrow redraw replaced: recheck every entry each round
+            out = rng.standard_normal(shape)
+            bad = (out < lo) | (out > hi)
+            while bad.any():
+                out[bad] = rng.standard_normal(int(bad.sum()))
+                bad = (out < lo) | (out > hi)
+            return out
+
+        for seed in range(8):
+            got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+            got, want = got_rng.truncated_normal(lo, hi, size=shape), full_mask(want_rng)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got_rng.standard_normal() == want_rng.standard_normal()
+
     def test_spawn_independent_of_draws(self):
         a = SeededRng(21)
         a.uniform(size=100)
@@ -394,6 +413,18 @@ class TestValidateRejectsWhatCannotGenerate:
         with pytest.raises(ConfigError, match="power_law_exponent"):
             replace(config, power_law_exponent=None).validate()
         assert config_from_dict({"power_law_exponent": 3}).power_law_exponent == 3.0
+
+    def test_power_law_exponent_must_leave_a_weight(self, config):
+        # 3 ** -1000 underflows, so every num_columns weight would be 0
+        with pytest.raises(ConfigError, match="power_law_exponent"):
+            replace(config, power_law_exponent=1000.0)
+        with pytest.raises(ConfigError, match="power_law_exponent"):
+            replace(config, num_columns=PriorSpec.power_law_range(2, 5), power_law_exponent=1075.0)
+        # from k = 1 the first weight is 1 for every exponent
+        cfg = _tiny(config, num_columns=PriorSpec.power_law_range(1, 5), power_law_exponent=1000.0)
+        assert generate_database(cfg, 0).schema.num_tables == 3
+        # a uniform num_columns never draws with the exponent
+        _tiny(config, power_law_exponent=1000.0).validate()
 
     def test_keys_still_load(self, config):
         data = config_to_dict(config)

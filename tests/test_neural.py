@@ -1,13 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from plurelgen.core import ConfigError, SeededRng
+from plurelgen.core import MLP_INIT_SCHEMES, ConfigError, SeededRng
 from plurelgen.neural import (
     ACTIVATIONS,
     EmbeddingMatrix,
     TinyMlp,
+    _sigmoid,
     decode_category,
     init_embedding,
     init_mlp,
@@ -74,11 +76,12 @@ class TestInitMlp:
         "scheme",
         ["kaiming-normal", "kaiming-uniform", "xavier-normal", "xavier-uniform", "truncated-normal", "sparse"],
     )
-    def test_all_parameters_finite_and_biases_zero(self, scheme):
+    def test_all_parameters_finite_and_no_biases(self, scheme):
         mlp = init_mlp(3, 5, scheme, "silu", SeededRng(5))
-        for arr in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+        assert [f.name for f in fields(TinyMlp)] == ["w1", "w2", "activation"]
+        assert mlp.w1.shape == (3, 32) and mlp.w2.shape == (32, 5)
+        for arr in (mlp.w1, mlp.w2):
             assert np.all(np.isfinite(arr))
-        assert np.all(mlp.b1 == 0) and np.all(mlp.b2 == 0)
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ConfigError):
@@ -92,17 +95,11 @@ class TestInitMlp:
 class TestMlpForward:
     def test_zero_weights_zero_output(self):
         for tag in ("relu", "tanh", "softsign", "silu", "elu"):
-            mlp = TinyMlp(
-                w1=np.zeros((3, 4)), b1=np.zeros(4), w2=np.zeros((4, 2)), b2=np.zeros(2),
-                activation=tag,
-            )
+            mlp = TinyMlp(w1=np.zeros((3, 4)), w2=np.zeros((4, 2)), activation=tag)
             assert np.all(mlp_forward(mlp, np.array([1.0, -2.0, 3.0])) == 0.0)
 
     def test_relu_kills_negative_single_path(self):
-        mlp = TinyMlp(
-            w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1),
-            activation="relu",
-        )
+        mlp = TinyMlp(w1=np.array([[1.0]]), w2=np.array([[1.0]]), activation="relu")
         assert mlp_forward(mlp, np.array([-1.0]))[0] == 0.0
         assert mlp_forward(mlp, np.array([2.0]))[0] == 2.0
 
@@ -132,6 +129,67 @@ class TestMlpForward:
         mlp = init_mlp(3, 2, "xavier-normal", "relu", SeededRng(10))
         with pytest.raises(ValueError):
             mlp_forward(mlp, np.zeros(4))
+
+
+# The forms these kernels replaced, kept as bitwise references.
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _biased_forward(mlp, x):
+    """The forward pass with its zero biases and a k=1 matmul for one input."""
+    h = ACTIVATIONS[mlp.activation](x @ mlp.w1 + np.zeros(mlp.w1.shape[1]))
+    return h @ mlp.w2 + np.zeros(mlp.w2.shape[1])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _sigmoid_probes():
+    """Signed zeros, underflow and overflow edges, infinities, NaN and 10**6 random values."""
+    edges = np.array([0.0, 1e-300, 1.0, 36.0, 709.0, 745.5, 1e308, np.inf])
+    scale = 10.0 ** SeededRng(12).uniform(-3, 3, size=10**6)
+    return np.concatenate([edges, -edges, SeededRng(11).standard_normal(10**6) * scale, [np.nan]])
+
+
+class TestKernelsBitwise:
+    def test_sigmoid_matches_masked_form(self):
+        x = _sigmoid_probes()
+        got, want = _sigmoid(x), _masked_sigmoid(x)
+        nan = np.isnan(x)
+        assert np.array_equal(np.isnan(got), nan) and np.array_equal(np.isnan(want), nan)
+        # the two forms give NaN different sign bits, so NaN only has to stay NaN
+        assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+    def test_silu_matches_masked_form(self):
+        x = _sigmoid_probes()
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            got, want = ACTIVATIONS["silu"](x), x * _masked_sigmoid(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+    @pytest.mark.parametrize("scheme", MLP_INIT_SCHEMES)
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_one_input_forward_matches_matmul(self, scheme, activation):
+        rng = SeededRng(len(scheme) * 31 + len(activation))
+        mlp = init_mlp(1, 1, scheme, activation, rng)
+        x = np.concatenate([[0.0, -0.0, 1e-300, -1e300], rng.standard_normal(3000) * 5.0])
+        wide = init_mlp(1, 32, scheme, activation, rng)
+        for net in (mlp, wide):
+            got, want = mlp_forward(net, x[:, None]), _biased_forward(net, x[:, None])
+            assert np.array_equal(_bits(got), _bits(want))
+        for v in x[:4]:
+            got, want = mlp_forward(mlp, [v]), _biased_forward(mlp, np.array([v]))
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestEmbedding:

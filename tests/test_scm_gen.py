@@ -217,6 +217,21 @@ class TestAggregateLatent:
         out = aggregate_latent(u, -0.5, [e1, e2], [1.5, 2.5])
         assert np.allclose(out, -0.5 * u + 1.5 * e1 + 2.5 * e2)
 
+    def test_in_place_sum_matches_and_leaves_inputs(self):
+        rng = SeededRng(2)
+        u = rng.beta(2.0, 2.0, size=(50, 32))
+        es = [rng.standard_normal((50, 32)) for _ in range(3)]
+        weights = [0.7, -1.3, 2.1]
+        copies = [u.copy()] + [e.copy() for e in es]
+        want = 0.4 * u
+        for w_k, e_k in zip(weights, es):
+            want = want + w_k * e_k  # the summation the in-place form replaced
+        got = aggregate_latent(u, 0.4, iter(es), weights)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for before, after in zip(copies, [u] + es):
+            assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+        assert not np.shares_memory(got, u)
+
 
 class TestSampleCausalGraph:
     def test_node_count_arithmetic(self, config):
