@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GenConfig, SeededRng, split_seed
+from .core import ConfigError, GenConfig, SeededRng, split_seed
 from .fk_gen import (
     BlockHierarchy,
     assign_block_hierarchy,
@@ -358,6 +358,8 @@ def profile_generation(
     Returns one row per count with mean and deviation over ``repeats`` runs;
     a single repeat reports zero deviation.
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     rows = []
     for count in table_counts:
         cfg = config.with_num_tables(int(count))

@@ -94,13 +94,8 @@ class SeededRng:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size=size)
 
-    def truncated_normal(self, lo: float = -2.0, hi: float = 2.0, size=None):
-        """Standard normal restricted to [lo, hi] by rejection."""
-        if size is None:
-            while True:
-                x = self._gen.standard_normal()
-                if lo <= x <= hi:
-                    return x
+    def truncated_normal(self, lo: float, hi: float, size) -> np.ndarray:
+        """An array of standard normals restricted to [lo, hi] by rejection."""
         out = self._gen.standard_normal(size=size)
         flat = out.reshape(-1)  # a view: out is fresh and contiguous
         # redraw only the entries still outside [lo, hi], in ascending flat order
@@ -177,25 +172,26 @@ class PriorSpec:
     def constant(value) -> "PriorSpec":
         return PriorSpec("constant", value)
 
-    def validate(self, name: str = "prior") -> None:
+    def __post_init__(self) -> None:
+        """Every PriorSpec that exists is well formed: a known kind and a payload of its shape."""
         if self.kind not in _KINDS:
-            raise ConfigError(f"{name}: unknown prior kind {self.kind!r}")
+            raise ConfigError(f"unknown prior kind {self.kind!r}")
         if self.kind in ("range-uniform", "range-power-law"):
             if not (isinstance(self.payload, tuple) and len(self.payload) == 2):
-                raise ConfigError(f"{name}: range payload must be a (lo, hi) pair")
+                raise ConfigError("range payload must be a (lo, hi) pair")
             lo, hi = self.payload
             if not (_is_number(lo) and _is_number(hi)):
                 raise ConfigError(
-                    f"{name}: range ends must be int64 integers or floats in "
+                    f"range ends must be int64 integers or floats in "
                     f"[-{_FLOAT_BOUND:.4g}, {_FLOAT_BOUND:.4g}], got ({lo!r}, {hi!r})"
                 )
             if lo > hi:
-                raise ConfigError(f"{name}: range requires lo <= hi, got ({lo}, {hi})")
+                raise ConfigError(f"range requires lo <= hi, got ({lo}, {hi})")
             if self.kind == "range-power-law" and not (_is_int(lo) and _is_int(hi) and lo >= 1):
-                raise ConfigError(f"{name}: power-law sampling needs a positive integer range")
+                raise ConfigError("power-law sampling needs a positive integer range")
         elif self.kind == "set-uniform":
             if not isinstance(self.payload, tuple) or len(self.payload) == 0:
-                raise ConfigError(f"{name}: set payload must be a non-empty tuple")
+                raise ConfigError("set payload must be a non-empty tuple")
 
     def support_contains(self, value) -> bool:
         """True when ``value`` could have been drawn from this prior."""
@@ -239,7 +235,6 @@ def draw(prior: PriorSpec, rng: SeededRng, gamma: float = 2.0):
     Integer uniform ranges are inclusive on both ends; power-law ranges put
     mass proportional to k**(-gamma) on each integer k, normalized discretely.
     """
-    prior.validate()
     if prior.kind == "constant":
         return prior.payload
     if prior.kind == "set-uniform":
@@ -389,11 +384,7 @@ class GenConfig:
         PriorSpec.set_of(*MLP_INIT_SCHEMES), _tags(MLP_INIT_SCHEMES)
     )
     mlp_activations: PriorSpec = _prior(PriorSpec.set_of(*MLP_ACTIVATIONS), _tags(MLP_ACTIVATIONS))
-    # a numeric input and a numeric output are one scalar each, and TinyMlp has depth 2
-    mlp_input_dim: PriorSpec = _prior(PriorSpec.constant(1), _integers(1, 1))
     mlp_hidden_dim: PriorSpec = _prior(PriorSpec.constant(32), _integers(1))
-    mlp_output_dim: PriorSpec = _prior(PriorSpec.constant(1), _integers(1, 1))
-    mlp_depth: PriorSpec = _prior(PriorSpec.constant(2), _integers(2, 2))
     exogenous_priors: PriorSpec = _prior(
         PriorSpec.set_of((0.5, 0.5), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (4.0, 1.0)),
         FieldRule(_POINT_KINDS, _is_beta_pair, "a pair of positive Beta shapes"),
@@ -417,8 +408,10 @@ class GenConfig:
     ws_rewire_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.1, 0.3), _NUMBER)
     layered_depth: PriorSpec = _prior(PriorSpec.uniform_range(2, 8), _integers(1))
     layered_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.1), _NUMBER)
-    # exponent for the power-law range of num_columns
-    power_law_exponent: float = 2.0
+    # exponent for the power-law range of num_columns; draw takes one number
+    power_law_exponent: PriorSpec = _prior(
+        PriorSpec.constant(2.0), _POSITIVE._replace(kinds=("constant",))
+    )
 
     def __post_init__(self) -> None:
         self.validate()
@@ -429,7 +422,6 @@ class GenConfig:
             prior = getattr(self, name)
             if not isinstance(prior, PriorSpec):
                 raise ConfigError(f"{name} must be a PriorSpec")
-            prior.validate(name)
             if prior.kind not in rule.kinds:
                 raise ConfigError(f"{name} takes {' or '.join(rule.kinds)}, not {prior.kind}")
             for point in _points(prior):
@@ -438,9 +430,7 @@ class GenConfig:
         latest_min = max(parse_date(str(t)) for t in _points(self.timestamp_min))
         if latest_min >= min(parse_date(str(t)) for t in _points(self.timestamp_max)):
             raise ConfigError("every timestamp_min must precede every timestamp_max")
-        gamma = self.power_law_exponent
-        if not _POSITIVE.check(gamma):
-            raise ConfigError(f"power_law_exponent must be {_POSITIVE.domain}, got {gamma!r}")
+        gamma = self.power_law_exponent.payload
         # the largest num_columns weight is lo ** -gamma; where it underflows, all are 0
         cols = self.num_columns
         if cols.kind == "range-power-law" and float(cols.payload[0]) ** -gamma == 0:
@@ -451,9 +441,7 @@ class GenConfig:
         return replace(self, num_tables=PriorSpec.constant(count))
 
 
-FIELD_RULES: dict[str, FieldRule] = {
-    f.name: f.metadata["rule"] for f in fields(GenConfig) if "rule" in f.metadata
-}
+FIELD_RULES: dict[str, FieldRule] = {f.name: f.metadata["rule"] for f in fields(GenConfig)}
 
 
 def default_config() -> GenConfig:
@@ -473,14 +461,14 @@ def _payload_to_json(prior: PriorSpec):
 
 
 def _payload_from_json(kind: str, payload):
-    """JSON lists become tuples; PriorSpec.validate rejects any other shape by field name."""
+    """JSON lists become tuples; PriorSpec rejects any other shape when it is built."""
     if kind != "constant" and isinstance(payload, list):
         return tuple(tuple(x) if isinstance(x, list) else x for x in payload)
     return payload
 
 
 def config_to_dict(config: GenConfig) -> dict:
-    out: dict[str, Any] = {"power_law_exponent": config.power_law_exponent}
+    out: dict[str, Any] = {}
     for name in FIELD_RULES:
         prior: PriorSpec = getattr(config, name)
         out[name] = {"kind": prior.kind, "payload": _payload_to_json(prior)}
@@ -491,18 +479,16 @@ def config_from_dict(data: dict) -> GenConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     kwargs: dict[str, Any] = {}
-    known = {f.name for f in fields(GenConfig)}
     for key, value in data.items():
-        if key not in known:
+        if key not in FIELD_RULES:
             raise ConfigError(f"unknown config key {key!r}")
-        if key == "power_law_exponent":
-            # a non-number is kept, so validate() rejects it by name
-            kwargs[key] = float(value) if _is_number(value) else value
-            continue
         if not isinstance(value, dict) or "kind" not in value or "payload" not in value:
             raise ConfigError(f"{key}: expected an object with 'kind' and 'payload'")
         kind = value["kind"]
-        kwargs[key] = PriorSpec(kind, _payload_from_json(kind, value["payload"]))
+        try:
+            kwargs[key] = PriorSpec(kind, _payload_from_json(kind, value["payload"]))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
     return GenConfig(**kwargs)
 
 

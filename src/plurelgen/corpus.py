@@ -96,11 +96,11 @@ class _DbIndex:
         ts = self.tables[t].timestamps
         return float(ts[row - 1]) if ts is not None else -math.inf
 
-    def parents_of(self, t: int, row: int) -> list[tuple[int, int, str]]:
-        """(parent_pos, parent_row, fk_col) per foreign-key column, in column order."""
+    def parents_of(self, t: int, row: int) -> list[tuple[int, int]]:
+        """(parent_pos, parent_row) per foreign-key column, in column order."""
         table = self.tables[t]
         return [
-            (self.pos[table.fk_targets[col]], int(table.fk_columns[col][row - 1]), col)
+            (self.pos[table.fk_targets[col]], int(table.fk_columns[col][row - 1]))
             for col in table.fk_names
         ]
 
@@ -111,12 +111,9 @@ class _DbIndex:
             sorted_fk, order = self.child_sorted[(ci, fk_col)]
             lo = np.searchsorted(sorted_fk, row, side="left")
             hi = np.searchsorted(sorted_fk, row, side="right")
-            out.extend((ci, int(r) + 1) for r in np.sort(order[lo:hi]))
+            # a stable argsort keeps the rows of one key ascending
+            out.extend((ci, int(r) + 1) for r in order[lo:hi])
         return out
-
-    def cells_per_row(self, t: int) -> int:
-        table = self.tables[t]
-        return len(table.feature_names) + (1 if table.timestamps is not None else 0)
 
     def row_tokens(self, t: int, row: int, masked_cell) -> list[CellToken]:
         table = self.tables[t]
@@ -139,6 +136,11 @@ class _DbIndex:
                 )
             )
         return out
+
+
+def _row_cells(table: GeneratedTable) -> int:
+    """Tokens one row of ``table`` takes in a context: its feature cells and its timestamp."""
+    return len(table.feature_names) + (1 if table.timestamps is not None else 0)
 
 
 _index_cache: "weakref.WeakKeyDictionary[RelationalDatabase, _DbIndex]" = (
@@ -187,8 +189,8 @@ def bfs_context(
         raise ValueError(f"row {seed_row} outside [1, {table.num_rows}] for {seed_table}")
     if table.null_mask[seed_column][seed_row - 1]:
         raise ValueError("seed cell is NULL; nothing to predict")
-    if budget < idx.cells_per_row(t0):
-        raise ValueError(f"budget {budget} smaller than the seed row ({idx.cells_per_row(t0)} cells)")
+    if budget < _row_cells(table):
+        raise ValueError(f"budget {budget} smaller than the seed row ({_row_cells(table)} cells)")
 
     if table.feature_types[seed_column] == NUMERIC:
         target_value: float | int = float(table.features[seed_column][seed_row - 1])
@@ -210,13 +212,13 @@ def bfs_context(
 
     def add_row(t: int, r: int) -> bool:
         nonlocal stopped
-        if len(tokens) + idx.cells_per_row(t) > budget:
+        if len(tokens) + _row_cells(idx.tables[t]) > budget:
             stopped = True
             return False
         visited.add((t, r))
         tokens.extend(idx.row_tokens(t, r, masked_cell))
         rows.append((idx.table_names[t], r))
-        for pt, pr, _ in idx.parents_of(t, r):
+        for pt, pr in idx.parents_of(t, r):
             child_count[(pt, pr)] = child_count.get((pt, pr), 0) + 1
         queue.append((t, r))
         return True
@@ -225,7 +227,7 @@ def bfs_context(
     while queue and not stopped:
         t, r = queue.popleft()
         # child-to-parent links: always follow
-        for pt, pr, _ in idx.parents_of(t, r):
+        for pt, pr in idx.parents_of(t, r):
             if (pt, pr) in visited or not admissible(pt, pr):
                 continue
             if not add_row(pt, pr):
@@ -251,7 +253,7 @@ def bfs_context(
             # adding this child must not overflow the cap of any parent it references
             if any(
                 child_count.get((pt, pr), 0) >= width
-                for pt, pr, _ in idx.parents_of(ct, cr)
+                for pt, pr in idx.parents_of(ct, cr)
             ):
                 continue
             if not add_row(ct, cr):
@@ -262,7 +264,7 @@ def bfs_context(
     fk_edges = []
     for tn, r in rows:
         t = idx.pos[tn]
-        for pt, pr, _ in idx.parents_of(t, r):
+        for pt, pr in idx.parents_of(t, r):
             if (idx.table_names[pt], pr) in included:
                 fk_edges.append(((tn, r), (idx.table_names[pt], pr)))
 
@@ -320,6 +322,11 @@ def build_corpus(
     """
     if len(dbs) == 0:
         raise ConfigError("corpus construction needs at least one database")
+    if width < 0:
+        raise ConfigError(f"width must be non-negative, got {width}")
+    widest = max((_row_cells(t) for _, db in dbs for t in db.tables.values()), default=0)
+    if budget < widest:
+        raise ConfigError(f"context length {budget} cannot hold the widest row ({widest} cells)")
     catalogs = [_feature_cell_catalog(db) for _, db in dbs]
     for cat in catalogs:
         if not cat:

@@ -161,7 +161,7 @@ def assign_table_metadata(graph: SchemaGraph, config: GenConfig, rng: SeededRng)
     """
     metas: list[TableMeta | None] = [None] * graph.num_tables
     for t in topological_order(graph):
-        ncols = draw(config.num_columns, rng, config.power_law_exponent)
+        ncols = draw(config.num_columns, rng, float(config.power_law_exponent.payload))
         if graph.out_degree(t) >= 1:
             kind, rows_prior = ENTITY, config.rows_entity
         else:

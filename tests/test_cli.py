@@ -83,9 +83,9 @@ class TestGenerate:
         "name, value",
         [
             ("num_tables", {"kind": "range-uniform", "payload": ["a", 3]}),
-            ("power_law_exponent", "abc"),
-            ("mlp_output_dim", {"kind": "constant", "payload": 0}),
-            ("mlp_output_dim", {"kind": "constant", "payload": 2}),
+            ("power_law_exponent", {"kind": "constant", "payload": "abc"}),
+            # the one value this key took is gone with the key
+            ("mlp_output_dim", {"kind": "constant", "payload": 1}),
             ("layered_depth", {"kind": "constant", "payload": 0}),
             ("hsbm_levels", {"kind": "constant", "payload": 0}),
             ("hsbm_clusters_per_level", {"kind": "constant", "payload": 0}),
@@ -99,7 +99,7 @@ class TestGenerate:
             ("trend_scale_activity", {"kind": "range-uniform", "payload": [-1e308, 1e308]}),
             ("rows_entity", {"kind": "range-power-law", "payload": [5, 10]}),
             # 3 ** -1000 underflows every weight of the default num_columns (3, 40)
-            ("power_law_exponent", 1000),
+            ("power_law_exponent", {"kind": "constant", "payload": 1000}),
         ],
     )
     def test_main_rejects_a_config_in_one_line(self, tmp_path, capsys, name, value):
@@ -211,6 +211,16 @@ class TestCorpusCommand:
         assert cmd_corpus([str(tmp_path / "nope")], 100, 1024, 128, 0, str(tmp_path / "c")) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, field", [(["--context-len", "1"], "context length"), (["--width", "-1"], "width")]
+    )
+    def test_unusable_budget_is_one_line(self, generated_root, tmp_path, capsys, flags, field):
+        out = str(tmp_path / "c.jsonl")
+        argv = ["corpus", str(generated_root), "--tokens", "100", *flags, "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and field in err
+
     def test_cli_defaults_applied(self, generated_root, tmp_path):
         out = tmp_path / "dflt.jsonl"
         status = main(
@@ -274,6 +284,12 @@ class TestProfileCommand:
         assert rows[0][0] == "num_tables"
         assert len(rows) == 3
         assert [r[0] for r in rows[1:]] == ["3", "4"]
+
+    def test_zero_repeats_is_one_line(self, tmp_path, capsys):
+        argv = ["profile", "--counts", "3", "--repeats", "0", "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "repeats" in err
 
 
 class TestMainParser:

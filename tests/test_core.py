@@ -93,16 +93,21 @@ class TestDraw:
         assert draws.min() >= 3 and draws.max() <= 40
 
     def test_power_law_requires_integer_range(self):
-        with pytest.raises(ConfigError):
-            draw(PriorSpec("range-power-law", (0.5, 2.0)), SeededRng(0))
+        with pytest.raises(ConfigError, match="power-law"):
+            PriorSpec("range-power-law", (0.5, 2.0))
+        with pytest.raises(ConfigError, match="power-law"):
+            PriorSpec.power_law_range(0, 3)
 
     def test_malformed_prior(self):
-        with pytest.raises(ConfigError):
-            draw(PriorSpec("range-uniform", (5, 2)), SeededRng(0))
-        with pytest.raises(ConfigError):
-            draw(PriorSpec("set-uniform", ()), SeededRng(0))
-        with pytest.raises(ConfigError):
-            draw(PriorSpec("nope", 1), SeededRng(0))
+        # a malformed prior cannot be built, so draw never sees one
+        with pytest.raises(ConfigError, match="lo <= hi"):
+            PriorSpec("range-uniform", (5, 2))
+        with pytest.raises(ConfigError, match="non-empty"):
+            PriorSpec("set-uniform", ())
+        with pytest.raises(ConfigError, match="unknown prior kind"):
+            PriorSpec("nope", 1)
+        with pytest.raises(ConfigError, match=r"\(lo, hi\) pair"):
+            PriorSpec("range-uniform", [1, 2])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -253,7 +258,7 @@ class TestGenConfig:
         assert config.null_fraction.payload == (0.01, 0.1)
         assert config.num_categories.payload == (2, 10)
         assert config.mlp_hidden_dim.payload == 32
-        assert config.mlp_depth.payload == 2
+        assert config.power_law_exponent == PriorSpec.constant(2.0)
         assert (2.0, 3.0) in config.exogenous_priors.payload
         assert config.hsbm_levels.payload == (1, 5)
         assert config.hsbm_clusters_per_level.payload == (1, 3)
@@ -286,17 +291,11 @@ def _tiny(config, **priors):
 
 
 class TestValidateRejectsWhatCannotGenerate:
-    def test_mlp_input_dim_other_than_one(self, config):
-        with pytest.raises(ConfigError, match="mlp_input_dim"):
-            _tiny(config, mlp_input_dim=PriorSpec.constant(3)).validate()
-        with pytest.raises(ConfigError, match="mlp_input_dim"):
-            _tiny(config, mlp_input_dim=PriorSpec.uniform_range(1, 2)).validate()
-
-    def test_mlp_depth_other_than_two(self, config):
-        with pytest.raises(ConfigError, match="mlp_depth"):
-            _tiny(config, mlp_depth=PriorSpec.constant(5)).validate()
-        with pytest.raises(ConfigError, match="mlp_depth"):
-            _tiny(config, mlp_depth=PriorSpec.set_of(2, 3)).validate()
+    @pytest.mark.parametrize("name", ["mlp_input_dim", "mlp_output_dim", "mlp_depth"])
+    def test_fixed_mlp_shape_keys_are_unknown(self, name):
+        # a one-input, one-output, depth-2 MLP is not a setting, so these keys are gone
+        with pytest.raises(ConfigError, match=f"unknown config key '{name}'"):
+            config_from_dict({name: {"kind": "constant", "payload": 1}})
 
     @pytest.mark.parametrize("name", ["rows_entity", "rows_activity"])
     def test_row_range_below_one(self, config, name):
@@ -322,8 +321,8 @@ class TestValidateRejectsWhatCannotGenerate:
     def test_constant_family_is_one_tag(self, config, name, tag):
         with pytest.raises(ConfigError, match=name):
             _tiny(config, **{name: PriorSpec.constant("no-such-family")}).validate()
-        with pytest.raises(ConfigError, match=name):
-            _tiny(config, **{name: PriorSpec.uniform_range("a", "b")}).validate()
+        with pytest.raises(ConfigError, match="range ends"):
+            PriorSpec.uniform_range("a", "b")
         cfg = _tiny(config, **{name: PriorSpec.constant(tag)})
         cfg.validate()
         generate_database(cfg, 2)
@@ -362,8 +361,6 @@ class TestValidateRejectsWhatCannotGenerate:
     @pytest.mark.parametrize(
         "name, bad",
         [
-            ("mlp_output_dim", PriorSpec.constant(0)),
-            ("mlp_output_dim", PriorSpec.constant(2)),
             ("layered_depth", PriorSpec.constant(0)),
             ("hsbm_levels", PriorSpec.constant(0)),
             ("hsbm_levels", PriorSpec.uniform_range(1, 6)),
@@ -372,26 +369,34 @@ class TestValidateRejectsWhatCannotGenerate:
             ("num_tables", PriorSpec.constant(1)),
             ("num_tables", PriorSpec.constant(2.5)),
             ("num_tables", PriorSpec.uniform_range(3, 20.5)),
-            ("num_tables", PriorSpec.uniform_range("a", 3)),
             ("num_columns", PriorSpec.constant(0)),
             ("ba_attachment", PriorSpec.constant(0)),
             ("trend_exponent", PriorSpec.constant("x")),
             ("rows_entity", PriorSpec.constant(7.5)),
             # numpy draws neither beyond int64 nor across more than the float range
-            ("hsbm_clusters_per_level", PriorSpec.uniform_range(1, 2**70)),
             ("hsbm_clusters_per_level", PriorSpec.constant(2**70)),
-            ("trend_scale_activity", PriorSpec.uniform_range(-1e308, 1e308)),
             ("trend_scale_activity", PriorSpec.set_of(0.0, 1e308)),
             ("trend_exponent", PriorSpec.constant(-1e308)),
             # only num_columns is drawn with power_law_exponent
             ("rows_entity", PriorSpec.power_law_range(1, 3)),
             ("num_categories", PriorSpec.power_law_range(1, 3)),
             ("hsbm_levels", PriorSpec.power_law_range(1, 3)),
+            # draw takes one exponent, so it is a positive constant
+            ("power_law_exponent", PriorSpec.constant(0.0)),
+            ("power_law_exponent", PriorSpec.constant("x")),
+            ("power_law_exponent", PriorSpec.set_of(2.0, 3.0)),
+            ("power_law_exponent", PriorSpec.uniform_range(1.0, 2.0)),
         ],
     )
     def test_outside_the_field_domain(self, config, name, bad):
         with pytest.raises(ConfigError, match=name):
             _tiny(config, **{name: bad}).validate()
+
+    # numpy draws neither beyond int64 nor across more than the float range
+    @pytest.mark.parametrize("ends", [("a", 3), (1, 2**70), (-1e308, 1e308)])
+    def test_undrawable_range_cannot_be_built(self, ends):
+        with pytest.raises(ConfigError, match="range ends"):
+            PriorSpec.uniform_range(*ends)
 
     @pytest.mark.parametrize("family", ["barabasi-albert", "reverse-random-tree", "watts-strogatz"])
     def test_two_tables_generate_in_every_schema_family(self, config, family):
@@ -409,28 +414,26 @@ class TestValidateRejectsWhatCannotGenerate:
 
     def test_power_law_exponent_must_be_a_number(self, config):
         with pytest.raises(ConfigError, match="power_law_exponent"):
-            config_from_dict({"power_law_exponent": "abc"})
+            config_from_dict({"power_law_exponent": {"kind": "constant", "payload": "abc"}})
         with pytest.raises(ConfigError, match="power_law_exponent"):
-            replace(config, power_law_exponent=None).validate()
-        assert config_from_dict({"power_law_exponent": 3}).power_law_exponent == 3.0
+            config_from_dict({"power_law_exponent": 3})
+        with pytest.raises(ConfigError, match="power_law_exponent"):
+            replace(config, power_law_exponent=None)
+        cfg = config_from_dict({"power_law_exponent": {"kind": "constant", "payload": 3}})
+        assert cfg.power_law_exponent == PriorSpec.constant(3)
 
     def test_power_law_exponent_must_leave_a_weight(self, config):
         # 3 ** -1000 underflows, so every num_columns weight would be 0
+        steep, steeper = PriorSpec.constant(1000.0), PriorSpec.constant(1075.0)
         with pytest.raises(ConfigError, match="power_law_exponent"):
-            replace(config, power_law_exponent=1000.0)
+            replace(config, power_law_exponent=steep)
         with pytest.raises(ConfigError, match="power_law_exponent"):
-            replace(config, num_columns=PriorSpec.power_law_range(2, 5), power_law_exponent=1075.0)
+            replace(config, num_columns=PriorSpec.power_law_range(2, 5), power_law_exponent=steeper)
         # from k = 1 the first weight is 1 for every exponent
-        cfg = _tiny(config, num_columns=PriorSpec.power_law_range(1, 5), power_law_exponent=1000.0)
+        cfg = _tiny(config, num_columns=PriorSpec.power_law_range(1, 5), power_law_exponent=steep)
         assert generate_database(cfg, 0).schema.num_tables == 3
         # a uniform num_columns never draws with the exponent
-        _tiny(config, power_law_exponent=1000.0).validate()
-
-    def test_keys_still_load(self, config):
-        data = config_to_dict(config)
-        data["mlp_depth"] = {"kind": "constant", "payload": 2}
-        data["mlp_input_dim"] = {"kind": "set-uniform", "payload": [1]}
-        assert config_from_dict(data).mlp_depth == PriorSpec.constant(2)
+        _tiny(config, power_law_exponent=steep).validate()
 
 
 # Hostile points for the property test. They are written out here, not read
@@ -449,7 +452,8 @@ _CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
 class TestEveryAcceptedConfigGenerates:
     def test_rule_table_covers_every_prior_field(self):
         hints = get_type_hints(GenConfig)
-        assert set(FIELD_RULES) == {name for name, t in hints.items() if t is PriorSpec}
+        assert set(FIELD_RULES) == set(_CONFIG_FIELDS) == set(hints)
+        assert all(t is PriorSpec for t in hints.values())
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(
@@ -465,15 +469,13 @@ class TestEveryAcceptedConfigGenerates:
             "rows_entity": PriorSpec.uniform_range(3, 12),
             "rows_activity": PriorSpec.uniform_range(3, 12),
         }
-        for name in names:
-            kind = data.draw(st.sampled_from(_PRIOR_KINDS))
-            if name == "power_law_exponent":
-                small[name] = data.draw(point)
-            elif kind == "constant":
-                small[name] = PriorSpec.constant(data.draw(point))
-            else:
-                small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
         try:
+            for name in names:
+                kind = data.draw(st.sampled_from(_PRIOR_KINDS))
+                if kind == "constant":
+                    small[name] = PriorSpec.constant(data.draw(point))
+                else:
+                    small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
             cfg = replace(config, **small)
         except ConfigError:
             return

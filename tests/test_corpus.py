@@ -168,6 +168,14 @@ class TestBuildCorpus:
         for ex in build_corpus([("d", db)], 50, budget=32, width=4, seed=6):
             assert (ex.seed_table, ex.seed_column, ex.seed_row) == ("parent", "feature_1", 1)
 
+    def test_budget_must_hold_the_widest_row(self):
+        db = _toy_db()  # a parent row is two feature cells
+        with pytest.raises(ConfigError, match="context length 1"):
+            next(build_corpus([("d", db)], 100, budget=1, width=4))
+        with pytest.raises(ConfigError, match="width"):
+            next(build_corpus([("d", db)], 100, budget=2, width=-1))
+        assert all(ex.n_tokens <= 2 for ex in build_corpus([("d", db)], 20, budget=2, width=0))
+
     def test_requires_databases(self):
         with pytest.raises(ConfigError):
             list(build_corpus([], 100, seed=0))

@@ -40,7 +40,7 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "1fdb8c70b058ccca42f99f6205faaa04980734b5105e8a7af2bd07e34a6152ae"
+GOLDEN_TREE_DIGEST = "ac5bb9375a783f8ec66bde372287319de6d558d844e6ab2c0cd776844722109e"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
 GOLDEN_CORPUS_DIGEST = "ed68fbabbb69a2c825fe5abe663e294e1be9ac734bb34bb12a2851fc7b28a1a5"
 
