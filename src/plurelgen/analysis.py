@@ -355,8 +355,10 @@ def profile_generation(
 ) -> list[dict]:
     """Single-threaded wall-clock and peak-memory per table count.
 
-    Returns one row per count with mean and deviation over ``repeats`` runs;
-    a single repeat reports zero deviation.
+    Each repeat is timed with ``tracemalloc`` off, since tracing slows
+    generation, and its peak memory is taken from a second, traced run of the
+    same seed. Returns one row per count with mean and deviation over
+    ``repeats`` runs; a single repeat reports zero deviation.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
@@ -366,12 +368,15 @@ def profile_generation(
         latencies, peaks = [], []
         for rep in range(repeats):
             run_seed = split_seed(seed, int(count) * 1000 + rep)
-            tracemalloc.start()
             t0 = time.perf_counter()
             generate_database(cfg, run_seed)
             latencies.append(time.perf_counter() - t0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            tracemalloc.start()
+            try:
+                generate_database(cfg, run_seed)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         lat = np.array(latencies)
         mem = np.array(peaks) / 1e9
         rows.append(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -279,13 +280,25 @@ def find_database_dirs(path) -> list[Path]:
 
 
 def write_corpus_file(stream, path) -> tuple[int, int]:
-    """Write context examples as line-delimited JSON; returns (examples, tokens)."""
+    """Write context examples as line-delimited JSON; returns (examples, tokens).
+
+    The lines go to a temporary file beside ``path`` that replaces ``path``
+    once the stream is exhausted. If writing fails, the temporary file is
+    removed and an existing ``path`` keeps its bytes.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count, tokens = 0, 0
-    with open(path, "w") as fh:
-        for example in stream:
-            fh.write(json.dumps(example_to_json(example), separators=(",", ":")) + "\n")
-            count += 1
-            tokens += example.n_tokens
+    try:
+        with open(tmp, "w") as fh:
+            for example in stream:
+                fh.write(json.dumps(example_to_json(example), separators=(",", ":")) + "\n")
+                count += 1
+                tokens += example.n_tokens
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count, tokens
 
 

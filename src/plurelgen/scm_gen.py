@@ -16,6 +16,11 @@ bit for bit on OpenBLAS at the default hidden width of 32; a one-row batch
 (a one-row table, or a one-category input), which numpy hands to a
 matrix-vector routine, and hidden widths of 300 or more can round the last
 bit differently.
+
+A built SCM holds each mechanism's structure and scalars but no weight
+arrays: every mechanism draws its MLP weights and embeddings from its own
+seeded stream when it is realized, and drops them once it is done, so set-up
+memory does not grow with a table's projector count.
 """
 
 from __future__ import annotations
@@ -325,22 +330,42 @@ class ForeignFeatureRef:
     weight: float  # uniform 1 / (parent's feature-node count)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class InputProjector:
-    mlp: TinyMlp
-    embedding: EmbeddingMatrix | None
+    """One input's projector as drawn tags; its weights are drawn when it is realized."""
+
+    dtype: str
+    cardinality: int | None
+    scheme: str
+    activation: str
     weight: float
+
+
+@dataclass(frozen=True)
+class ReconHead:
+    """A mechanism's reconstruction head as drawn tags, like ``InputProjector``."""
+
+    dtype: str
+    cardinality: int | None
+    scheme: str
+    activation: str
 
 
 @dataclass(frozen=True, eq=False)
 class NodeMechanism:
+    """Structure and scalars of one non-source node.
+
+    ``weight_seed`` keys the stream its projector and reconstruction weights
+    are drawn from, in order, when the node is realized.
+    """
+
     exo_weight: float
     exo_beta: tuple[float, float]
     foreign_proj: tuple[InputProjector, ...]
     local_inputs: tuple[int, ...]
     local_proj: tuple[InputProjector, ...]
-    recon_mlp: TinyMlp
-    recon_embedding: EmbeddingMatrix | None
+    recon: ReconHead
+    weight_seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,18 +399,11 @@ def _draw_temporal(kind: str, num_rows: int, config: GenConfig, rng: SeededRng) 
 
 
 def _make_projector(
-    dtype: str, cardinality: int | None, weight: float, hidden: int, config: GenConfig, rng: SeededRng
+    dtype: str, cardinality: int | None, weight: float, config: GenConfig, rng: SeededRng
 ) -> InputProjector:
     scheme = draw(config.mlp_init_schemes, rng)
     act = draw(config.mlp_activations, rng)
-    if dtype == NUMERIC:
-        return InputProjector(
-            mlp=init_mlp(1, hidden, scheme, act, rng, hidden), embedding=None, weight=weight
-        )
-    emb = init_embedding(int(cardinality), hidden, rng)
-    return InputProjector(
-        mlp=init_mlp(hidden, hidden, scheme, act, rng, hidden), embedding=emb, weight=weight
-    )
+    return InputProjector(dtype, cardinality, scheme, act, weight)
 
 
 def build_scm(
@@ -396,12 +414,14 @@ def build_scm(
     config: GenConfig,
     rng: SeededRng,
 ) -> ScmSpec:
-    """Bind every mechanism parameter: projectors, weights, exogenous priors.
+    """Bind every mechanism's structure and scalars: tags, input weights, exogenous priors.
 
     Every non-source node receives one projector per foreign feature column
     (all parents) and one per in-graph predecessor, a scalar exogenous weight,
     a Beta prior for its latent exogenous input, and a reconstruction head of
-    its own data type.
+    its own data type. The MLP and embedding arrays are not drawn here: node
+    ``v`` draws them from its own stream, the seed of ``rng.spawn(1 + v)``,
+    when it is realized, so no draw on ``rng`` is spent on them.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
     sources: dict[int, SourceMechanism] = {}
@@ -422,18 +442,13 @@ def build_scm(
                 sources[v] = SourceMechanism(category_temporals=cats)
             continue
         foreign_proj = tuple(
-            _make_projector(ref.dtype, ref.cardinality, ref.weight, hidden, config, rng)
+            _make_projector(ref.dtype, ref.cardinality, ref.weight, config, rng)
             for ref in foreign_refs
         )
         local_inputs = graph.predecessors(v)
         local_proj = tuple(
             _make_projector(
-                graph.node_types[u],
-                graph.cardinalities[u],
-                graph.edge_weights[(u, v)],
-                hidden,
-                config,
-                rng,
+                graph.node_types[u], graph.cardinalities[u], graph.edge_weights[(u, v)], config, rng
             )
             for u in local_inputs
         )
@@ -441,20 +456,14 @@ def build_scm(
         exo_beta = draw(config.exogenous_priors, rng)
         scheme = draw(config.mlp_init_schemes, rng)
         act = draw(config.mlp_activations, rng)
-        if graph.node_types[v] == NUMERIC:
-            recon = init_mlp(hidden, 1, scheme, act, rng, hidden)
-            recon_emb = None
-        else:
-            recon = init_mlp(hidden, hidden, scheme, act, rng, hidden)
-            recon_emb = init_embedding(int(graph.cardinalities[v]), hidden, rng)
         mechanisms[v] = NodeMechanism(
             exo_weight=exo_weight,
             exo_beta=(float(exo_beta[0]), float(exo_beta[1])),
             foreign_proj=foreign_proj,
             local_inputs=local_inputs,
             local_proj=local_proj,
-            recon_mlp=recon,
-            recon_embedding=recon_emb,
+            recon=ReconHead(graph.node_types[v], graph.cardinalities[v], scheme, act),
+            weight_seed=split_seed(rng.seed, 1 + v),
         )
     return ScmSpec(
         graph=graph,
@@ -466,30 +475,57 @@ def build_scm(
     )
 
 
-def _project_batch(proj: InputProjector, values: np.ndarray) -> np.ndarray:
+def _projector_weights(
+    proj: InputProjector, hidden: int, rng: SeededRng
+) -> tuple[TinyMlp, EmbeddingMatrix | None]:
+    """A projector's MLP, and a categorical input's embedding, drawn from its mechanism's stream."""
+    if proj.dtype == NUMERIC:
+        return init_mlp(1, hidden, proj.scheme, proj.activation, rng, hidden), None
+    emb = init_embedding(int(proj.cardinality), hidden, rng)
+    return init_mlp(hidden, hidden, proj.scheme, proj.activation, rng, hidden), emb
+
+
+def _recon_weights(
+    head: ReconHead, hidden: int, rng: SeededRng
+) -> tuple[TinyMlp, EmbeddingMatrix | None]:
+    """A reconstruction head's MLP, and a categorical node's embedding, from the same stream."""
+    if head.dtype == NUMERIC:
+        return init_mlp(hidden, 1, head.scheme, head.activation, rng, hidden), None
+    mlp = init_mlp(hidden, hidden, head.scheme, head.activation, rng, hidden)
+    return mlp, init_embedding(int(head.cardinality), hidden, rng)
+
+
+def _project_batch(
+    proj: InputProjector, values: np.ndarray, hidden: int, rng: SeededRng
+) -> np.ndarray:
     """Project raw input values (n,) into the latent space (n, hidden).
 
-    A categorical input projects its C x hidden embedding table once and
+    The projector's weights are drawn from ``rng`` and dropped on return. A
+    categorical input projects its C x hidden embedding table once and
     indexes the result by category.
     """
-    if proj.embedding is None:
-        return mlp_forward(proj.mlp, np.asarray(values, dtype=np.float64)[:, None])
-    return mlp_forward(proj.mlp, proj.embedding.rows)[np.asarray(values, dtype=np.int64) - 1]
+    mlp, emb = _projector_weights(proj, hidden, rng)
+    if emb is None:
+        return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
+    return mlp_forward(mlp, emb.rows)[np.asarray(values, dtype=np.int64) - 1]
 
 
 def _projected_inputs(
     m: NodeMechanism,
     foreign_values: list[tuple[np.ndarray, np.ndarray]],
     values: dict[int, np.ndarray],
+    hidden: int,
+    rng: SeededRng,
 ):
     """The mechanism's projected inputs (num_rows, hidden), foreign then local.
 
-    Yielded one at a time, so aggregation holds one projected input at once.
+    Yielded one at a time, so aggregation holds one projected input, and one
+    projector's weights, at once.
     """
     for proj, (parent_values, fk_index) in zip(m.foreign_proj, foreign_values):
-        yield _project_batch(proj, parent_values)[fk_index]
+        yield _project_batch(proj, parent_values, hidden, rng)[fk_index]
     for proj, j in zip(m.local_proj, m.local_inputs):
-        yield _project_batch(proj, values[j])
+        yield _project_batch(proj, values[j], hidden, rng)
 
 
 def realize_table_values(
@@ -506,6 +542,11 @@ def realize_table_values(
     (the foreign key minus one). The column is projected once per parent row
     and the projection is gathered by ``fk_index``. An empty list is the
     no-parent specialization.
+
+    Each mechanism draws its projector and reconstruction weights from its
+    own ``weight_seed`` stream just before it uses them, so the table holds
+    one projector's weights at a time, and realizing one ``ScmSpec`` twice
+    from equal ``rng`` states gives equal values.
     """
     if len(foreign_values) != len(scm.foreign_refs):
         raise ValueError(
@@ -526,11 +567,16 @@ def realize_table_values(
         weights = [proj.weight for proj in m.foreign_proj] + [
             proj.weight for proj in m.local_proj
         ]
-        e = aggregate_latent(u, m.exo_weight, _projected_inputs(m, foreign_values, values), weights)
-        if m.recon_embedding is None:
-            values[v] = mlp_forward(m.recon_mlp, e)[:, 0]
-        else:
-            values[v] = decode_category(m.recon_embedding, mlp_forward(m.recon_mlp, e))
+        w_rng = SeededRng(m.weight_seed)
+        projected = _projected_inputs(m, foreign_values, values, scm.hidden_dim, w_rng)
+        # aggregate_latent's sum, in place on the fresh arrays it is made of, so
+        # that no (num_rows, hidden) temporary is allocated and freed per input
+        e = np.multiply(m.exo_weight, u, out=u)
+        for w_k, e_k in zip(weights, projected):
+            e += np.multiply(w_k, e_k, out=e_k)
+        recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
+        latent = mlp_forward(recon, e)
+        values[v] = latent[:, 0] if emb is None else decode_category(emb, latent)
     return values
 
 

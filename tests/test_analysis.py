@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_database, make_table
+from plurelgen import analysis
 from plurelgen.analysis import (
     FitDegenerateError,
     column_moments,
@@ -212,3 +215,16 @@ class TestProfileGeneration:
     def test_multiple_counts(self, config):
         rows = profile_generation(config, [3, 4], repeats=1, seed=6)
         assert [r["num_tables"] for r in rows] == [3, 4]
+
+    def test_timed_runs_are_untraced(self, config, monkeypatch):
+        calls = []
+
+        def generate(cfg, seed):
+            calls.append((seed, tracemalloc.is_tracing()))
+            return generate_database(cfg, seed)
+
+        monkeypatch.setattr(analysis, "generate_database", generate)
+        profile_generation(config, [3], repeats=2, seed=5)
+        # each repeat: the timed run untraced, then the same seed traced for memory
+        assert [traced for _, traced in calls] == [False, True, False, True]
+        assert calls[0][0] == calls[1][0] != calls[2][0] == calls[3][0]

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` wraps functions by module and name. A renamed function
 fails ``install``; a bypassed one is never called, and its traced metric
-would silently read 0. This test fails on both.
+would silently read 0. This test fails on both, and on projector and forward
+counts that no longer agree with each other.
 """
 
 import importlib
@@ -37,3 +38,7 @@ def test_every_wrapped_span_opens(tmp_path, monkeypatch):
         tracer.uninstall()
     opened = {name for name, *_ in tracer.spans}
     assert not (set(tracing.WRAPPED) | {"core.beta"}) - opened
+    # one forward per projector, plus one reconstruction per mechanism (one Beta draw each)
+    mechanisms = sum(name == "core.beta" for name, *_ in tracer.spans)
+    assert tracer.counts["scm_gen.projectors"] > 0
+    assert tracer.counts["neural.forward_calls"] == tracer.counts["scm_gen.projectors"] + mechanisms

@@ -221,6 +221,14 @@ class TestCorpusCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and field in err
 
+    def test_failed_corpus_keeps_the_old_file(self, generated_root, tmp_path):
+        out = tmp_path / "old.jsonl"
+        out.write_text("previous\n")
+        argv = ["corpus", str(generated_root), "--tokens", "100", "--context-len", "1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert out.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.jsonl"]
+
     def test_cli_defaults_applied(self, generated_root, tmp_path):
         out = tmp_path / "dflt.jsonl"
         status = main(

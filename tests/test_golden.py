@@ -29,6 +29,8 @@ from plurelgen.neural import mlp_forward
 from plurelgen.schema_gen import topological_order
 from plurelgen.scm_gen import (
     _foreign_refs_for,
+    _projector_weights,
+    _recon_weights,
     aggregate_latent,
     build_scm,
     generate_database,
@@ -40,9 +42,9 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "ac5bb9375a783f8ec66bde372287319de6d558d844e6ab2c0cd776844722109e"
+GOLDEN_TREE_DIGEST = "210aa6f13bfb0e9e659053fdd89dc89f4386afe2470ab587bbd863aef952679a"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
-GOLDEN_CORPUS_DIGEST = "ed68fbabbb69a2c825fe5abe663e294e1be9ac734bb34bb12a2851fc7b28a1a5"
+GOLDEN_CORPUS_DIGEST = "c2dfc3d9233c30d3a7e162cdee817cbc49c300a629c259dc69a54b5dbe658769"
 
 EPOCH = datetime(1970, 1, 1)
 YEAR_500 = int((datetime(500, 6, 1) - EPOCH).total_seconds())
@@ -101,15 +103,19 @@ def test_corpus_digest_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_CORPUS_DIGEST
 
 
-def _project_rowwise(proj, values):
+def _project_rowwise(mlp, emb, values):
     """Every row through the projector MLP, categorical rows via their embedding."""
-    if proj.embedding is None:
-        return mlp_forward(proj.mlp, np.asarray(values, dtype=np.float64)[:, None])
-    return mlp_forward(proj.mlp, proj.embedding.rows[np.asarray(values, dtype=np.int64) - 1])
+    if emb is None:
+        return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
+    return mlp_forward(mlp, emb.rows[np.asarray(values, dtype=np.int64) - 1])
 
 
 def _realize_gather_then_project(scm, num_rows, gathered, rng):
-    """Reference realization: foreign values gathered through the FK, then projected."""
+    """Reference realization: foreign values gathered through the FK, then projected.
+
+    The weights come from each mechanism's own stream, in the order realization
+    draws them: every projector's, foreign then local, then the reconstruction head's.
+    """
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     values = {}
     for v in scm.topo:
@@ -123,14 +129,19 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
             continue
         m = scm.mechanisms[v]
         u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        projected = [_project_rowwise(p, x) for p, x in zip(m.foreign_proj, gathered)]
-        projected += [_project_rowwise(p, values[j]) for p, j in zip(m.local_proj, m.local_inputs)]
+        w_rng = SeededRng(m.weight_seed)
+        inputs = list(gathered) + [values[j] for j in m.local_inputs]
+        projected = [
+            _project_rowwise(*_projector_weights(p, scm.hidden_dim, w_rng), x)
+            for p, x in zip(m.foreign_proj + m.local_proj, inputs)
+        ]
         weights = [p.weight for p in m.foreign_proj] + [p.weight for p in m.local_proj]
-        latent = mlp_forward(m.recon_mlp, aggregate_latent(u, m.exo_weight, projected, weights))
-        if m.recon_embedding is None:
+        recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
+        latent = mlp_forward(recon, aggregate_latent(u, m.exo_weight, projected, weights))
+        if emb is None:
             values[v] = latent[:, 0]
         else:
-            values[v] = np.argmax(latent @ m.recon_embedding.rows.T, axis=1).astype(np.int64) + 1
+            values[v] = np.argmax(latent @ emb.rows.T, axis=1).astype(np.int64) + 1
     return values
 
 

@@ -1,11 +1,16 @@
+import copy
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import databases_equal
+from plurelgen import scm_gen
 from plurelgen.core import PriorSpec, SeededRng, parse_date, split_seed
+from plurelgen.neural import TinyMlp
+from plurelgen.schema_gen import SchemaGraph, TableMeta, topological_order
 from plurelgen.scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -13,6 +18,7 @@ from plurelgen.scm_gen import (
     FlucParams,
     TemporalParams,
     TrendParams,
+    _foreign_refs_for,
     aggregate_latent,
     build_scm,
     categorical_source_sample,
@@ -27,7 +33,6 @@ from plurelgen.scm_gen import (
     temporal_signal,
     trend,
 )
-from plurelgen.schema_gen import topological_order
 
 
 def _rand_trend(rng):
@@ -464,3 +469,58 @@ class TestGenerateDatabase:
 
     def test_distinct_seeds_differ(self, config):
         assert not databases_equal(generate_database(config, 1), generate_database(config, 2))
+
+
+def _wide_parent_and_child(config):
+    """A 24-feature, 8-row parent and a 22-feature, 7-row child that references it."""
+    graph = SchemaGraph(
+        names=("parent", "child"),
+        edges=((0, 1),),
+        meta=(
+            TableMeta("entity", 8, 24, (), False),
+            TableMeta("activity", 7, 22, (0,), True),
+        ),
+    )
+    parent = generate_table(0, graph, config, {}, SeededRng(31))
+    return graph, {"parent": parent}
+
+
+class TestMechanismWeights:
+    def test_wide_table_holds_one_projector_at_a_time(self, config, monkeypatch):
+        graph, generated = _wide_parent_and_child(config)
+        drawn = []
+
+        def counted(init):
+            def wrapper(*args, **kwargs):
+                out = init(*args, **kwargs)
+                arrays = (out.w1, out.w2) if isinstance(out, TinyMlp) else (out.rows,)
+                drawn.append(sum(a.nbytes for a in arrays))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(scm_gen, "init_mlp", counted(scm_gen.init_mlp))
+        monkeypatch.setattr(scm_gen, "init_embedding", counted(scm_gen.init_embedding))
+        tracemalloc.start()
+        try:
+            generate_table(1, graph, config, generated, SeededRng(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(drawn) / 4
+
+    def test_realizing_one_spec_twice_is_bitwise_equal(self, config):
+        graph, generated = _wide_parent_and_child(config)
+        meta, parent = graph.meta[1], generated["parent"]
+        rng = SeededRng(33)
+        causal = sample_causal_graph(meta.num_feature_columns, config, rng)
+        refs = _foreign_refs_for(1, graph, generated)
+        scm = build_scm(causal, meta.kind, meta.num_rows, refs, config, rng)
+        fk_index = SeededRng(34).integers(0, parent.num_rows - 1, size=meta.num_rows)
+        columns = [(parent.features[r.column], fk_index) for r in refs]
+        first = realize_table_values(scm, meta.num_rows, columns, copy.deepcopy(rng))
+        second = realize_table_values(scm, meta.num_rows, columns, rng)
+        assert first.keys() == second.keys()
+        for v in first:
+            assert first[v].dtype == second[v].dtype
+            assert first[v].tobytes() == second[v].tobytes()
