@@ -51,15 +51,8 @@ def _worker_count() -> int:
 
 
 def _generate_one(config: GenConfig, master_seed: int, index: int, out_root: str) -> int:
-    db_seed = split_seed(master_seed, index)
-    db = generate_database(config, db_seed)
-    meta = {
-        "config": config_to_dict(config),
-        "master_seed": master_seed,
-        "db_seed": db_seed,
-        "db_index": index,
-        "null_fraction": db.null_fraction,
-    }
+    db = generate_database(config, split_seed(master_seed, index))
+    meta = {"config": config_to_dict(config), "master_seed": master_seed, "db_index": index}
     save_database(db, OutputLayout(Path(out_root)).db_dir(index), meta)
     return index
 

@@ -193,19 +193,6 @@ class PriorSpec:
             if not isinstance(self.payload, tuple) or len(self.payload) == 0:
                 raise ConfigError("set payload must be a non-empty tuple")
 
-    def support_contains(self, value) -> bool:
-        """True when ``value`` could have been drawn from this prior."""
-        if self.kind == "constant":
-            return value == self.payload
-        if self.kind == "set-uniform":
-            return value in self.payload
-        lo, hi = self.payload
-        if self.kind == "range-power-law":
-            return _is_int(value) and lo <= value <= hi
-        if _is_int(lo) and _is_int(hi):
-            return _is_int(value) and lo <= value <= hi
-        return lo <= value <= hi
-
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -340,6 +327,9 @@ _POSITIVE = FieldRule(
 _FRACTION = FieldRule(
     _NUMERIC_KINDS, lambda x: _is_number(x) and 0 <= x <= 1, "a number in [0, 1]"
 )
+_POSITIVE_FRACTION = FieldRule(
+    _NUMERIC_KINDS, lambda x: _is_number(x) and 0 < x <= 1, "a number in (0, 1]"
+)
 _DATE = FieldRule(_POINT_KINDS, _is_date, "a date, YYYY-MM-DD or YYYY-MM-DDTHH:MM:SS")
 
 
@@ -378,7 +368,9 @@ class GenConfig:
     null_fraction: PriorSpec = _prior(PriorSpec.uniform_range(0.01, 0.1), _FRACTION)
     # table/SCM priors
     scm_graph_priors: PriorSpec = _prior(PriorSpec.set_of(*SCM_FAMILIES), _tags(SCM_FAMILIES))
-    feature_node_fraction: PriorSpec = _prior(PriorSpec.uniform_range(0.3, 0.9), _POSITIVE)
+    feature_node_fraction: PriorSpec = _prior(
+        PriorSpec.uniform_range(0.3, 0.9), _POSITIVE_FRACTION
+    )
     num_categories: PriorSpec = _prior(PriorSpec.uniform_range(2, 10), _integers(1))
     mlp_init_schemes: PriorSpec = _prior(
         PriorSpec.set_of(*MLP_INIT_SCHEMES), _tags(MLP_INIT_SCHEMES)
@@ -402,12 +394,12 @@ class GenConfig:
     noise_scale_activity: PriorSpec = _prior(PriorSpec.constant(0.05), _NUMBER)
     noise_scale_entity: PriorSpec = _prior(PriorSpec.constant(1.0), _NUMBER)
     # DAG-family parameters
-    ba_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.4), _NUMBER)
+    ba_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.4), _FRACTION)
     ba_attachment: PriorSpec = _prior(PriorSpec.constant(2), _integers(1))
-    er_edge_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.3, 0.8), _NUMBER)
-    ws_rewire_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.1, 0.3), _NUMBER)
+    er_edge_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.3, 0.8), _FRACTION)
+    ws_rewire_prob: PriorSpec = _prior(PriorSpec.uniform_range(0.1, 0.3), _FRACTION)
     layered_depth: PriorSpec = _prior(PriorSpec.uniform_range(2, 8), _integers(1))
-    layered_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.1), _NUMBER)
+    layered_edge_dropout: PriorSpec = _prior(PriorSpec.constant(0.1), _FRACTION)
     # exponent for the power-law range of num_columns; draw takes one number
     power_law_exponent: PriorSpec = _prior(
         PriorSpec.constant(2.0), _POSITIVE._replace(kinds=("constant",))

@@ -204,12 +204,17 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
 
 
 def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -> None:
+    """Write schema.json, meta.json and the table CSVs under ``directory``.
+
+    meta.json holds the caller's ``meta`` with the database's own ``db_seed``
+    and ``null_fraction`` over it, so a loaded database carries both.
+    """
     directory = Path(directory)
     tables_dir = OutputLayout.tables_dir(directory)
     tables_dir.mkdir(parents=True, exist_ok=True)
     write_json(database_schema_dict(db), OutputLayout.schema_path(directory))
-    if meta is not None:
-        write_json(meta, OutputLayout.meta_path(directory))
+    meta = {**(meta or {}), "db_seed": db.seed, "null_fraction": db.null_fraction}
+    write_json(meta, OutputLayout.meta_path(directory))
     for name in db.table_order():
         write_table_csv(db.tables[name], tables_dir / f"{name}.csv")
 

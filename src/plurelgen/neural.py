@@ -14,7 +14,6 @@ from .core import ConfigError, SeededRng
 
 __all__ = [
     "TinyMlp",
-    "EmbeddingMatrix",
     "init_mlp",
     "mlp_forward",
     "init_embedding",
@@ -26,7 +25,7 @@ __all__ = [
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp never overflows: its argument is -|x| on both branches
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _relu(x):
@@ -65,13 +64,6 @@ class TinyMlp:
     @property
     def in_dim(self) -> int:
         return int(self.w1.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddingMatrix:
-    """C x d matrix; row c is the latent vector of category c (1-based)."""
-
-    rows: np.ndarray
 
 
 def _init_weight(shape: tuple[int, int], scheme: str, rng: SeededRng) -> np.ndarray:
@@ -125,15 +117,16 @@ def mlp_forward(mlp: TinyMlp, x: np.ndarray) -> np.ndarray:
     return ACTIVATIONS[mlp.activation](h) @ mlp.w2
 
 
-def init_embedding(num_categories: int, dim: int, rng: SeededRng) -> EmbeddingMatrix:
+def init_embedding(num_categories: int, dim: int, rng: SeededRng) -> np.ndarray:
+    """C x d matrix; row c - 1 is the latent vector of category c (1-based)."""
     if num_categories < 1 or dim < 1:
         raise ConfigError("embedding dimensions must be >= 1")
-    return EmbeddingMatrix(rows=rng.standard_normal((num_categories, dim)))
+    return rng.standard_normal((num_categories, dim))
 
 
-def decode_category(embedding: EmbeddingMatrix, latent: np.ndarray):
+def decode_category(embedding: np.ndarray, latent: np.ndarray):
     """1-based category of highest inner product per latent row (n, d), or for one (d,) vector.
 
     Ties resolve to the lowest category index.
     """
-    return np.argmax(latent @ embedding.rows.T, axis=-1) + 1
+    return np.argmax(latent @ embedding.T, axis=-1) + 1

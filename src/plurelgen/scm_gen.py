@@ -35,14 +35,7 @@ import numpy as np
 
 from .core import GenConfig, SeededRng, StructuralError, draw, parse_date, split_seed
 from .fk_gen import populate_foreign_keys
-from .neural import (
-    EmbeddingMatrix,
-    TinyMlp,
-    decode_category,
-    init_embedding,
-    init_mlp,
-    mlp_forward,
-)
+from .neural import TinyMlp, decode_category, init_embedding, init_mlp, mlp_forward
 from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
@@ -173,15 +166,17 @@ def categorical_source_sample(r, category_params: tuple[TemporalParams, ...], rn
 
 
 def aggregate_latent(
-    u: np.ndarray, w_u: float, projected: Iterable[np.ndarray], weights: list[float]
+    u: np.ndarray, w_u: float, projected: Iterable[np.ndarray], weights: Iterable[float]
 ) -> np.ndarray:
-    """w_u * u + sum_k w_k * e_k; accepts (d,) vectors or (n, d) batches.
+    """w_u * u + sum_k w_k * e_k for float arrays, (d,) vectors or (n, d) batches.
 
-    ``projected`` may be a generator; each e_k is read once, in order.
+    Consumes its inputs: the sum is made in place, so the result is ``u``'s
+    buffer and each e_k is left holding w_k * e_k. ``projected`` may be a
+    generator; each e_k is read once, in order.
     """
-    out = w_u * np.asarray(u, dtype=np.float64)  # a new array, so the sum below leaves u alone
+    out = np.multiply(w_u, u, out=u)
     for w_k, e_k in zip(weights, projected):
-        out += w_k * e_k
+        out += np.multiply(w_k, e_k, out=e_k)
     return out
 
 
@@ -369,16 +364,11 @@ class NodeMechanism:
 
 
 @dataclass(frozen=True, eq=False)
-class SourceMechanism:
-    temporal: TemporalParams | None = None
-    category_temporals: tuple[TemporalParams, ...] | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class ScmSpec:
     graph: CausalGraph
     foreign_refs: tuple[ForeignFeatureRef, ...]
-    sources: dict[int, SourceMechanism]
+    # temporal params of each source node: one for a numeric node, one per category
+    sources: dict[int, tuple[TemporalParams, ...]]
     mechanisms: dict[int, NodeMechanism]
     topo: tuple[int, ...]
     hidden_dim: int
@@ -424,22 +414,14 @@ def build_scm(
     when it is realized, so no draw on ``rng`` is spent on them.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
-    sources: dict[int, SourceMechanism] = {}
+    sources: dict[int, tuple[TemporalParams, ...]] = {}
     mechanisms: dict[int, NodeMechanism] = {}
     topo = graph.topo_order()
     source_set = set(graph.source_nodes)
     for v in topo:
         if v in source_set:
-            if graph.node_types[v] == NUMERIC:
-                sources[v] = SourceMechanism(
-                    temporal=_draw_temporal(kind, num_rows, config, rng)
-                )
-            else:
-                cats = tuple(
-                    _draw_temporal(kind, num_rows, config, rng)
-                    for _ in range(int(graph.cardinalities[v]))
-                )
-                sources[v] = SourceMechanism(category_temporals=cats)
+            count = 1 if graph.node_types[v] == NUMERIC else int(graph.cardinalities[v])
+            sources[v] = tuple(_draw_temporal(kind, num_rows, config, rng) for _ in range(count))
             continue
         foreign_proj = tuple(
             _make_projector(ref.dtype, ref.cardinality, ref.weight, config, rng)
@@ -477,7 +459,7 @@ def build_scm(
 
 def _projector_weights(
     proj: InputProjector, hidden: int, rng: SeededRng
-) -> tuple[TinyMlp, EmbeddingMatrix | None]:
+) -> tuple[TinyMlp, np.ndarray | None]:
     """A projector's MLP, and a categorical input's embedding, drawn from its mechanism's stream."""
     if proj.dtype == NUMERIC:
         return init_mlp(1, hidden, proj.scheme, proj.activation, rng, hidden), None
@@ -487,7 +469,7 @@ def _projector_weights(
 
 def _recon_weights(
     head: ReconHead, hidden: int, rng: SeededRng
-) -> tuple[TinyMlp, EmbeddingMatrix | None]:
+) -> tuple[TinyMlp, np.ndarray | None]:
     """A reconstruction head's MLP, and a categorical node's embedding, from the same stream."""
     if head.dtype == NUMERIC:
         return init_mlp(hidden, 1, head.scheme, head.activation, rng, hidden), None
@@ -495,37 +477,23 @@ def _recon_weights(
     return mlp, init_embedding(int(head.cardinality), hidden, rng)
 
 
-def _project_batch(
-    proj: InputProjector, values: np.ndarray, hidden: int, rng: SeededRng
+def _project(
+    proj: InputProjector, values: np.ndarray, index: np.ndarray | None, hidden: int, rng: SeededRng
 ) -> np.ndarray:
-    """Project raw input values (n,) into the latent space (n, hidden).
+    """Project raw input values (n,) into the latent space (n, hidden), gathered by ``index``.
 
     The projector's weights are drawn from ``rng`` and dropped on return. A
     categorical input projects its C x hidden embedding table once and
-    indexes the result by category.
+    indexes the result by category. A foreign input's values are a parent
+    column, projected once per parent row and gathered by ``index``, the
+    parent row of each child row; a local input has no index.
     """
     mlp, emb = _projector_weights(proj, hidden, rng)
     if emb is None:
-        return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
-    return mlp_forward(mlp, emb.rows)[np.asarray(values, dtype=np.int64) - 1]
-
-
-def _projected_inputs(
-    m: NodeMechanism,
-    foreign_values: list[tuple[np.ndarray, np.ndarray]],
-    values: dict[int, np.ndarray],
-    hidden: int,
-    rng: SeededRng,
-):
-    """The mechanism's projected inputs (num_rows, hidden), foreign then local.
-
-    Yielded one at a time, so aggregation holds one projected input, and one
-    projector's weights, at once.
-    """
-    for proj, (parent_values, fk_index) in zip(m.foreign_proj, foreign_values):
-        yield _project_batch(proj, parent_values, hidden, rng)[fk_index]
-    for proj, j in zip(m.local_proj, m.local_inputs):
-        yield _project_batch(proj, values[j], hidden, rng)
+        out = mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
+    else:
+        out = mlp_forward(mlp, emb)[np.asarray(values, dtype=np.int64) - 1]
+    return out if index is None else out[index]
 
 
 def realize_table_values(
@@ -556,26 +524,25 @@ def realize_table_values(
     values: dict[int, np.ndarray] = {}
     for v in scm.topo:
         if v in scm.sources:
-            sm = scm.sources[v]
-            if sm.temporal is not None:
-                values[v] = temporal_signal(rs, sm.temporal, rng)
+            params = scm.sources[v]
+            if scm.graph.node_types[v] == NUMERIC:
+                values[v] = temporal_signal(rs, params[0], rng)
             else:
-                values[v] = categorical_source_sample(rs, sm.category_temporals, rng)
+                values[v] = categorical_source_sample(rs, params, rng)
             continue
         m = scm.mechanisms[v]
         u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        weights = [proj.weight for proj in m.foreign_proj] + [
-            proj.weight for proj in m.local_proj
-        ]
+        inputs = [(p, x, index) for p, (x, index) in zip(m.foreign_proj, foreign_values)]
+        inputs += [(p, values[j], None) for p, j in zip(m.local_proj, m.local_inputs)]
         w_rng = SeededRng(m.weight_seed)
-        projected = _projected_inputs(m, foreign_values, values, scm.hidden_dim, w_rng)
-        # aggregate_latent's sum, in place on the fresh arrays it is made of, so
-        # that no (num_rows, hidden) temporary is allocated and freed per input
-        e = np.multiply(m.exo_weight, u, out=u)
-        for w_k, e_k in zip(weights, projected):
-            e += np.multiply(w_k, e_k, out=e_k)
+        # projected one input at a time, so the sum holds one projection and
+        # one projector's weights at once
+        projected = (_project(p, x, index, scm.hidden_dim, w_rng) for p, x, index in inputs)
+        # the sum is u's buffer; under the one name, the previous node's sum is
+        # freed when u is drawn, before this node's projections allocate
+        u = aggregate_latent(u, m.exo_weight, projected, [p.weight for p, _, _ in inputs])
         recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
-        latent = mlp_forward(recon, e)
+        latent = mlp_forward(recon, u)
         values[v] = latent[:, 0] if emb is None else decode_category(emb, latent)
     return values
 

@@ -93,7 +93,7 @@ def test_criterion_02_structural_validity(db_pool):
             assert 3 <= meta.num_feature_columns <= 40
             expected = ENTITY if graph.out_degree(t) >= 1 else ACTIVITY
             assert meta.kind == expected == table.kind
-            assert len(table.fk_names) == graph.in_degree(t)
+            assert len(table.fk_names) == len(graph.parents(t))
             for col in table.fk_names:
                 parent = db.tables[table.fk_targets[col]]
                 fk = table.fk_columns[col]

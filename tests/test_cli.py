@@ -127,8 +127,10 @@ class TestGenerate:
 class TestRoundTrip:
     def test_database_round_trip(self, config, tmp_path):
         db = generate_database(config, 33)
-        save_database(db, tmp_path / "db", meta={"db_seed": 33, "null_fraction": db.null_fraction})
+        save_database(db, tmp_path / "db")
         loaded = load_database(tmp_path / "db")
+        assert loaded.seed == 33
+        assert loaded.null_fraction == db.null_fraction
         assert loaded.schema.names == db.schema.names
         assert loaded.schema.edges == db.schema.edges
         assert loaded.schema.meta == db.schema.meta

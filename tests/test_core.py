@@ -133,7 +133,16 @@ class TestDraw:
             prior = PriorSpec.power_law_range(lo, hi)
         else:
             prior = PriorSpec.constant(data.draw(st.integers()))
-        assert prior.support_contains(draw(prior, rng))
+        value = draw(prior, rng)
+        if kind == "constant":
+            assert value == prior.payload
+        elif kind == "set":
+            assert value in prior.payload
+        else:
+            lo, hi = prior.payload
+            assert lo <= value <= hi
+            if kind != "float-range":
+                assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class TestSampleBeta:
@@ -386,6 +395,16 @@ class TestValidateRejectsWhatCannotGenerate:
             ("power_law_exponent", PriorSpec.constant("x")),
             ("power_law_exponent", PriorSpec.set_of(2.0, 3.0)),
             ("power_law_exponent", PriorSpec.uniform_range(1.0, 2.0)),
+            # probabilities and fractions lie in [0, 1]; a node fraction is also above 0
+            ("er_edge_prob", PriorSpec.constant(5.0)),
+            ("er_edge_prob", PriorSpec.constant(-3.0)),
+            ("ws_rewire_prob", PriorSpec.constant(5.0)),
+            ("ba_edge_dropout", PriorSpec.constant(-1.0)),
+            ("ba_edge_dropout", PriorSpec.constant(7.0)),
+            ("layered_edge_dropout", PriorSpec.constant(2.0)),
+            ("layered_edge_dropout", PriorSpec.uniform_range(0.5, 1.5)),
+            ("feature_node_fraction", PriorSpec.constant(2.0)),
+            ("feature_node_fraction", PriorSpec.set_of(0.5, 1.01)),
         ],
     )
     def test_outside_the_field_domain(self, config, name, bad):

@@ -28,10 +28,10 @@ from plurelgen.io import write_table_csv
 from plurelgen.neural import mlp_forward
 from plurelgen.schema_gen import topological_order
 from plurelgen.scm_gen import (
+    NUMERIC,
     _foreign_refs_for,
     _projector_weights,
     _recon_weights,
-    aggregate_latent,
     build_scm,
     generate_database,
     realize_table_values,
@@ -107,7 +107,7 @@ def _project_rowwise(mlp, emb, values):
     """Every row through the projector MLP, categorical rows via their embedding."""
     if emb is None:
         return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
-    return mlp_forward(mlp, emb.rows[np.asarray(values, dtype=np.int64) - 1])
+    return mlp_forward(mlp, emb[np.asarray(values, dtype=np.int64) - 1])
 
 
 def _realize_gather_then_project(scm, num_rows, gathered, rng):
@@ -120,11 +120,11 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
     values = {}
     for v in scm.topo:
         if v in scm.sources:
-            sm = scm.sources[v]
-            if sm.temporal is not None:
-                values[v] = temporal_signal(rs, sm.temporal, rng)
+            if scm.graph.node_types[v] == NUMERIC:
+                (params,) = scm.sources[v]
+                values[v] = temporal_signal(rs, params, rng)
             else:
-                g = np.column_stack([temporal_signal(rs, p, rng) for p in sm.category_temporals])
+                g = np.column_stack([temporal_signal(rs, p, rng) for p in scm.sources[v]])
                 values[v] = rng.categorical_rows(softmax(g)) + 1
             continue
         m = scm.mechanisms[v]
@@ -137,11 +137,14 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
         ]
         weights = [p.weight for p in m.foreign_proj] + [p.weight for p in m.local_proj]
         recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
-        latent = mlp_forward(recon, aggregate_latent(u, m.exo_weight, projected, weights))
+        e = m.exo_weight * u
+        for w_k, e_k in zip(weights, projected):
+            e = e + w_k * e_k
+        latent = mlp_forward(recon, e)
         if emb is None:
             values[v] = latent[:, 0]
         else:
-            values[v] = np.argmax(latent @ emb.rows.T, axis=1).astype(np.int64) + 1
+            values[v] = np.argmax(latent @ emb.T, axis=1).astype(np.int64) + 1
     return values
 
 

@@ -7,7 +7,6 @@ import pytest
 from plurelgen.core import MLP_INIT_SCHEMES, ConfigError, SeededRng
 from plurelgen.neural import (
     ACTIVATIONS,
-    EmbeddingMatrix,
     TinyMlp,
     _sigmoid,
     decode_category,
@@ -194,7 +193,7 @@ class TestKernelsBitwise:
 
 class TestEmbedding:
     def test_decode_orthonormal_rows(self):
-        emb = EmbeddingMatrix(rows=np.eye(5))
+        emb = np.eye(5)
         assert decode_category(emb, np.eye(5)[2]) == 3
         assert np.array_equal(decode_category(emb, np.eye(5)[[2, 0, 4]]), [3, 1, 5])
 
@@ -208,7 +207,7 @@ class TestEmbedding:
             rng = SeededRng(seed)
             emb = init_embedding(7, 16, rng)
             latents = rng.standard_normal((5, 16))
-            want = [int(np.argmax([float(emb.rows[c] @ x) for c in range(7)])) + 1 for x in latents]
+            want = [int(np.argmax([float(emb[c] @ x) for c in range(7)])) + 1 for x in latents]
             assert decode_category(emb, latents[0]) == want[0]
             assert np.array_equal(decode_category(emb, latents), want)
 

@@ -206,9 +206,12 @@ class TestCategoricalSource:
 
 
 class TestAggregateLatent:
+    """aggregate_latent consumes its inputs: it sums in place into u and each e_k."""
+
     def test_no_inputs_identity(self):
         u = SeededRng(0).standard_normal(32)
-        assert np.array_equal(aggregate_latent(u, 1.0, [], []), u)
+        want = u.copy()
+        assert np.array_equal(aggregate_latent(u, 1.0, [], []), want)
 
     def test_single_weighted_input(self):
         e = np.zeros(32)
@@ -219,23 +222,23 @@ class TestAggregateLatent:
     def test_linear_combination(self):
         rng = SeededRng(1)
         u, e1, e2 = (rng.standard_normal(8) for _ in range(3))
-        out = aggregate_latent(u, -0.5, [e1, e2], [1.5, 2.5])
-        assert np.allclose(out, -0.5 * u + 1.5 * e1 + 2.5 * e2)
+        want = -0.5 * u + 1.5 * e1 + 2.5 * e2
+        assert np.allclose(aggregate_latent(u, -0.5, [e1, e2], [1.5, 2.5]), want)
 
-    def test_in_place_sum_matches_and_leaves_inputs(self):
+    def test_in_place_sum_is_the_allocating_sum(self):
         rng = SeededRng(2)
         u = rng.beta(2.0, 2.0, size=(50, 32))
         es = [rng.standard_normal((50, 32)) for _ in range(3)]
         weights = [0.7, -1.3, 2.1]
-        copies = [u.copy()] + [e.copy() for e in es]
         want = 0.4 * u
         for w_k, e_k in zip(weights, es):
-            want = want + w_k * e_k  # the summation the in-place form replaced
+            want = want + w_k * e_k
+        scaled = [w_k * e_k for w_k, e_k in zip(weights, es)]
         got = aggregate_latent(u, 0.4, iter(es), weights)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        for before, after in zip(copies, [u] + es):
-            assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
-        assert not np.shares_memory(got, u)
+        assert np.shares_memory(got, u)
+        for e_k, want_k in zip(es, scaled):  # each e_k is left holding w_k * e_k
+            assert np.array_equal(e_k.view(np.uint64), want_k.view(np.uint64))
 
 
 class TestSampleCausalGraph:
@@ -493,7 +496,7 @@ class TestMechanismWeights:
         def counted(init):
             def wrapper(*args, **kwargs):
                 out = init(*args, **kwargs)
-                arrays = (out.w1, out.w2) if isinstance(out, TinyMlp) else (out.rows,)
+                arrays = (out.w1, out.w2) if isinstance(out, TinyMlp) else (out,)
                 drawn.append(sum(a.nbytes for a in arrays))
                 return out
 
