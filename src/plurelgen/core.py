@@ -359,9 +359,10 @@ class GenConfig:
     num_tables: PriorSpec = _prior(PriorSpec.uniform_range(3, 20), _integers(2))
     rows_entity: PriorSpec = _prior(PriorSpec.uniform_range(500, 1000), _integers(1))
     rows_activity: PriorSpec = _prior(PriorSpec.uniform_range(2000, 5000), _integers(1))
-    # the one prior whose draw takes power_law_exponent
+    # the one prior whose draw takes power_law_exponent; draw enumerates a
+    # power-law range, so the column count has an upper bound
     num_columns: PriorSpec = _prior(
-        PriorSpec.power_law_range(3, 40), _integers(1)._replace(kinds=_KINDS)
+        PriorSpec.power_law_range(3, 40), _integers(1, 1024)._replace(kinds=_KINDS)
     )
     timestamp_min: PriorSpec = _prior(PriorSpec.constant("1990-01-01"), _DATE)
     timestamp_max: PriorSpec = _prior(PriorSpec.constant("2025-01-01"), _DATE)

@@ -15,7 +15,7 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .scm_gen import (
 )
 
 __all__ = [
-    "CellToken",
     "ContextExample",
     "bfs_context",
     "build_corpus",
@@ -43,37 +42,26 @@ DEFAULT_WIDTH = 128
 TIMESTAMP = "timestamp"
 
 
-class CellToken(NamedTuple):
-    table: str
-    column: str
-    row: int
-    value: float | int | None  # None encodes NULL or a masked-out value
-    dtype: str
-    masked: bool
-
-
 @dataclass(eq=False)
 class ContextExample:
+    """A context's rows, in the order admitted; its tokens are their cells in ``tables``."""
+
     db_id: str
     seed_table: str
     seed_column: str
     seed_row: int
-    tokens: list[CellToken]
     target_value: float | int
     target_type: str
     rows: list[tuple[str, int]]
     fk_edges: list[tuple[tuple[str, int], tuple[str, int]]]
-
-    @property
-    def n_tokens(self) -> int:
-        return len(self.tokens)
+    n_tokens: int
+    tables: dict[str, GeneratedTable]
 
 
 class _DbIndex:
     """Link lookups for one database: per-row parents and sorted child indices."""
 
     def __init__(self, db: RelationalDatabase):
-        self.db = db
         self.table_names = db.table_order()
         self.tables: list[GeneratedTable] = [db.tables[n] for n in self.table_names]
         self.pos = {n: i for i, n in enumerate(self.table_names)}
@@ -113,28 +101,6 @@ class _DbIndex:
             hi = np.searchsorted(sorted_fk, row, side="right")
             # a stable argsort keeps the rows of one key ascending
             out.extend((ci, int(r) + 1) for r in order[lo:hi])
-        return out
-
-    def row_tokens(self, t: int, row: int, masked_cell) -> list[CellToken]:
-        table = self.tables[t]
-        out = []
-        for col in table.feature_names:
-            masked = masked_cell == (t, col, row)
-            if masked or table.null_mask[col][row - 1]:
-                value = None
-            elif table.feature_types[col] == NUMERIC:
-                value = float(table.features[col][row - 1])
-            else:
-                value = int(table.features[col][row - 1])
-            out.append(
-                CellToken(table.name, col, row, value, table.feature_types[col], masked)
-            )
-        if table.timestamps is not None:
-            out.append(
-                CellToken(
-                    table.name, TIMESTAMP, row, int(table.timestamps[row - 1]), TIMESTAMP, False
-                )
-            )
         return out
 
 
@@ -192,15 +158,9 @@ def bfs_context(
     if budget < _row_cells(table):
         raise ValueError(f"budget {budget} smaller than the seed row ({_row_cells(table)} cells)")
 
-    if table.feature_types[seed_column] == NUMERIC:
-        target_value: float | int = float(table.features[seed_column][seed_row - 1])
-    else:
-        target_value = int(table.features[seed_column][seed_row - 1])
-    target_type = table.feature_types[seed_column]
     seed_ts = idx.row_timestamp(t0, seed_row)
-    masked_cell = (t0, seed_column, seed_row)
 
-    tokens: list[CellToken] = []
+    n_tokens = 0
     rows: list[tuple[str, int]] = []
     visited: set[tuple[int, int]] = set()
     child_count: dict[tuple[int, int], int] = {}
@@ -211,12 +171,13 @@ def bfs_context(
         return idx.row_timestamp(t, r) <= seed_ts
 
     def add_row(t: int, r: int) -> bool:
-        nonlocal stopped
-        if len(tokens) + _row_cells(idx.tables[t]) > budget:
+        nonlocal n_tokens, stopped
+        cells = _row_cells(idx.tables[t])
+        if n_tokens + cells > budget:
             stopped = True
             return False
         visited.add((t, r))
-        tokens.extend(idx.row_tokens(t, r, masked_cell))
+        n_tokens += cells
         rows.append((idx.table_names[t], r))
         for pt, pr in idx.parents_of(t, r):
             child_count[(pt, pr)] = child_count.get((pt, pr), 0) + 1
@@ -260,24 +221,24 @@ def bfs_context(
                 break
             added += 1
 
-    included = set(rows)
-    fk_edges = []
-    for tn, r in rows:
-        t = idx.pos[tn]
-        for pt, pr in idx.parents_of(t, r):
-            if (idx.table_names[pt], pr) in included:
-                fk_edges.append(((tn, r), (idx.table_names[pt], pr)))
+    fk_edges = [
+        ((name, r), (idx.table_names[pt], pr))
+        for name, r in rows
+        for pt, pr in idx.parents_of(idx.pos[name], r)
+        if (pt, pr) in visited
+    ]
 
     return ContextExample(
         db_id=db_id,
         seed_table=seed_table,
         seed_column=seed_column,
         seed_row=seed_row,
-        tokens=tokens,
-        target_value=target_value,
-        target_type=target_type,
+        target_value=table.features[seed_column][seed_row - 1].item(),
+        target_type=table.feature_types[seed_column],
         rows=rows,
         fk_edges=fk_edges,
+        n_tokens=n_tokens,
+        tables=db.tables,
     )
 
 
@@ -345,8 +306,6 @@ def build_corpus(
 
 
 def _json_value(value, dtype: str):
-    if value is None:
-        return None
     if dtype == NUMERIC:
         return repr(float(value))
     if dtype == CATEGORICAL:
@@ -357,7 +316,26 @@ def _json_value(value, dtype: str):
 
 
 def example_to_json(example: ContextExample) -> dict:
-    """One corpus line: tokens, masked target, link structure, exact token count."""
+    """One corpus line: each row's feature cells then timestamp, the target, links, token count."""
+    tokens = []
+    for name, row in example.rows:
+        table = example.tables[name]
+        seed = name == example.seed_table and row == example.seed_row
+        for col in table.feature_names:
+            dtype = table.feature_types[col]
+            masked = seed and col == example.seed_column
+            if masked or table.null_mask[col][row - 1]:
+                value = None
+            else:
+                value = _json_value(table.features[col][row - 1], dtype)
+            tokens.append(
+                {"t": name, "c": col, "r": row, "v": value, "type": dtype, "masked": masked}
+            )
+        if table.timestamps is not None:
+            value = _json_value(table.timestamps[row - 1], TIMESTAMP)
+            tokens.append(
+                {"t": name, "c": TIMESTAMP, "r": row, "v": value, "type": TIMESTAMP, "masked": False}
+            )
     return {
         "db_id": example.db_id,
         "seed": {
@@ -365,23 +343,11 @@ def example_to_json(example: ContextExample) -> dict:
             "column": example.seed_column,
             "row": example.seed_row,
         },
-        "tokens": [
-            {
-                "t": tok.table,
-                "c": tok.column,
-                "r": tok.row,
-                "v": _json_value(tok.value, tok.dtype),
-                "type": tok.dtype,
-                "masked": tok.masked,
-            }
-            for tok in example.tokens
-        ],
+        "tokens": tokens,
         "target": {
             "v": _json_value(example.target_value, example.target_type),
             "type": example.target_type,
         },
         "n_tokens": example.n_tokens,
-        "links": [
-            [[c[0], c[1]], [p[0], p[1]]] for c, p in example.fk_edges
-        ],
+        "links": [[list(c), list(p)] for c, p in example.fk_edges],
     }

@@ -15,12 +15,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, format_timestamp, parse_date
+from .core import ConfigError, format_timestamp
 from .corpus import example_to_json
 from .schema_gen import SchemaGraph, TableMeta
 from .scm_gen import (
@@ -144,57 +146,82 @@ def write_table_csv(table: GeneratedTable, path) -> None:
             fh.write("".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
-def _read_table_csv(path, spec: dict) -> GeneratedTable:
-    fk_names = [c["name"] for c in spec["columns"] if c["role"] == "fk"]
-    fk_targets = {
-        c["name"]: c["fk_target"] for c in spec["columns"] if c["role"] == "fk"
-    }
-    feature_specs = [c for c in spec["columns"] if c["role"] == "feature"]
-    feature_names = [c["name"] for c in feature_specs]
-    feature_types = {c["name"]: c["dtype"] for c in feature_specs}
-    has_ts = any(c["role"] == "timestamp" for c in spec["columns"])
-    num_rows = int(spec["num_rows"])
+@contextmanager
+def _naming(path):
+    """Turn a KeyError, TypeError or ValueError from reading ``path`` into a ConfigError naming it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
-    fk_data = {c: np.empty(num_rows, dtype=np.int64) for c in fk_names}
-    features = {}
-    for c in feature_names:
-        if feature_types[c] == NUMERIC:
-            features[c] = np.full(num_rows, np.nan)
-        else:
-            features[c] = np.zeros(num_rows, dtype=np.int64)
-    null_mask = {c: np.zeros(num_rows, dtype=bool) for c in feature_names}
-    timestamps = np.empty(num_rows, dtype=np.int64) if has_ts else None
+
+_DTYPES = {"int": np.int64, "timestamp": np.int64, NUMERIC: np.float64, CATEGORICAL: np.int64}
+_NULL_TEXT = {NUMERIC: "nan", CATEGORICAL: "0"}  # what an empty (NULL) feature cell reads as
+
+
+def _cells(text: tuple[str, ...], column: dict):
+    """One block of one column's cells, which numpy parses as it assigns them to the column."""
+    if column["role"] == "timestamp":
+        stamps = np.array([t.removesuffix("Z") for t in text], dtype="datetime64[s]")
+        if np.isnat(stamps).any():
+            raise ValueError("empty timestamp")
+        return stamps.astype(np.int64)
+    if column["role"] == "feature":
+        return [t or _NULL_TEXT[column["dtype"]] for t in text]
+    return text
+
+
+def _read_table_csv(path, spec: dict) -> GeneratedTable:
+    """One table CSV, parsed a block of rows at a time into one array per column.
+
+    A ``ConfigError`` naming ``path`` says where it does not match ``spec``: its
+    header, its row count, a cell that does not parse, or ``row_idx`` other than 1..n.
+    """
+    columns = spec["columns"]
+    names = [c["name"] for c in columns]
+    fks = [c for c in columns if c["role"] == "fk"]
+    features = [c for c in columns if c["role"] == "feature"]
+    num_rows = int(spec["num_rows"])
+    values = {c["name"]: np.empty(num_rows, _DTYPES[c["dtype"]]) for c in columns}
+    null_mask = {c["name"]: np.zeros(num_rows, dtype=bool) for c in features}
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        col_pos = {name: i for i, name in enumerate(header)}
-        for r, row in enumerate(reader):
-            for c in fk_names:
-                fk_data[c][r] = int(row[col_pos[c]])
-            for c in feature_names:
-                raw = row[col_pos[c]]
-                if raw == "":
-                    null_mask[c][r] = True
-                elif feature_types[c] == NUMERIC:
-                    features[c][r] = float(raw)
-                else:
-                    features[c][r] = int(raw)
-            if has_ts:
-                timestamps[r] = parse_date(row[col_pos[TIMESTAMP_COLUMN]])
+        if next(reader, None) != names:
+            raise ConfigError(f"{path}: header is not the {len(names)} columns schema.json lists")
+        lo = 0
+        while block := list(islice(reader, CSV_BLOCK_ROWS)):
+            hi = lo + len(block)
+            if hi > num_rows or set(map(len, block)) != {len(names)}:
+                raise ConfigError(
+                    f"{path}: rows {lo + 1}..{hi} do not fit {num_rows} rows of {len(names)} cells"
+                )
+            for column, text in zip(columns, zip(*block)):
+                name = column["name"]
+                with _naming(f"{path}, column {name}"):
+                    values[name][lo:hi] = _cells(text, column)
+                if name in null_mask:
+                    null_mask[name][lo:hi] = [not t for t in text]
+            lo = hi
+    if lo != num_rows:
+        raise ConfigError(f"{path}: {lo} rows, schema.json has {num_rows}")
+    if not np.array_equal(values["row_idx"], np.arange(1, num_rows + 1)):
+        raise ConfigError(f"{path}: row_idx is not 1..{num_rows}")
     return GeneratedTable(
         name=spec["name"],
         kind=spec["kind"],
         num_rows=num_rows,
-        fk_names=tuple(fk_names),
-        fk_targets=fk_targets,
-        fk_columns=fk_data,
-        feature_names=tuple(feature_names),
-        feature_types=feature_types,
-        feature_cards={c["name"]: c.get("cardinality") for c in feature_specs},
-        features=features,
+        fk_names=tuple(c["name"] for c in fks),
+        fk_targets={c["name"]: c["fk_target"] for c in fks},
+        fk_columns={c["name"]: values[c["name"]] for c in fks},
+        feature_names=tuple(c["name"] for c in features),
+        feature_types={c["name"]: c["dtype"] for c in features},
+        feature_cards={c["name"]: c.get("cardinality") for c in features},
+        features={c["name"]: values[c["name"]] for c in features},
         null_mask=null_mask,
-        timestamps=timestamps,
+        timestamps=values.get(TIMESTAMP_COLUMN),
     )
 
 
@@ -220,46 +247,46 @@ def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -
 
 
 def load_database(directory) -> RelationalDatabase:
+    """Read what ``save_database`` wrote; a ``ConfigError`` names a malformed file.
+
+    A foreign key outside [1, its parent's ``num_rows``] makes its table CSV malformed.
+    """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
     if not schema_file.exists():
         raise ConfigError(f"no schema.json under {directory}")
-    schema_dict = json.loads(schema_file.read_text())
-    name_to_idx = {t["name"]: i for i, t in enumerate(schema_dict["tables"])}
-    edges = tuple(
-        sorted((name_to_idx[p], name_to_idx[c]) for p, c in schema_dict["edges"])
-    )
-
-    tables: dict[str, GeneratedTable] = {}
-    metas = []
-    for spec in schema_dict["tables"]:
-        table = _read_table_csv(
-            OutputLayout.tables_dir(directory) / f"{spec['name']}.csv", spec
+    with _naming(schema_file):
+        schema_dict = json.loads(schema_file.read_text())
+        specs = schema_dict["tables"]
+        name_to_idx = {t["name"]: i for i, t in enumerate(specs)}
+        edges = tuple(sorted((name_to_idx[p], name_to_idx[c]) for p, c in schema_dict["edges"]))
+        tables: dict[str, GeneratedTable] = {}
+        for spec in specs:
+            path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"
+            table = tables[spec["name"]] = _read_table_csv(path, spec)
+            for col, target in table.fk_targets.items():
+                keys, n = table.fk_columns[col], int(specs[name_to_idx[target]]["num_rows"])
+                if ((keys < 1) | (keys > n)).any():
+                    raise ConfigError(f"{path}: foreign key {col} outside [1, {n}]")
+    metas = [
+        TableMeta(
+            kind=table.kind,
+            num_rows=table.num_rows,
+            num_feature_columns=len(table.feature_names),
+            fk_parents=tuple(name_to_idx[table.fk_targets[c]] for c in table.fk_names),
+            has_timestamp=table.timestamps is not None,
         )
-        tables[spec["name"]] = table
-        metas.append(
-            TableMeta(
-                kind=spec["kind"],
-                num_rows=int(spec["num_rows"]),
-                num_feature_columns=len(table.feature_names),
-                fk_parents=tuple(
-                    name_to_idx[table.fk_targets[c]] for c in table.fk_names
-                ),
-                has_timestamp=table.timestamps is not None,
-            )
-        )
-    schema = SchemaGraph(
-        names=tuple(t["name"] for t in schema_dict["tables"]),
-        edges=edges,
-        meta=tuple(metas),
-    )
+        for table in tables.values()
+    ]
+    schema = SchemaGraph(names=tuple(tables), edges=edges, meta=tuple(metas))
 
     seed, null_fraction = 0, float("nan")
     meta_file = OutputLayout.meta_path(directory)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        seed = int(meta.get("db_seed", 0))
-        null_fraction = float(meta.get("null_fraction", float("nan")))
+        with _naming(meta_file):
+            meta = json.loads(meta_file.read_text())
+            seed = int(meta.get("db_seed", 0))
+            null_fraction = float(meta.get("null_fraction", float("nan")))
     return RelationalDatabase(
         schema=schema, tables=tables, seed=seed, null_fraction=null_fraction
     )

@@ -18,7 +18,8 @@ __all__ = [
     "kahn_order",
     "random_tree_edges",
     "orient_by_permutation",
-    "orient_tree",
+    "random_tree_dag",
+    "undirected_edges",
 ]
 
 ENTITY = "entity"
@@ -92,14 +93,13 @@ def orient_by_permutation(
     return [(u, v) if rank[u] < rank[v] else (v, u) for u, v in undirected]
 
 
-def orient_tree(
-    tree_edges: list[tuple[int, int]], n: int, root: int, toward_leaves: bool
-) -> list[tuple[int, int]]:
-    """Orient tree edges away from (or toward) a chosen root."""
+def random_tree_dag(n: int, rng: SeededRng, toward_leaves: bool) -> list[tuple[int, int]]:
+    """A uniform random tree on n nodes, oriented away from (or toward) a uniform root."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in tree_edges:
+    for u, v in random_tree_edges(n, rng):
         adj[u].append(v)
         adj[v].append(u)
+    root = int(rng.integers(0, n - 1))
     oriented = []
     seen = {root}
     stack = [root]
@@ -114,7 +114,8 @@ def orient_tree(
     return oriented
 
 
-def _undirected_edge_list(graph: nx.Graph) -> list[tuple[int, int]]:
+def undirected_edges(graph: nx.Graph) -> list[tuple[int, int]]:
+    """A networkx graph's edges as sorted (low, high) node pairs."""
     return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
 
 
@@ -131,18 +132,16 @@ def sample_schema_graph(config: GenConfig, rng: SeededRng) -> SchemaGraph:
         m = min(int(draw(config.ba_attachment, rng)), n - 1)
         dropout = float(draw(config.ba_edge_dropout, rng))
         base = nx.barabasi_albert_graph(n, m, seed=rng.bits64())
-        und = _undirected_edge_list(base)
+        und = undirected_edges(base)
         keep = rng.uniform(size=len(und)) >= dropout
         und = [e for e, k in zip(und, keep) if k]
         edges = orient_by_permutation(und, n, rng)
     elif family == "watts-strogatz":
         p = float(draw(config.ws_rewire_prob, rng))
         base = nx.watts_strogatz_graph(n, 2, p, seed=rng.bits64())
-        edges = orient_by_permutation(_undirected_edge_list(base), n, rng)
+        edges = orient_by_permutation(undirected_edges(base), n, rng)
     elif family == "reverse-random-tree":
-        tree = random_tree_edges(n, rng)
-        root = int(rng.integers(0, n - 1))
-        edges = orient_tree(tree, n, root, toward_leaves=True)
+        edges = random_tree_dag(n, rng, toward_leaves=True)
     else:
         raise StructuralError(f"unhandled schema graph family {family!r}")
     names = tuple(f"table_{i}" for i in range(n))

@@ -42,10 +42,10 @@ from .schema_gen import (
     assign_table_metadata,
     kahn_order,
     orient_by_permutation,
-    orient_tree,
-    random_tree_edges,
+    random_tree_dag,
     sample_schema_graph,
     topological_order,
+    undirected_edges,
 )
 
 __all__ = [
@@ -224,7 +224,7 @@ def _total_node_count(num_feature_cols: int, config: GenConfig, rng: SeededRng) 
     total = math.ceil(num_feature_cols / frac)
     # ceil rounding may push the realized fraction outside [lo, hi]; clamp back
     total = min(total, math.floor(num_feature_cols / lo))
-    total = max(total, math.ceil(num_feature_cols / hi), num_feature_cols, 2)
+    total = max(total, math.ceil(num_feature_cols / hi), num_feature_cols)
     return total
 
 
@@ -251,13 +251,12 @@ def _sample_causal_edges(
         return orient_by_permutation(und, total, rng)
     if family == "barabasi-albert":
         m = min(int(draw(config.ba_attachment, rng)), total - 1)
+        if m < 1:  # one node: no edges, and networkx needs m >= 1
+            return []
         base = nx.barabasi_albert_graph(total, m, seed=rng.bits64())
-        und = sorted((min(u, v), max(u, v)) for u, v in base.edges())
-        return orient_by_permutation(und, total, rng)
+        return orient_by_permutation(undirected_edges(base), total, rng)
     if family in ("random-tree", "reverse-random-tree"):
-        tree = random_tree_edges(total, rng)
-        root = int(rng.integers(0, total - 1))
-        return orient_tree(tree, total, root, toward_leaves=family == "reverse-random-tree")
+        return random_tree_dag(total, rng, toward_leaves=family == "reverse-random-tree")
     raise StructuralError(f"unhandled causal graph family {family!r}")
 
 

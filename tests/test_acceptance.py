@@ -19,7 +19,13 @@ from plurelgen.analysis import (
 )
 from plurelgen.cli import cmd_generate
 from plurelgen.core import SeededRng, default_config, split_seed
-from plurelgen.corpus import _draw_seed_cell, _feature_cell_catalog, _index_for, bfs_context
+from plurelgen.corpus import (
+    _draw_seed_cell,
+    _feature_cell_catalog,
+    _index_for,
+    bfs_context,
+    example_to_json,
+)
 from plurelgen.fk_gen import BlockMatrixStack, assign_block_hierarchy, sample_links
 from plurelgen.schema_gen import ACTIVITY, ENTITY, topological_order
 from plurelgen.scm_gen import (
@@ -258,7 +264,8 @@ def test_criterion_06_corpus_contracts(db_pool):
             per_parent[parent] = per_parent.get(parent, 0) + 1
         if per_parent and max(per_parent.values()) > width:
             fanout_viol += 1
-        if ex.n_tokens != len(ex.tokens) or sum(t.masked for t in ex.tokens) != 1:
+        tokens = example_to_json(ex)["tokens"]
+        if ex.n_tokens != len(tokens) or sum(t["masked"] for t in tokens) != 1:
             accounting_viol += 1
     assert budget_viol == 0
     assert temporal_viol == 0

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 
 from plurelgen.cli import cmd_corpus, cmd_fit, cmd_generate, cmd_profile, cmd_stats, main
 from plurelgen.core import split_seed
+from plurelgen.corpus import build_corpus
 from plurelgen.io import (
     OutputLayout,
     database_schema_dict,
     find_database_dirs,
     load_database,
     save_database,
+    write_corpus_file,
 )
 from plurelgen.scm_gen import generate_database
 
@@ -122,6 +125,33 @@ class TestGenerate:
         pooled = tmp_path / "pooled"
         assert cmd_generate(None, 42, 2, str(pooled)) == 0
         assert _tree_bytes(generated_root) == _tree_bytes(pooled)
+
+
+class TestInMemoryEqualsOnDisk:
+    """The 4 databases of ``generate --seed 42 --num-dbs 4``, in memory and saved then loaded."""
+
+    @pytest.fixture(scope="class")
+    def panel(self, config, tmp_path_factory):
+        root = tmp_path_factory.mktemp("panel")
+        dbs = [(f"db_{i}", generate_database(config, split_seed(42, i))) for i in range(4)]
+        for name, db in dbs:
+            save_database(db, root / name)
+        return root, dbs
+
+    def test_corpus_bytes(self, panel, tmp_path):
+        root, dbs = panel
+        loaded = [(name, load_database(root / name)) for name, _ in dbs]
+        write_corpus_file(build_corpus(dbs, 200_000, seed=7), tmp_path / "memory.jsonl")
+        write_corpus_file(build_corpus(loaded, 200_000, seed=7), tmp_path / "disk.jsonl")
+        memory = (tmp_path / "memory.jsonl").read_bytes()
+        assert memory.count(b"\n") > 100
+        assert memory == (tmp_path / "disk.jsonl").read_bytes()
+
+    def test_save_load_save(self, panel, tmp_path):
+        root, dbs = panel
+        for name, _ in dbs:
+            save_database(load_database(root / name), tmp_path / name)
+            assert _tree_bytes(tmp_path / name) == _tree_bytes(root / name)
 
 
 class TestRoundTrip:
@@ -258,6 +288,129 @@ class TestStatsCommand:
 
     def test_missing_dir(self, tmp_path):
         assert cmd_stats(str(tmp_path / "void"), str(tmp_path / "r.json")) == 2
+
+
+def _truncate(header, rows, table):
+    del rows[len(rows) // 2 :]
+
+
+def _fk_past_parent(header, rows, table):
+    rows[0][header.index(table["fk"])] = str(table["parent_rows"] + 1)
+
+
+def _cell(column, text):
+    def edit(header, rows, table):
+        rows[0][header.index(table[column])] = text
+
+    return edit
+
+
+def _extra_row(header, rows, table):
+    rows.append([str(len(rows) + 1), *rows[-1][1:]])
+
+
+def _short_row(header, rows, table):
+    rows[0].pop()
+
+
+def _rename_column(header, rows, table):
+    header[-1] = "renamed"
+
+
+# edits that make a table CSV disagree with its schema.json, by fault
+MALFORMED_TABLES = {
+    "truncated": _truncate,
+    "foreign key 0": _cell("fk", "0"),
+    "foreign key past its parent": _fk_past_parent,
+    "non-numeric cell": _cell("numeric", "abc"),
+    "empty timestamp": _cell("timestamp", ""),
+    "row_idx out of order": _cell("row_idx", "2"),
+    "extra row": _extra_row,
+    "short row": _short_row,
+    "renamed column": _rename_column,
+}
+
+
+def _unknown_fk_target(schema):
+    for spec in schema["tables"]:
+        for column in spec["columns"]:
+            if column["role"] == "fk":
+                column["fk_target"] = "no_such_table"
+
+
+def _edit_json(edit):
+    def apply(text):
+        schema = json.loads(text)
+        edit(schema)
+        return json.dumps(schema)
+
+    return apply
+
+
+# a schema.json that cannot be read as one
+MALFORMED_SCHEMAS = {
+    "not JSON": lambda text: "{broken",
+    "missing num_rows": _edit_json(lambda schema: schema["tables"][0].pop("num_rows")),
+    "unknown fk target": _edit_json(_unknown_fk_target),
+}
+
+
+def _load_command(command, db_dir, tmp_path):
+    if command == "corpus":
+        return ["corpus", str(db_dir), "--tokens", "1000", "--out", str(tmp_path / "c.jsonl")]
+    return ["stats", str(db_dir), "--report", str(tmp_path / "report.json")]
+
+
+class TestMalformedDatabase:
+    """A database directory that does not match its schema.json is one error line naming the file."""
+
+    @pytest.fixture
+    def db_dir(self, generated_root, tmp_path):
+        db_dir = tmp_path / "db"
+        shutil.copytree(OutputLayout(generated_root).db_dir(0), db_dir)
+        return db_dir
+
+    @staticmethod
+    def _activity_table(db_dir) -> dict:
+        """The first table with a foreign key, a numeric feature and a timestamp."""
+        schema = json.loads(OutputLayout.schema_path(db_dir).read_text())
+        num_rows = {spec["name"]: spec["num_rows"] for spec in schema["tables"]}
+        for spec in schema["tables"]:
+            roles = {c["role"]: c for c in spec["columns"]}
+            numeric = [c["name"] for c in spec["columns"] if c.get("dtype") == "numeric"]
+            if {"fk", "timestamp"} <= set(roles) and numeric:
+                return {
+                    "name": spec["name"],
+                    "fk": roles["fk"]["name"],
+                    "parent_rows": num_rows[roles["fk"]["fk_target"]],
+                    "numeric": numeric[0],
+                    "timestamp": roles["timestamp"]["name"],
+                    "row_idx": "row_idx",
+                }
+        raise AssertionError("no activity table with a foreign key and a numeric feature")
+
+    @staticmethod
+    def _rejected(argv, capsys, file_name):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and file_name in err
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_TABLES))
+    def test_table_csv(self, db_dir, tmp_path, capsys, command, fault):
+        table = self._activity_table(db_dir)
+        path = OutputLayout.tables_dir(db_dir) / f"{table['name']}.csv"
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        MALFORMED_TABLES[fault](header, rows, table)
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        self._rejected(_load_command(command, db_dir, tmp_path), capsys, path.name)
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_SCHEMAS))
+    def test_schema_json(self, db_dir, tmp_path, capsys, command, fault):
+        path = OutputLayout.schema_path(db_dir)
+        path.write_text(MALFORMED_SCHEMAS[fault](path.read_text()))
+        self._rejected(_load_command(command, db_dir, tmp_path), capsys, "schema.json")
 
 
 class TestFitCommand:

@@ -464,6 +464,9 @@ _HOSTILE_POINTS = (
     1e308, -1e308, 2**70,
     "relu", "sparse", "layered", "random-tree", "barabasi-albert", "watts-strogatz",
 )
+# Whole priors the random draw of points is unlikely to reach: a power law
+# over (1, 2**62) would have draw weigh every count in the range.
+_HOSTILE_PRIORS = (("num_columns", PriorSpec.power_law_range(1, 2**62)),)
 _PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
 _CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
 
@@ -473,6 +476,14 @@ class TestEveryAcceptedConfigGenerates:
         hints = get_type_hints(GenConfig)
         assert set(FIELD_RULES) == set(_CONFIG_FIELDS) == set(hints)
         assert all(t is PriorSpec for t in hints.values())
+
+    @pytest.mark.parametrize("name, prior", _HOSTILE_PRIORS)
+    def test_hostile_prior_is_rejected_or_generates(self, config, name, prior):
+        try:
+            cfg = _tiny(config, **{name: prior})
+        except ConfigError:
+            return
+        generate_database(cfg, 0)
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(

@@ -86,19 +86,19 @@ class TestBfsContext:
         # parent rows have 2 cells, child rows 1: all rows complete
         cells = {("parent", r): 0 for t, r in ex.rows if t == "parent"}
         cells.update({("child", r): 0 for t, r in ex.rows if t == "child"})
-        for tok in ex.tokens:
-            cells[(tok.table, tok.row)] += 1
+        for tok in example_to_json(ex)["tokens"]:
+            cells[(tok["t"], tok["r"])] += 1
         for (t, _), n in cells.items():
             assert n == (2 if t == "parent" else 1)
 
     def test_masked_target_hidden_and_stored(self):
         db = _toy_db()
         ex = bfs_context(db, ("parent", "feature_1", 1), 100, 4, SeededRng(6))
-        masked = [t for t in ex.tokens if t.masked]
+        masked = [t for t in example_to_json(ex)["tokens"] if t["masked"]]
         assert len(masked) == 1
         tok = masked[0]
-        assert (tok.table, tok.column, tok.row) == ("parent", "feature_1", 1)
-        assert tok.value is None
+        assert (tok["t"], tok["c"], tok["r"]) == ("parent", "feature_1", 1)
+        assert tok["v"] is None
         assert ex.target_value == 1.5 and ex.target_type == "numeric"
 
     def test_seed_validation(self):
@@ -122,14 +122,14 @@ class TestBfsContext:
         db = _toy_db()
         db.tables["child"].null_mask["feature_1"][0] = True
         ex = bfs_context(db, ("parent", "feature_1", 1), 100, 128, SeededRng(7))
-        null_toks = [t for t in ex.tokens if t.table == "child" and t.row == 1]
-        assert len(null_toks) == 1 and null_toks[0].value is None and not null_toks[0].masked
+        null_toks = [t for t in example_to_json(ex)["tokens"] if t["t"] == "child" and t["r"] == 1]
+        assert len(null_toks) == 1 and null_toks[0]["v"] is None and not null_toks[0]["masked"]
 
     def test_deterministic_given_rng(self):
         db = _toy_db(child_rows=30)
         a = bfs_context(db, ("parent", "feature_1", 1), 20, 4, SeededRng(8))
         b = bfs_context(db, ("parent", "feature_1", 1), 20, 4, SeededRng(8))
-        assert a.tokens == b.tokens and a.rows == b.rows
+        assert example_to_json(a) == example_to_json(b) and a.rows == b.rows
 
 
 class TestBuildCorpus:
@@ -142,7 +142,7 @@ class TestBuildCorpus:
         target = 500
         examples = list(build_corpus([("d", db)], target, budget=64, width=8, seed=2))
         totals = [ex.n_tokens for ex in examples]
-        assert all(n == len(ex.tokens) for n, ex in zip(totals, examples))
+        assert all(n == len(example_to_json(ex)["tokens"]) for n, ex in zip(totals, examples))
         assert sum(totals) >= target
         assert sum(totals[:-1]) < target  # stops within one example of the target
 
@@ -157,7 +157,7 @@ class TestBuildCorpus:
         b = list(build_corpus([("d", db)], 300, budget=32, width=4, seed=5))
         assert len(a) == len(b)
         for x, y in zip(a, b):
-            assert x.tokens == y.tokens
+            assert example_to_json(x) == example_to_json(y)
 
     def test_seed_cells_skip_nulls(self):
         db = _toy_db(child_rows=10)
@@ -196,7 +196,9 @@ class TestBuildCorpus:
             for c, p in ex.fk_edges:
                 per_parent[p] = per_parent.get(p, 0) + 1
             assert all(v <= 32 for v in per_parent.values())
-            assert sum(t.masked for t in ex.tokens) == 1
+            tokens = example_to_json(ex)["tokens"]
+            assert ex.n_tokens == len(tokens)
+            assert sum(t["masked"] for t in tokens) == 1
         assert n > 10
 
 
@@ -225,6 +227,7 @@ class TestExampleJson:
         db = _toy_db()
         ex = bfs_context(db, ("child", "feature_1", 3), 100, 4, SeededRng(10))
         doc = example_to_json(ex)
-        for tok, raw in zip(ex.tokens, doc["tokens"]):
-            if tok.dtype == "numeric" and tok.value is not None:
-                assert float(raw["v"]) == tok.value
+        numeric = [t for t in doc["tokens"] if t["type"] == "numeric" and t["v"] is not None]
+        assert numeric
+        for tok in numeric:
+            assert float(tok["v"]) == db.tables[tok["t"]].features[tok["c"]][tok["r"] - 1]

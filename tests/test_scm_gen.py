@@ -8,7 +8,7 @@ import pytest
 
 from conftest import databases_equal
 from plurelgen import scm_gen
-from plurelgen.core import PriorSpec, SeededRng, parse_date, split_seed
+from plurelgen.core import SCM_FAMILIES, PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.neural import TinyMlp
 from plurelgen.schema_gen import SchemaGraph, TableMeta, topological_order
 from plurelgen.scm_gen import (
@@ -247,9 +247,32 @@ class TestSampleCausalGraph:
             cfg = replace(config, feature_node_fraction=PriorSpec.constant(f))
             for F in (3, 7, 20, 40):
                 g = sample_causal_graph(F, cfg, SeededRng(F))
-                want = max(math.ceil(F / f), F, 2)
+                want = max(math.ceil(F / f), F)
                 assert g.num_nodes == want
                 assert len(g.feature_nodes) == F
+
+    @pytest.mark.parametrize("family", SCM_FAMILIES)
+    @pytest.mark.parametrize(
+        "fraction", [PriorSpec.constant(1.0), PriorSpec.uniform_range(0.9, 1.0)]
+    )
+    def test_one_feature_column_can_be_one_node(self, config, family, fraction):
+        cfg = replace(
+            config, scm_graph_priors=PriorSpec.set_of(family), feature_node_fraction=fraction
+        )
+        for seed in range(5):
+            g = sample_causal_graph(1, cfg, SeededRng(seed))
+            assert (g.num_nodes, g.edges, g.feature_nodes) == (1, (), (0,))
+            scm = build_scm(g, "activity", 20, (), cfg, SeededRng(seed))
+            assert realize_table_values(scm, 20, [], SeededRng(seed))[0].shape == (20,)
+        one_column = replace(
+            cfg,
+            num_tables=PriorSpec.constant(3),
+            num_columns=PriorSpec.constant(1),
+            rows_entity=PriorSpec.uniform_range(5, 10),
+            rows_activity=PriorSpec.uniform_range(10, 20),
+        )
+        db = generate_database(one_column, 0)
+        assert all(len(t.feature_names) == 1 for t in db.tables.values())
 
     def test_feature_fraction_in_range(self, config):
         for seed in range(200):
