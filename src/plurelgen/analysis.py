@@ -35,6 +35,10 @@ __all__ = [
     "profile_generation",
 ]
 
+FIT_GRID_SIZE = 64  # floor candidates per round of fit_power_law
+FIT_REFINE_ROUNDS = 8  # rounds of zooming that grid around the best floor
+HISTOGRAM_BINS = 20  # bins of each column's histogram in diversity_report
+
 
 # ---------------------------------------------------------------------------
 # Saturating power-law fitting: L(x) = A * x^(-alpha) + C
@@ -65,13 +69,13 @@ def _fit_for_floor(logx: np.ndarray, losses: np.ndarray, c: float):
     return float(np.exp(log_a)), float(-neg_alpha), resid
 
 
-def fit_power_law(points, grid_size: int = 64, refine_rounds: int = 8) -> PowerLawFit:
+def fit_power_law(points) -> PowerLawFit:
     """Fit A * x^(-alpha) + C to a decreasing loss frontier.
 
-    Scans 64 log-spaced candidates for the irreducible floor C in (0, min(loss)),
+    Scans log-spaced candidates for the irreducible floor C in (0, min(loss)),
     solving (A, alpha) by least squares on log(loss - C) per candidate, and
-    zooms the grid around the best candidate until converged. Candidates are
-    spaced in the excess min(loss) - C, where the residual varies smoothly.
+    zooms the grid around the best candidate, FIT_REFINE_ROUNDS times. Candidates
+    are spaced in the excess min(loss) - C, where the residual varies smoothly.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
@@ -97,14 +101,14 @@ def fit_power_law(points, grid_size: int = 64, refine_rounds: int = 8) -> PowerL
     logx = np.log(x)
     d_lo, d_hi = lo_loss * 1e-12, lo_loss * (1.0 - 1e-9)
     best = None
-    for _ in range(refine_rounds):
-        grid = np.geomspace(d_lo, d_hi, grid_size)
+    for _ in range(FIT_REFINE_ROUNDS):
+        grid = np.geomspace(d_lo, d_hi, FIT_GRID_SIZE)
         results = [(_fit_for_floor(logx, losses, lo_loss - d), d) for d in grid]
         (a, alpha, resid), d = min(results, key=lambda t: t[0][2])
         best = PowerLawFit(A=a, alpha=alpha, C=float(lo_loss - d), residual=resid)
         i = int(np.where(grid == d)[0][0])
         d_lo = grid[max(i - 1, 0)]
-        d_hi = grid[min(i + 1, grid_size - 1)]
+        d_hi = grid[min(i + 1, FIT_GRID_SIZE - 1)]
     return best
 
 
@@ -265,13 +269,13 @@ def _numeric_columns(db: RelationalDatabase) -> list[tuple[str, str, np.ndarray]
     return out
 
 
-def _histogram_sketch(values: np.ndarray, bins: int) -> dict:
-    """Fixed-bin histogram; degenerate ranges collapse to a single bin."""
+def _histogram_sketch(values: np.ndarray) -> dict:
+    """HISTOGRAM_BINS-bin histogram; degenerate ranges collapse to a single bin."""
     lo, hi = float(values.min()), float(values.max())
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     if lo == hi or np.any(np.diff(edges) <= 0):  # range unresolvable at this width
         return {"counts": [int(values.size)], "edges": [lo, hi]}
-    counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(lo, hi))
     return {"counts": [int(c) for c in counts], "edges": [float(e) for e in edges]}
 
 
@@ -293,9 +297,7 @@ class DiversityReport:
         }
 
 
-def diversity_report(
-    dbs: list[tuple[str, RelationalDatabase]], histogram_bins: int = 20
-) -> DiversityReport:
+def diversity_report(dbs: list[tuple[str, RelationalDatabase]]) -> DiversityReport:
     """Per-column moment/histogram summaries plus pairwise KS statistics.
 
     NULL cells are excluded everywhere. Columns are matched across databases
@@ -313,7 +315,7 @@ def diversity_report(
             if vals.size == 0:
                 continue
             moments[db_id][key] = column_moments(vals)
-            histograms[db_id][key] = _histogram_sketch(vals, histogram_bins)
+            histograms[db_id][key] = _histogram_sketch(vals)
         if cols and cols[0][2].size:
             first_skew[db_id] = moments[db_id][f"{cols[0][0]}.{cols[0][1]}"]["skewness"]
 

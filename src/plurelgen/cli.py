@@ -9,6 +9,7 @@ PLURELGEN_THREADS environment variable caps the generate worker pool.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -124,7 +125,7 @@ def cmd_stats(db_path: str, report_path: str) -> int:
 def cmd_fit(points_path: str, out_path: str) -> int:
     """Fit the saturating power law to a two-column (x, loss) CSV."""
     fit = fit_power_law(read_points_csv(points_path))
-    write_json({"A": fit.A, "alpha": fit.alpha, "C": fit.C, "residual": fit.residual}, out_path)
+    write_json(dataclasses.asdict(fit), out_path)
     return 0
 
 

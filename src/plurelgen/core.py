@@ -355,10 +355,14 @@ class GenConfig:
     schema_graph_priors: PriorSpec = _prior(
         PriorSpec.set_of(*SCHEMA_FAMILIES), _tags(SCHEMA_FAMILIES)
     )
-    # networkx's barabasi-albert and watts-strogatz need 2 nodes
-    num_tables: PriorSpec = _prior(PriorSpec.uniform_range(3, 20), _integers(2))
-    rows_entity: PriorSpec = _prior(PriorSpec.uniform_range(500, 1000), _integers(1))
-    rows_activity: PriorSpec = _prior(PriorSpec.uniform_range(2000, 5000), _integers(1))
+    # networkx's barabasi-albert and watts-strogatz need 2 nodes; each table is
+    # a CSV file and an SCM generated in turn, so the count is bounded like columns
+    num_tables: PriorSpec = _prior(PriorSpec.uniform_range(3, 20), _integers(2, 1024))
+    # a table's latent sum is a (rows, mlp_hidden_dim) float64 buffer and a
+    # categorical node's scores a (rows, num_categories) one: each of the
+    # three bounds keeps such a buffer at most about 8 GB
+    rows_entity: PriorSpec = _prior(PriorSpec.uniform_range(500, 1000), _integers(1, 10**6))
+    rows_activity: PriorSpec = _prior(PriorSpec.uniform_range(2000, 5000), _integers(1, 10**6))
     # the one prior whose draw takes power_law_exponent; draw enumerates a
     # power-law range, so the column count has an upper bound
     num_columns: PriorSpec = _prior(
@@ -372,18 +376,21 @@ class GenConfig:
     feature_node_fraction: PriorSpec = _prior(
         PriorSpec.uniform_range(0.3, 0.9), _POSITIVE_FRACTION
     )
-    num_categories: PriorSpec = _prior(PriorSpec.uniform_range(2, 10), _integers(1))
+    num_categories: PriorSpec = _prior(PriorSpec.uniform_range(2, 10), _integers(1, 1024))
     mlp_init_schemes: PriorSpec = _prior(
         PriorSpec.set_of(*MLP_INIT_SCHEMES), _tags(MLP_INIT_SCHEMES)
     )
     mlp_activations: PriorSpec = _prior(PriorSpec.set_of(*MLP_ACTIVATIONS), _tags(MLP_ACTIVATIONS))
-    mlp_hidden_dim: PriorSpec = _prior(PriorSpec.constant(32), _integers(1))
+    mlp_hidden_dim: PriorSpec = _prior(PriorSpec.constant(32), _integers(1, 1024))
     exogenous_priors: PriorSpec = _prior(
         PriorSpec.set_of((0.5, 0.5), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0), (4.0, 1.0)),
         FieldRule(_POINT_KINDS, _is_beta_pair, "a pair of positive Beta shapes"),
     )
     hsbm_levels: PriorSpec = _prior(PriorSpec.uniform_range(1, 5), _integers(1, HSBM_MAX_LEVELS))
-    hsbm_clusters_per_level: PriorSpec = _prior(PriorSpec.uniform_range(1, 3), _integers(1))
+    # the link scores of a foreign key are a (child groups, parent groups)
+    # float64 matrix, each side up to clusters ** levels block vectors:
+    # 8 ** 5 groups a side is about 8 GB
+    hsbm_clusters_per_level: PriorSpec = _prior(PriorSpec.uniform_range(1, 3), _integers(1, 8))
     trend_exponent: PriorSpec = _prior(PriorSpec.uniform_range(0.0, 2.0), _NUMBER)
     trend_scale_activity: PriorSpec = _prior(PriorSpec.uniform_range(-1.0, 1.0), _NUMBER)
     trend_scale_entity: PriorSpec = _prior(PriorSpec.constant(0.0), _NUMBER)

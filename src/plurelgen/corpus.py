@@ -23,6 +23,7 @@ from .core import ConfigError, SeededRng, format_timestamp, split_seed
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
+    TIMESTAMP,
     GeneratedTable,
     RelationalDatabase,
 )
@@ -38,8 +39,7 @@ __all__ = [
 
 DEFAULT_CONTEXT_LEN = 1024
 DEFAULT_WIDTH = 128
-
-TIMESTAMP = "timestamp"
+SEED_CELL_TRIES = 1000  # seed-cell draws that may land on NULL before a corpus gives up
 
 
 @dataclass(eq=False)
@@ -242,26 +242,20 @@ def bfs_context(
     )
 
 
-def _feature_cell_catalog(db: RelationalDatabase) -> list[tuple[str, str, int]]:
-    """(table, column, num_rows) per feature column, in schema order."""
-    out = []
-    for name in db.table_order():
-        table = db.tables[name]
-        for col in table.feature_names:
-            out.append((name, col, table.num_rows))
-    return out
+def _feature_cell_catalog(db: RelationalDatabase) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """(table, column) per feature column, in schema order, and the cell count through each."""
+    cells = [(name, col) for name in db.table_order() for col in db.tables[name].feature_names]
+    return cells, np.cumsum([db.tables[name].num_rows for name, _ in cells], dtype=np.int64)
 
 
 def _draw_seed_cell(
-    db: RelationalDatabase, catalog, rng: SeededRng, max_tries: int = 1000
+    db: RelationalDatabase, cells: list[tuple[str, str]], cum: np.ndarray, rng: SeededRng
 ) -> tuple[str, str, int]:
-    """Uniform non-NULL feature cell of one database."""
-    sizes = np.array([n for _, _, n in catalog], dtype=np.int64)
-    cum = np.cumsum(sizes)
-    for _ in range(max_tries):
+    """Uniform non-NULL feature cell of one database, from its ``_feature_cell_catalog``."""
+    for _ in range(SEED_CELL_TRIES):
         flat = int(rng.integers(0, int(cum[-1]) - 1))
         ci = int(np.searchsorted(cum, flat, side="right"))
-        tname, col, _ = catalog[ci]
+        tname, col = cells[ci]
         row = flat - (int(cum[ci - 1]) if ci else 0) + 1
         if not db.tables[tname].null_mask[col][row - 1]:
             return tname, col, row
@@ -289,16 +283,15 @@ def build_corpus(
     if budget < widest:
         raise ConfigError(f"context length {budget} cannot hold the widest row ({widest} cells)")
     catalogs = [_feature_cell_catalog(db) for _, db in dbs]
-    for cat in catalogs:
-        if not cat:
-            raise ConfigError("database has no feature cells")
+    if not all(cells for cells, _ in catalogs):
+        raise ConfigError("database has no feature cells")
     total = 0
     k = 0
     while total < target_tokens:
         rng = SeededRng(split_seed(seed, k))
         di = int(rng.integers(0, len(dbs) - 1))
         db_id, db = dbs[di]
-        cell = _draw_seed_cell(db, catalogs[di], rng)
+        cell = _draw_seed_cell(db, *catalogs[di], rng)
         example = bfs_context(db, cell, budget, width, rng, db_id=db_id)
         total += example.n_tokens
         k += 1

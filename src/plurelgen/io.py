@@ -28,6 +28,7 @@ from .schema_gen import SchemaGraph, TableMeta
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
+    TIMESTAMP,
     GeneratedTable,
     RelationalDatabase,
 )
@@ -43,8 +44,6 @@ __all__ = [
     "read_points_csv",
     "write_profile_csv",
 ]
-
-TIMESTAMP_COLUMN = "timestamp"
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def database_schema_dict(db: RelationalDatabase) -> dict:
             dtype, card = table.feature_types[col], table.feature_cards[col]
             columns.append({"name": col, "role": "feature", "dtype": dtype, "cardinality": card})
         if table.timestamps is not None:
-            columns.append({"name": TIMESTAMP_COLUMN, "role": "timestamp", "dtype": "timestamp"})
+            columns.append({"name": TIMESTAMP, "role": "timestamp", "dtype": TIMESTAMP})
         tables.append(
             {"name": name, "kind": table.kind, "num_rows": table.num_rows, "columns": columns}
         )
@@ -125,7 +124,7 @@ def _feature_text(values: np.ndarray, dtype: str, mask: np.ndarray) -> list[str]
 def write_table_csv(table: GeneratedTable, path) -> None:
     header = ["row_idx", *table.fk_names, *table.feature_names]
     if table.timestamps is not None:
-        header.append(TIMESTAMP_COLUMN)
+        header.append(TIMESTAMP)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, table.num_rows, CSV_BLOCK_ROWS):
@@ -157,7 +156,7 @@ def _naming(path):
         raise ConfigError(f"{path}: malformed ({type(exc).__name__}: {exc})") from None
 
 
-_DTYPES = {"int": np.int64, "timestamp": np.int64, NUMERIC: np.float64, CATEGORICAL: np.int64}
+_DTYPES = {"int": np.int64, TIMESTAMP: np.int64, NUMERIC: np.float64, CATEGORICAL: np.int64}
 _NULL_TEXT = {NUMERIC: "nan", CATEGORICAL: "0"}  # what an empty (NULL) feature cell reads as
 
 
@@ -221,7 +220,7 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
         feature_cards={c["name"]: c.get("cardinality") for c in features},
         features={c["name"]: values[c["name"]] for c in features},
         null_mask=null_mask,
-        timestamps=values.get(TIMESTAMP_COLUMN),
+        timestamps=values.get(TIMESTAMP),
     )
 
 

@@ -7,15 +7,15 @@ up through the sampled foreign keys) into a shared latent space, aggregates,
 and reconstructs a value of its own type. Feature-node values become table
 cells.
 
-Projections run once per distinct input and are then gathered: a parent
-feature column is projected at parent-row granularity and the result is
-gathered through the foreign key, and a categorical input projects its
-embedding table once and indexes it by category. An MLP acts on each row
-alone, so this gives the values of projecting every gathered row. They agree
-bit for bit on OpenBLAS at the default hidden width of 32; a one-row batch
-(a one-row table, or a one-category input), which numpy hands to a
-matrix-vector routine, and hidden widths of 300 or more can round the last
-bit differently.
+Projections run once per distinct input, are scaled by their edge weight and
+are then gathered once: a parent feature column is projected at parent-row
+granularity and gathered through the foreign key, and a categorical input
+projects its embedding table once and is indexed by category (through the
+foreign key, for a parent column). An MLP acts on each row alone, so this
+gives the values of projecting every gathered row. They agree bit for bit on
+OpenBLAS at the default hidden width of 32; a one-row batch (a one-row table,
+or a one-category input), which numpy hands to a matrix-vector routine, and
+hidden widths of 300 or more can round the last bit differently.
 
 A built SCM holds each mechanism's structure and scalars but no weight
 arrays: every mechanism draws its MLP weights and embeddings from its own
@@ -26,7 +26,6 @@ memory does not grow with a table's projector count.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -51,6 +50,7 @@ from .schema_gen import (
 __all__ = [
     "NUMERIC",
     "CATEGORICAL",
+    "TIMESTAMP",
     "TrendParams",
     "CycleParams",
     "FlucParams",
@@ -61,7 +61,6 @@ __all__ = [
     "temporal_signal",
     "softmax",
     "categorical_source_sample",
-    "aggregate_latent",
     "CausalGraph",
     "sample_causal_graph",
     "ForeignFeatureRef",
@@ -77,6 +76,7 @@ __all__ = [
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
+TIMESTAMP = "timestamp"  # an activity table's timestamp column: its name and its cell type
 
 # fixed clamps keeping temporal signals O(1) for well-conditioned MLP inputs
 TREND_OFFSET = 0.0
@@ -163,21 +163,6 @@ def categorical_source_sample(r, category_params: tuple[TemporalParams, ...], rn
     """
     g = np.stack([temporal_signal(r, p, rng) for p in category_params], axis=-1)
     return rng.categorical_rows(softmax(g)) + 1
-
-
-def aggregate_latent(
-    u: np.ndarray, w_u: float, projected: Iterable[np.ndarray], weights: Iterable[float]
-) -> np.ndarray:
-    """w_u * u + sum_k w_k * e_k for float arrays, (d,) vectors or (n, d) batches.
-
-    Consumes its inputs: the sum is made in place, so the result is ``u``'s
-    buffer and each e_k is left holding w_k * e_k. ``projected`` may be a
-    generator; each e_k is read once, in order.
-    """
-    out = np.multiply(w_u, u, out=u)
-    for w_k, e_k in zip(weights, projected):
-        out += np.multiply(w_k, e_k, out=e_k)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +464,26 @@ def _recon_weights(
 def _project(
     proj: InputProjector, values: np.ndarray, index: np.ndarray | None, hidden: int, rng: SeededRng
 ) -> np.ndarray:
-    """Project raw input values (n,) into the latent space (n, hidden), gathered by ``index``.
+    """Project raw input values (n,) into the latent space, scaled by the edge weight and gathered.
 
-    The projector's weights are drawn from ``rng`` and dropped on return. A
-    categorical input projects its C x hidden embedding table once and
-    indexes the result by category. A foreign input's values are a parent
-    column, projected once per parent row and gathered by ``index``, the
-    parent row of each child row; a local input has no index.
+    The projector's weights are drawn from ``rng`` and dropped on return. The
+    MLP runs once per distinct input: over a categorical input's C x hidden
+    embedding table, or over a foreign input's parent column, once per parent
+    row. Its output is scaled in place, then gathered once, by category and by
+    ``index``, the parent row of each child row (None for a local input).
+    Scaling is elementwise, so ``(w * e)[i]`` equals ``w * e[i]`` bit for bit.
     """
     mlp, emb = _projector_weights(proj, hidden, rng)
     if emb is None:
         out = mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
+        rows = index
     else:
-        out = mlp_forward(mlp, emb)[np.asarray(values, dtype=np.int64) - 1]
-    return out if index is None else out[index]
+        out = mlp_forward(mlp, emb)
+        rows = np.asarray(values, dtype=np.int64) - 1
+        if index is not None:  # category lookup and foreign-key gather as one index
+            rows = rows[index]
+    out *= proj.weight
+    return out if rows is None else out[rows]
 
 
 def realize_table_values(
@@ -531,15 +522,15 @@ def realize_table_values(
             continue
         m = scm.mechanisms[v]
         u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        inputs = [(p, x, index) for p, (x, index) in zip(m.foreign_proj, foreign_values)]
-        inputs += [(p, values[j], None) for p, j in zip(m.local_proj, m.local_inputs)]
+        # the sum is made in u's buffer, one weighted projection at a time, so
+        # it holds one projection and one projector's weights at once; under
+        # the one name, the previous node's sum is freed when u is drawn
+        u *= m.exo_weight
         w_rng = SeededRng(m.weight_seed)
-        # projected one input at a time, so the sum holds one projection and
-        # one projector's weights at once
-        projected = (_project(p, x, index, scm.hidden_dim, w_rng) for p, x, index in inputs)
-        # the sum is u's buffer; under the one name, the previous node's sum is
-        # freed when u is drawn, before this node's projections allocate
-        u = aggregate_latent(u, m.exo_weight, projected, [p.weight for p, _, _ in inputs])
+        for p, (x, index) in zip(m.foreign_proj, foreign_values):
+            u += _project(p, x, index, scm.hidden_dim, w_rng)
+        for p, j in zip(m.local_proj, m.local_inputs):
+            u += _project(p, values[j], None, scm.hidden_dim, w_rng)
         recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
         latent = mlp_forward(recon, u)
         values[v] = latent[:, 0] if emb is None else decode_category(emb, latent)

@@ -251,7 +251,7 @@ def test_criterion_06_corpus_contracts(db_pool):
         rng = SeededRng(split_seed(61, k))
         di = int(rng.integers(0, len(dbs) - 1))
         db = dbs[di]
-        cell = _draw_seed_cell(db, catalogs[di], rng)
+        cell = _draw_seed_cell(db, *catalogs[di], rng)
         ex = bfs_context(db, cell, budget, width, rng)
         if ex.n_tokens > budget:
             budget_viol += 1

@@ -1,13 +1,14 @@
 import csv
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plurelgen.cli import cmd_corpus, cmd_fit, cmd_generate, cmd_profile, cmd_stats, main
-from plurelgen.core import split_seed
+from plurelgen.core import ConfigError, PriorSpec, default_config, split_seed
 from plurelgen.corpus import build_corpus
 from plurelgen.io import (
     OutputLayout,
@@ -108,6 +109,27 @@ class TestGenerate:
     def test_main_rejects_a_config_in_one_line(self, tmp_path, capsys, name, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({name: value}))
+        assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and name in err
+
+    # a count sizes arrays, so 2**62, which fits in int64, lies past its bound
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "num_tables",
+            "rows_entity",
+            "rows_activity",
+            "num_categories",
+            "mlp_hidden_dim",
+            "hsbm_clusters_per_level",
+        ],
+    )
+    def test_unallocatable_count_is_rejected_in_one_line(self, tmp_path, capsys, name):
+        with pytest.raises(ConfigError, match=name):
+            replace(default_config(), **{name: PriorSpec.constant(2**62)})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({name: {"kind": "constant", "payload": 2**62}}))
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and name in err

@@ -19,7 +19,6 @@ from plurelgen.scm_gen import (
     TemporalParams,
     TrendParams,
     _foreign_refs_for,
-    aggregate_latent,
     build_scm,
     categorical_source_sample,
     cycle,
@@ -203,42 +202,6 @@ class TestCategoricalSource:
         p = TemporalParams(_rand_trend(rng), _rand_cycle(rng), _rand_fluc(rng))
         assert categorical_source_sample(4, (p,), SeededRng(15)) == 1
         assert np.all(categorical_source_sample(np.arange(1.0, 51.0), (p,), SeededRng(15)) == 1)
-
-
-class TestAggregateLatent:
-    """aggregate_latent consumes its inputs: it sums in place into u and each e_k."""
-
-    def test_no_inputs_identity(self):
-        u = SeededRng(0).standard_normal(32)
-        want = u.copy()
-        assert np.array_equal(aggregate_latent(u, 1.0, [], []), want)
-
-    def test_single_weighted_input(self):
-        e = np.zeros(32)
-        e[0] = 1.0
-        out = aggregate_latent(np.zeros(32), 1.0, [e], [2.0])
-        assert out[0] == 2.0 and np.all(out[1:] == 0.0)
-
-    def test_linear_combination(self):
-        rng = SeededRng(1)
-        u, e1, e2 = (rng.standard_normal(8) for _ in range(3))
-        want = -0.5 * u + 1.5 * e1 + 2.5 * e2
-        assert np.allclose(aggregate_latent(u, -0.5, [e1, e2], [1.5, 2.5]), want)
-
-    def test_in_place_sum_is_the_allocating_sum(self):
-        rng = SeededRng(2)
-        u = rng.beta(2.0, 2.0, size=(50, 32))
-        es = [rng.standard_normal((50, 32)) for _ in range(3)]
-        weights = [0.7, -1.3, 2.1]
-        want = 0.4 * u
-        for w_k, e_k in zip(weights, es):
-            want = want + w_k * e_k
-        scaled = [w_k * e_k for w_k, e_k in zip(weights, es)]
-        got = aggregate_latent(u, 0.4, iter(es), weights)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.shares_memory(got, u)
-        for e_k, want_k in zip(es, scaled):  # each e_k is left holding w_k * e_k
-            assert np.array_equal(e_k.view(np.uint64), want_k.view(np.uint64))
 
 
 class TestSampleCausalGraph:
