@@ -7,18 +7,12 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import ConfigError, GenConfig, SeededRng, split_seed
-from .fk_gen import (
-    BlockHierarchy,
-    assign_block_hierarchy,
-    link_probabilities,
-    sample_links,
-    sample_matrix_stack,
-)
+from .fk_gen import assign_block_hierarchy, link_probabilities, sample_links, sample_matrix_stack
 from .scm_gen import NUMERIC, RelationalDatabase, generate_database
 
 __all__ = [
@@ -167,12 +161,6 @@ class FidelityReport:
         }
 
 
-def _aggregate_by_group(values: np.ndarray, inverse: np.ndarray, num_groups: int) -> np.ndarray:
-    out = np.zeros(num_groups)
-    np.add.at(out, inverse, values)
-    return out
-
-
 def hsbm_fidelity(
     child_blocks: tuple[int, ...],
     parent_blocks: tuple[int, ...],
@@ -192,21 +180,15 @@ def hsbm_fidelity(
     parent = assign_block_hierarchy(num_parent_rows, parent_blocks, rng)
     stack = sample_matrix_stack(parent_blocks, child_blocks, rng)
 
-    parent_uniq, parent_inv = np.unique(parent.row_blocks, axis=0, return_inverse=True)
+    parent_uniq, parent_inv = np.unique(parent, axis=0, return_inverse=True)
     parent_inv = parent_inv.reshape(-1)
-    child_uniq = np.unique(child.row_blocks, axis=0)
+    num_groups = parent_uniq.shape[0]
     entries = []
-    for vec in child_uniq:
+    for vec in np.unique(child, axis=0):
         probs = link_probabilities(vec, parent, stack)
-        analytic = _aggregate_by_group(probs, parent_inv, parent_uniq.shape[0])
-        rep = BlockHierarchy(
-            tuple(child_blocks), np.tile(vec, (samples_per_block, 1)).astype(np.int64)
-        )
-        links = sample_links(rep, parent, stack, rng)
-        counts = _aggregate_by_group(
-            np.ones(samples_per_block), parent_inv[links - 1], parent_uniq.shape[0]
-        )
-        empirical = counts / samples_per_block
+        analytic = np.bincount(parent_inv, weights=probs, minlength=num_groups)
+        links = sample_links(np.tile(vec, (samples_per_block, 1)), parent, stack, rng)
+        empirical = np.bincount(parent_inv[links - 1], minlength=num_groups) / samples_per_block
         tv = 0.5 * float(np.abs(analytic - empirical).sum())
         entries.append(
             FidelityEntry(
@@ -288,13 +270,7 @@ class DiversityReport:
     first_numeric_skewness: dict  # db_id -> skewness of that column
 
     def to_dict(self) -> dict:
-        return {
-            "moments": self.moments,
-            "histograms": self.histograms,
-            "matched_ks": self.matched_ks,
-            "first_numeric_ks": self.first_numeric_ks,
-            "first_numeric_skewness": self.first_numeric_skewness,
-        }
+        return asdict(self)
 
 
 def diversity_report(dbs: list[tuple[str, RelationalDatabase]]) -> DiversityReport:

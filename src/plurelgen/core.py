@@ -318,6 +318,14 @@ def _integers(lo: int, hi: int = _INT64_MAX) -> FieldRule:
     )
 
 
+def _magnitude(bound: float) -> FieldRule:
+    return FieldRule(
+        _NUMERIC_KINDS,
+        lambda x: _is_number(x) and abs(x) <= bound,
+        f"a number in [-{bound}, {bound}]",
+    )
+
+
 _NUMBER = FieldRule(
     _NUMERIC_KINDS, _is_number, f"a number in [-{_FLOAT_BOUND:.4g}, {_FLOAT_BOUND:.4g}]"
 )
@@ -391,9 +399,13 @@ class GenConfig:
     # float64 matrix, each side up to clusters ** levels block vectors:
     # 8 ** 5 groups a side is about 8 GB
     hsbm_clusters_per_level: PriorSpec = _prior(PriorSpec.uniform_range(1, 3), _integers(1, 8))
-    trend_exponent: PriorSpec = _prior(PriorSpec.uniform_range(0.0, 2.0), _NUMBER)
-    trend_scale_activity: PriorSpec = _prior(PriorSpec.uniform_range(-1.0, 1.0), _NUMBER)
-    trend_scale_entity: PriorSpec = _prior(PriorSpec.constant(0.0), _NUMBER)
+    # over rows 1..N the trend term scale * (r / N) ** exponent is at most
+    # |scale| * N ** |exponent| in magnitude; for N up to 10**6 these bounds keep
+    # it within 1e63, leaving the projections and latent sums downstream about
+    # 1e245 of float range, so every cell is finite
+    trend_exponent: PriorSpec = _prior(PriorSpec.uniform_range(0.0, 2.0), _magnitude(10))
+    trend_scale_activity: PriorSpec = _prior(PriorSpec.uniform_range(-1.0, 1.0), _magnitude(1000))
+    trend_scale_entity: PriorSpec = _prior(PriorSpec.constant(0.0), _magnitude(1000))
     cycle_frequency: PriorSpec = _prior(
         PriorSpec.set_of(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0), _POSITIVE
     )

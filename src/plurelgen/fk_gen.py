@@ -7,15 +7,11 @@ block-pair probabilities, normalized over all parent rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import HSBM_MAX_LEVELS, GenConfig, SeededRng, StructuralError, draw
 
 __all__ = [
-    "BlockHierarchy",
-    "BlockMatrixStack",
     "assign_block_hierarchy",
     "sample_block_matrix",
     "sample_matrix_stack",
@@ -28,37 +24,13 @@ OFF_BLOCK_LOW = 0.001
 OFF_BLOCK_HIGH = 0.002
 
 
-@dataclass(frozen=True, eq=False)
-class BlockHierarchy:
-    """Per-row block labels, one label per level, values in [1, B^l]."""
-
-    blocks_per_level: tuple[int, ...]
-    row_blocks: np.ndarray  # (num_rows, levels) int array
-
-    @property
-    def levels(self) -> int:
-        return len(self.blocks_per_level)
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.row_blocks.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class BlockMatrixStack:
-    """Level-wise (parent blocks x child blocks) link-probability matrices."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.matrices)
-
-
 def assign_block_hierarchy(
     num_rows: int, blocks_per_level: tuple[int, ...], rng: SeededRng
-) -> BlockHierarchy:
-    """Give every row an independent uniform block label at each level."""
+) -> np.ndarray:
+    """Per-row block labels, an int64 (num_rows, levels) array.
+
+    Every row gets an independent uniform label at each level, in [1, B^l].
+    """
     if num_rows < 1:
         raise ValueError(f"num_rows must be >= 1, got {num_rows}")
     levels = len(blocks_per_level)
@@ -69,7 +41,7 @@ def assign_block_hierarchy(
     labels = np.empty((num_rows, levels), dtype=np.int64)
     for l, b in enumerate(blocks_per_level):
         labels[:, l] = rng.integers(1, int(b), size=num_rows)
-    return BlockHierarchy(tuple(int(b) for b in blocks_per_level), labels)
+    return labels
 
 
 def sample_block_matrix(b_parent: int, b_child: int, rng: SeededRng) -> np.ndarray:
@@ -90,16 +62,15 @@ def sample_block_matrix(b_parent: int, b_child: int, rng: SeededRng) -> np.ndarr
 
 def sample_matrix_stack(
     parent_blocks: tuple[int, ...], child_blocks: tuple[int, ...], rng: SeededRng
-) -> BlockMatrixStack:
+) -> tuple[np.ndarray, ...]:
+    """One (parent blocks x child blocks) link-probability matrix per level."""
     if len(parent_blocks) != len(child_blocks):
         raise ValueError("parent and child hierarchies must share the level count")
-    return BlockMatrixStack(
-        tuple(sample_block_matrix(p, c, rng) for p, c in zip(parent_blocks, child_blocks))
-    )
+    return tuple(sample_block_matrix(p, c, rng) for p, c in zip(parent_blocks, child_blocks))
 
 
 def link_probabilities(
-    child_row_blocks: np.ndarray, parent: BlockHierarchy, stack: BlockMatrixStack
+    child_row_blocks: np.ndarray, parent: np.ndarray, stack: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """Probability over all parent rows that a child row with the given labels links to each.
 
@@ -107,47 +78,46 @@ def link_probabilities(
     probabilities. Sums to 1 up to float rounding.
     """
     child_row_blocks = np.asarray(child_row_blocks, dtype=np.int64).reshape(-1)
-    if child_row_blocks.shape[0] != parent.levels or stack.levels != parent.levels:
+    num_rows, levels = parent.shape
+    if child_row_blocks.shape[0] != levels or len(stack) != levels:
         raise ValueError("level counts of labels, hierarchy, and stack must agree")
-    if parent.num_rows < 1:
+    if num_rows < 1:
         raise StructuralError("parent table has no rows")
-    scores = np.ones(parent.num_rows)
-    for l in range(parent.levels):
-        scores *= stack.matrices[l][parent.row_blocks[:, l] - 1, child_row_blocks[l] - 1]
+    scores = np.ones(num_rows)
+    for l, mat in enumerate(stack):
+        scores *= mat[parent[:, l] - 1, child_row_blocks[l] - 1]
     total = scores.sum()
     if total <= 0.0:
         raise StructuralError("all link scores vanished; block matrix must be positive")
     return scores / total
 
 
-def _group_rows(hierarchy: BlockHierarchy):
+def _group_rows(labels: np.ndarray):
     """Rows grouped by their full block vector (lexicographic group order).
 
-    Returns (unique_vectors, inverse, flat_row_order, offsets, counts) where
+    Returns (unique_vectors, flat_row_order, offsets, counts) where
     flat_row_order[offsets[g]:offsets[g] + counts[g]] are the 0-based rows of
     group g in ascending order.
     """
-    uniq, inverse, counts = np.unique(
-        hierarchy.row_blocks, axis=0, return_inverse=True, return_counts=True
-    )
+    uniq, inverse, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
     inverse = inverse.reshape(-1)  # numpy 2.0 returned (n, 1) for axis unique
     flat = np.argsort(inverse, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return uniq, inverse, flat, offsets, counts
+    return uniq, flat, offsets, counts
 
 
 def _group_scores(
-    child_vectors: np.ndarray, parent_vectors: np.ndarray, stack: BlockMatrixStack
+    child_vectors: np.ndarray, parent_vectors: np.ndarray, stack: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """Score matrix S[c, p] for each (child group, parent group) vector pair."""
     scores = np.ones((child_vectors.shape[0], parent_vectors.shape[0]))
-    for l in range(stack.levels):
-        scores *= stack.matrices[l][parent_vectors[:, l] - 1, :][:, child_vectors[:, l] - 1].T
+    for l, mat in enumerate(stack):
+        scores *= mat[parent_vectors[:, l] - 1, :][:, child_vectors[:, l] - 1].T
     return scores
 
 
 def sample_links(
-    child: BlockHierarchy, parent: BlockHierarchy, stack: BlockMatrixStack, rng: SeededRng
+    child: np.ndarray, parent: np.ndarray, stack: tuple[np.ndarray, ...], rng: SeededRng
 ) -> np.ndarray:
     """One parent row index (1-based) per child row.
 
@@ -155,15 +125,15 @@ def sample_links(
     within the group. Rows inside a block share the same score, so this equals
     the exact categorical over all parent rows.
     """
-    if parent.num_rows < 1:
+    if parent.shape[0] < 1:
         raise StructuralError("parent table has no rows")
-    child_uniq, child_inv, _, _, _ = _group_rows(child)
-    parent_uniq, _, parent_flat, offsets, counts = _group_rows(parent)
+    child_uniq, child_flat, child_offsets, child_counts = _group_rows(child)
+    parent_uniq, parent_flat, offsets, counts = _group_rows(parent)
     scores = _group_scores(child_uniq, parent_uniq, stack)  # (Uc, Up)
     group_mass = scores * counts[None, :]
-    fk = np.empty(child.num_rows, dtype=np.int64)
+    fk = np.empty(child.shape[0], dtype=np.int64)
     for c in range(child_uniq.shape[0]):
-        rows = np.flatnonzero(child_inv == c)
+        rows = child_flat[child_offsets[c] : child_offsets[c] + child_counts[c]]
         cdf = np.cumsum(group_mass[c])
         if cdf[-1] <= 0.0:
             raise StructuralError("all link scores vanished; block matrix must be positive")

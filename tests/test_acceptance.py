@@ -26,7 +26,7 @@ from plurelgen.corpus import (
     bfs_context,
     example_to_json,
 )
-from plurelgen.fk_gen import BlockMatrixStack, assign_block_hierarchy, sample_links
+from plurelgen.fk_gen import assign_block_hierarchy, sample_links
 from plurelgen.schema_gen import ACTIVITY, ENTITY, topological_order
 from plurelgen.scm_gen import (
     CycleParams,
@@ -128,7 +128,7 @@ def test_criterion_03_hsbm_fidelity():
     n, m = 100_000, 10
     child = assign_block_hierarchy(n, (1,), SeededRng(32))
     parent = assign_block_hierarchy(m, (1,), SeededRng(33))
-    stack = BlockMatrixStack((np.array([[1.0]]),))
+    stack = (np.array([[1.0]]),)
     links = sample_links(child, parent, stack, SeededRng(34))
     counts = np.bincount(links, minlength=m + 1)[1:]
     bound = 4.0 * math.sqrt(n * (1 / m) * (1 - 1 / m))

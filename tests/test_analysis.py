@@ -16,11 +16,7 @@ from plurelgen.analysis import (
     profile_generation,
 )
 from plurelgen.core import SeededRng
-from plurelgen.fk_gen import (
-    BlockMatrixStack,
-    assign_block_hierarchy,
-    sample_links,
-)
+from plurelgen.fk_gen import assign_block_hierarchy, sample_links
 from plurelgen.scm_gen import generate_database
 
 GRID_X = np.array([8, 16, 32, 64, 128, 256, 512, 1024], dtype=float)
@@ -126,14 +122,14 @@ class TestHsbmFidelity:
         for entry in rep.entries:
             scores = np.array(
                 [
-                    stack.matrices[0][parent.row_blocks[j, 0] - 1, entry.child_vector[0] - 1]
+                    stack[0][parent[j, 0] - 1, entry.child_vector[0] - 1]
                     for j in range(30)
                 ]
             )
             probs = scores / scores.sum()
             masses = {}
             for j in range(30):
-                key = tuple(parent.row_blocks[j])
+                key = tuple(parent[j])
                 masses[key] = masses.get(key, 0.0) + probs[j]
             for vec, mass in zip(entry.parent_vectors, entry.analytic):
                 assert abs(masses[vec] - mass) < 1e-12
@@ -142,7 +138,7 @@ class TestHsbmFidelity:
         # single-block hierarchies with a unit matrix: every parent row equally likely
         child = assign_block_hierarchy(100_000, (1,), SeededRng(3))
         parent = assign_block_hierarchy(10, (1,), SeededRng(4))
-        stack = BlockMatrixStack((np.array([[1.0]]),))
+        stack = (np.array([[1.0]]),)
         links = sample_links(child, parent, stack, SeededRng(5))
         freqs = np.bincount(links, minlength=11)[1:] / links.size
         assert 0.5 * np.abs(freqs - 0.1).sum() < 0.02

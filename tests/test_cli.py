@@ -101,6 +101,8 @@ class TestGenerate:
             ("rows_entity", {"kind": "constant", "payload": 7.5}),
             ("hsbm_clusters_per_level", {"kind": "range-uniform", "payload": [1, 2**70]}),
             ("trend_scale_activity", {"kind": "range-uniform", "payload": [-1e308, 1e308]}),
+            # 5 ** 1000 overflows, so row 1 of a 5-row table would get a trend of inf
+            ("trend_exponent", {"kind": "constant", "payload": -1000}),
             ("rows_entity", {"kind": "range-power-law", "payload": [5, 10]}),
             # 3 ** -1000 underflows every weight of the default num_columns (3, 40)
             ("power_law_exponent", {"kind": "constant", "payload": 1000}),

@@ -21,7 +21,7 @@ from plurelgen.core import (
     save_config,
     split_seed,
 )
-from plurelgen.scm_gen import generate_database
+from plurelgen.scm_gen import NUMERIC, generate_database
 
 
 class TestSplitSeed:
@@ -288,6 +288,14 @@ class TestGenConfig:
         assert data["num_tables"] == {"kind": "range-uniform", "payload": [3, 20]}
 
 
+def _assert_finite_cells(db):
+    """Every numeric feature cell, NULL-masked or not, is a finite float."""
+    for table in db.tables.values():
+        for name, values in table.features.items():
+            if table.feature_types[name] == NUMERIC:
+                assert np.isfinite(values).all(), f"{table.name}.{name}"
+
+
 def _tiny(config, **priors):
     """A config small enough to generate in well under a second."""
     small = {
@@ -386,6 +394,11 @@ class TestValidateRejectsWhatCannotGenerate:
             ("hsbm_clusters_per_level", PriorSpec.constant(2**70)),
             ("trend_scale_activity", PriorSpec.set_of(0.0, 1e308)),
             ("trend_exponent", PriorSpec.constant(-1e308)),
+            # the trend term |scale| * N ** |exponent| must stay finite for N up to 10**6
+            ("trend_exponent", PriorSpec.constant(-1000.0)),
+            ("trend_exponent", PriorSpec.uniform_range(0.0, 10.5)),
+            ("trend_scale_activity", PriorSpec.set_of(1.0, -1000.5)),
+            ("trend_scale_entity", PriorSpec.constant(10**6)),
             # only num_columns is drawn with power_law_exponent
             ("rows_entity", PriorSpec.power_law_range(1, 3)),
             ("num_categories", PriorSpec.power_law_range(1, 3)),
@@ -410,6 +423,16 @@ class TestValidateRejectsWhatCannotGenerate:
     def test_outside_the_field_domain(self, config, name, bad):
         with pytest.raises(ConfigError, match=name):
             _tiny(config, **{name: bad}).validate()
+
+    def test_steepest_trend_writes_finite_cells(self, config):
+        # the trend bounds at both signs; row 1 of N carries |scale| * N ** |exponent|
+        steep = PriorSpec.set_of(-10.0, 10)
+        scales = PriorSpec.set_of(-1000.0, 1000)
+        cfg = _tiny(
+            config, trend_exponent=steep, trend_scale_activity=scales, trend_scale_entity=scales
+        )
+        for seed in range(4):
+            _assert_finite_cells(generate_database(cfg, seed))
 
     # numpy draws neither beyond int64 nor across more than the float range
     @pytest.mark.parametrize("ends", [("a", 3), (1, 2**70), (-1e308, 1e308)])
@@ -461,12 +484,17 @@ _HOSTILE_POINTS = (
     0, 1, 2, 5, 6, -1, 0.5, 2.5, "x", True, None,
     "1990-01-01", "2030-01-01", "1990-13-45",
     (2.0, 3.0), (0.0, 1.0), (0.5, -1),
-    1e308, -1e308, 2**70,
+    1e308, -1e308, 2**70, -1000,
     "relu", "sparse", "layered", "random-tree", "barabasi-albert", "watts-strogatz",
 )
 # Whole priors the random draw of points is unlikely to reach: a power law
-# over (1, 2**62) would have draw weigh every count in the range.
-_HOSTILE_PRIORS = (("num_columns", PriorSpec.power_law_range(1, 2**62)),)
+# over (1, 2**62) would have draw weigh every count in the range, and a trend
+# exponent of -1000 makes the trend at row 1 of a table overflow.
+_HOSTILE_PRIORS = (
+    ("num_columns", PriorSpec.power_law_range(1, 2**62)),
+    ("trend_exponent", PriorSpec.constant(-1000)),
+    ("trend_exponent", PriorSpec.uniform_range(-1000.0, 0.0)),
+)
 _PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
 _CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
 
@@ -483,7 +511,8 @@ class TestEveryAcceptedConfigGenerates:
             cfg = _tiny(config, **{name: prior})
         except ConfigError:
             return
-        generate_database(cfg, 0)
+        for seed in range(4):
+            _assert_finite_cells(generate_database(cfg, seed))
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(
@@ -491,7 +520,7 @@ class TestEveryAcceptedConfigGenerates:
         data=st.data(),
     )
     def test_validate_rejects_or_generate_succeeds(self, config, names, data):
-        """Every config validate() accepts generates; the rest raise a ConfigError."""
+        """Every config validate() accepts generates finite cells; the rest raise a ConfigError."""
         point = st.sampled_from(_HOSTILE_POINTS)
         small = {
             "num_tables": PriorSpec.uniform_range(2, 4),
@@ -509,4 +538,4 @@ class TestEveryAcceptedConfigGenerates:
             cfg = replace(config, **small)
         except ConfigError:
             return
-        generate_database(cfg, data.draw(st.integers(0, 3)))
+        _assert_finite_cells(generate_database(cfg, data.draw(st.integers(0, 3))))

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from plurelgen.core import SeededRng, StructuralError
 from plurelgen.fk_gen import (
-    BlockHierarchy,
-    BlockMatrixStack,
     DIAGONAL_PROB,
     OFF_BLOCK_HIGH,
     OFF_BLOCK_LOW,
@@ -22,18 +20,18 @@ from plurelgen.fk_gen import (
 class TestAssignBlockHierarchy:
     def test_single_block(self):
         h = assign_block_hierarchy(50, (1,), SeededRng(0))
-        assert np.all(h.row_blocks == 1)
+        assert np.all(h == 1)
 
     def test_three_blocks_frequencies(self):
         h = assign_block_hierarchy(100_000, (3,), SeededRng(1))
-        freqs = np.bincount(h.row_blocks[:, 0], minlength=4)[1:4] / 100_000
+        freqs = np.bincount(h[:, 0], minlength=4)[1:4] / 100_000
         assert np.all(np.abs(freqs - 1 / 3) < 0.01)
 
     def test_two_level_support(self):
         h = assign_block_hierarchy(1000, (2, 3), SeededRng(2))
-        assert h.levels == 2
-        assert set(np.unique(h.row_blocks[:, 0])) <= {1, 2}
-        assert set(np.unique(h.row_blocks[:, 1])) <= {1, 2, 3}
+        assert h.shape == (1000, 2) and h.dtype == np.int64
+        assert set(np.unique(h[:, 0])) <= {1, 2}
+        assert set(np.unique(h[:, 1])) <= {1, 2, 3}
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -82,21 +80,21 @@ class TestSampleBlockMatrix:
 class TestLinkProbabilities:
     def test_uniform_degenerate_case(self):
         parent = assign_block_hierarchy(20, (1,), SeededRng(0))
-        stack = BlockMatrixStack((np.array([[1.0]]),))
+        stack = (np.array([[1.0]]),)
         probs = link_probabilities(np.array([1]), parent, stack)
         assert np.allclose(probs, 1 / 20)
 
     def test_two_row_worked_example(self):
-        parent = BlockHierarchy((2,), np.array([[1], [2]]))
-        stack = BlockMatrixStack((np.array([[0.9, 0.001], [0.001, 0.9]]),))
+        parent = np.array([[1], [2]])
+        stack = (np.array([[0.9, 0.001], [0.001, 0.9]]),)
         probs = link_probabilities(np.array([1]), parent, stack)
         assert np.allclose(probs, [0.9 / 0.901, 0.001 / 0.901], atol=1e-12)
 
     def test_two_level_score_ratio(self):
         # per-level scores (0.9, 0.9) vs (0.9, 0.001): product ratio 900:1
-        parent = BlockHierarchy((2, 2), np.array([[1, 1], [1, 2]]))
+        parent = np.array([[1, 1], [1, 2]])
         mat = np.array([[0.9, 0.001], [0.001, 0.9]])
-        stack = BlockMatrixStack((mat, mat))
+        stack = (mat, mat)
         probs = link_probabilities(np.array([1, 1]), parent, stack)
         assert np.isclose(probs[0] / probs[1], 900.0)
 
@@ -106,7 +104,7 @@ class TestLinkProbabilities:
         stack = sample_matrix_stack((2, 3), (3, 2), rng)
         vec = np.array([2, 1])
         base = link_probabilities(vec, parent, stack)
-        scaled = BlockMatrixStack(tuple(7.3 * m for m in stack.matrices))
+        scaled = tuple(7.3 * m for m in stack)
         assert np.allclose(base, link_probabilities(vec, parent, scaled), atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -139,7 +137,7 @@ class TestSampleLinks:
     def test_uniform_case_binomial_concentration(self):
         child = assign_block_hierarchy(100_000, (1,), SeededRng(5))
         parent = assign_block_hierarchy(10, (1,), SeededRng(6))
-        stack = BlockMatrixStack((np.array([[1.0]]),))
+        stack = (np.array([[1.0]]),)
         fk = sample_links(child, parent, stack, SeededRng(7))
         counts = np.bincount(fk, minlength=11)[1:]
         assert np.all(np.abs(counts - 10_000) < 300)
@@ -149,10 +147,10 @@ class TestSampleLinks:
         rng = SeededRng(8)
         child = assign_block_hierarchy(5000, (2,), rng)
         parent = assign_block_hierarchy(100, (2,), rng)
-        stack = BlockMatrixStack((sample_block_matrix(2, 2, rng),))
+        stack = (sample_block_matrix(2, 2, rng),)
         fk = sample_links(child, parent, stack, rng)
-        parent_block = parent.row_blocks[fk - 1, 0]
-        matching = parent_block == child.row_blocks[:, 0]
+        parent_block = parent[fk - 1, 0]
+        matching = parent_block == child[:, 0]
         assert matching.mean() >= 0.95
 
     def test_two_stage_matches_exact_categorical(self):
@@ -161,7 +159,7 @@ class TestSampleLinks:
         parent = assign_block_hierarchy(30, (2, 2), rng)
         stack = sample_matrix_stack((2, 2), (2, 2), rng)
         vec = np.array([1, 2])
-        child = BlockHierarchy((2, 2), np.tile(vec, (200_000, 1)))
+        child = np.tile(vec, (200_000, 1))
         fk = sample_links(child, parent, stack, rng)
         emp = np.bincount(fk, minlength=31)[1:] / fk.size
         exact = link_probabilities(vec, parent, stack)
