@@ -363,8 +363,9 @@ class GenConfig:
     schema_graph_priors: PriorSpec = _prior(
         PriorSpec.set_of(*SCHEMA_FAMILIES), _tags(SCHEMA_FAMILIES)
     )
-    # networkx's barabasi-albert and watts-strogatz need 2 nodes; each table is
-    # a CSV file and an SCM generated in turn, so the count is bounded like columns
+    # schema_gen's barabasi_albert_edges (m < n) and watts_strogatz_edges need
+    # 2 nodes; each table is a CSV file and an SCM generated in turn, so the
+    # count is bounded like columns
     num_tables: PriorSpec = _prior(PriorSpec.uniform_range(3, 20), _integers(2, 1024))
     # a table's latent sum is a (rows, mlp_hidden_dim) float64 buffer and a
     # categorical node's scores a (rows, num_categories) one: each of the

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import heapq
+import random
 from dataclasses import dataclass, replace
-
-import networkx as nx
 
 from .core import GenConfig, SeededRng, StructuralError, draw
 
@@ -19,7 +18,8 @@ __all__ = [
     "random_tree_edges",
     "orient_by_permutation",
     "random_tree_dag",
-    "undirected_edges",
+    "barabasi_albert_edges",
+    "watts_strogatz_edges",
 ]
 
 ENTITY = "entity"
@@ -114,9 +114,58 @@ def random_tree_dag(n: int, rng: SeededRng, toward_leaves: bool) -> list[tuple[i
     return oriented
 
 
-def undirected_edges(graph: nx.Graph) -> list[tuple[int, int]]:
-    """A networkx graph's edges as sorted (low, high) node pairs."""
-    return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+def barabasi_albert_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
+    """Barabasi-Albert preferential attachment as sorted (low, high) node pairs.
+
+    Starts from a star on nodes 0..m; each later node attaches to m distinct
+    targets drawn from a list that holds every node once per incident edge.
+    Needs 1 <= m < n. Draws exactly as networkx 3.6.1's
+    ``barabasi_albert_graph(n, m, seed)``, so output bytes are the same as
+    those of earlier releases, which called it.
+    """
+    if not 1 <= m < n:
+        raise StructuralError(f"barabasi-albert needs 1 <= m < n, got m={m}, n={n}")
+    rnd = random.Random(seed)
+    edges = [(0, v) for v in range(1, m + 1)]
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rnd.choice(repeated))
+        edges.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    return sorted(edges)
+
+
+def watts_strogatz_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """Watts-Strogatz ring on n nodes (k = 2) as sorted (low, high) node pairs.
+
+    Each ring edge (u, u + 1) is rewired with probability p to (u, w), w
+    uniform, rejecting self-loops and existing edges, and skipped once u has
+    degree n - 1, so n == 2 keeps its one edge. Needs n >= 2. Gives the same
+    edges as networkx 3.6.1's ``watts_strogatz_graph(n, 2, p, seed)``, so
+    output bytes are the same as those of earlier releases, which called it.
+    """
+    if n < 2:
+        raise StructuralError(f"watts-strogatz needs n >= 2, got n={n}")
+    rnd = random.Random(seed)
+    nodes = list(range(n))
+    adj = [{(u - 1) % n, (u + 1) % n} for u in nodes]
+    for u in nodes:
+        if rnd.random() < p:
+            w = rnd.choice(nodes)
+            while w == u or w in adj[u]:
+                w = rnd.choice(nodes)
+                if len(adj[u]) >= n - 1:
+                    break
+            else:
+                v = (u + 1) % n
+                adj[u].remove(v)
+                adj[v].remove(u)
+                adj[u].add(w)
+                adj[w].add(u)
+    return sorted((u, v) for u in nodes for v in adj[u] if u < v)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +180,13 @@ def sample_schema_graph(config: GenConfig, rng: SeededRng) -> SchemaGraph:
     if family == "barabasi-albert":
         m = min(int(draw(config.ba_attachment, rng)), n - 1)
         dropout = float(draw(config.ba_edge_dropout, rng))
-        base = nx.barabasi_albert_graph(n, m, seed=rng.bits64())
-        und = undirected_edges(base)
+        und = barabasi_albert_edges(n, m, rng.bits64())
         keep = rng.uniform(size=len(und)) >= dropout
         und = [e for e, k in zip(und, keep) if k]
         edges = orient_by_permutation(und, n, rng)
     elif family == "watts-strogatz":
         p = float(draw(config.ws_rewire_prob, rng))
-        base = nx.watts_strogatz_graph(n, 2, p, seed=rng.bits64())
-        edges = orient_by_permutation(undirected_edges(base), n, rng)
+        edges = orient_by_permutation(watts_strogatz_edges(n, p, rng.bits64()), n, rng)
     elif family == "reverse-random-tree":
         edges = random_tree_dag(n, rng, toward_leaves=True)
     else:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .core import GenConfig, SeededRng, StructuralError, draw, parse_date, split_seed
@@ -39,12 +38,12 @@ from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
     assign_table_metadata,
+    barabasi_albert_edges,
     kahn_order,
     orient_by_permutation,
     random_tree_dag,
     sample_schema_graph,
     topological_order,
-    undirected_edges,
 )
 
 __all__ = [
@@ -236,10 +235,9 @@ def _sample_causal_edges(
         return orient_by_permutation(und, total, rng)
     if family == "barabasi-albert":
         m = min(int(draw(config.ba_attachment, rng)), total - 1)
-        if m < 1:  # one node: no edges, and networkx needs m >= 1
+        if m < 1:  # one node: no edges, and barabasi_albert_edges needs m >= 1
             return []
-        base = nx.barabasi_albert_graph(total, m, seed=rng.bits64())
-        return orient_by_permutation(undirected_edges(base), total, rng)
+        return orient_by_permutation(barabasi_albert_edges(total, m, rng.bits64()), total, rng)
     if family in ("random-tree", "reverse-random-tree"):
         return random_tree_dag(total, rng, toward_leaves=family == "reverse-random-tree")
     raise StructuralError(f"unhandled causal graph family {family!r}")

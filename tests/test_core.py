@@ -497,6 +497,13 @@ _HOSTILE_PRIORS = (
 )
 _PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
 _CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
+# the property test's small config, which each case overrides field by field
+_SMALL = {
+    "num_tables": PriorSpec.uniform_range(2, 4),
+    "num_columns": PriorSpec.uniform_range(1, 4),
+    "rows_entity": PriorSpec.uniform_range(3, 12),
+    "rows_activity": PriorSpec.uniform_range(3, 12),
+}
 
 
 class TestEveryAcceptedConfigGenerates:
@@ -514,6 +521,16 @@ class TestEveryAcceptedConfigGenerates:
         for seed in range(4):
             _assert_finite_cells(generate_database(cfg, seed))
 
+    @pytest.mark.parametrize("name", _CONFIG_FIELDS)
+    def test_every_hostile_point_as_a_constant(self, config, name):
+        """The random draw below reaches late points rarely, so each is tried here as a constant."""
+        for point in _HOSTILE_POINTS:
+            try:
+                cfg = replace(config, **{**_SMALL, name: PriorSpec.constant(point)})
+            except ConfigError:
+                continue
+            _assert_finite_cells(generate_database(cfg, 0))
+
     @settings(max_examples=1500, deadline=None, derandomize=True)
     @given(
         names=st.lists(st.sampled_from(_CONFIG_FIELDS), min_size=1, max_size=2, unique=True),
@@ -522,12 +539,7 @@ class TestEveryAcceptedConfigGenerates:
     def test_validate_rejects_or_generate_succeeds(self, config, names, data):
         """Every config validate() accepts generates finite cells; the rest raise a ConfigError."""
         point = st.sampled_from(_HOSTILE_POINTS)
-        small = {
-            "num_tables": PriorSpec.uniform_range(2, 4),
-            "num_columns": PriorSpec.uniform_range(1, 4),
-            "rows_entity": PriorSpec.uniform_range(3, 12),
-            "rows_activity": PriorSpec.uniform_range(3, 12),
-        }
+        small = dict(_SMALL)
         try:
             for name in names:
                 kind = data.draw(st.sampled_from(_PRIOR_KINDS))

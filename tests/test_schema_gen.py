@@ -8,9 +8,11 @@ from plurelgen.schema_gen import (
     ENTITY,
     SchemaGraph,
     assign_table_metadata,
+    barabasi_albert_edges,
     random_tree_edges,
     sample_schema_graph,
     topological_order,
+    watts_strogatz_edges,
 )
 
 
@@ -148,3 +150,69 @@ class TestRandomTree:
                 for u, v in edges:
                     parent[find(u)] = find(v)
                 assert len({find(x) for x in range(n)}) == 1
+
+
+# the grid both samplers are checked on against networkx; the seeds are
+# 64-bit, as rng.bits64() gives them
+_NODES = range(2, 40)
+_ATTACHMENTS = range(1, 6)
+_REWIRE_PROBS = (0.0, 0.05, 0.3, 0.7, 1.0)
+_SEEDS = [split_seed(5, s) for s in range(60)]
+
+
+def _is_simple_sorted(edges):
+    return edges == sorted(set(edges)) and all(u < v for u, v in edges)
+
+
+class TestBaseGraphDraws:
+    def test_equal_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def undirected(graph):
+            return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+
+        for n in _NODES:
+            for seed in _SEEDS:
+                for m in _ATTACHMENTS:
+                    if m < n:
+                        expected = undirected(nx.barabasi_albert_graph(n, m, seed=seed))
+                        assert barabasi_albert_edges(n, m, seed) == expected, (n, m, seed)
+                for p in _REWIRE_PROBS:
+                    expected = undirected(nx.watts_strogatz_graph(n, 2, p, seed=seed))
+                    assert watts_strogatz_edges(n, p, seed) == expected, (n, p, seed)
+
+    def test_two_node_watts_strogatz_is_one_edge(self):
+        for p in _REWIRE_PROBS:
+            for seed in _SEEDS[:5]:
+                assert watts_strogatz_edges(2, p, seed) == [(0, 1)]
+
+    def test_unrewired_watts_strogatz_is_the_ring(self):
+        for n in range(3, 12):
+            ring = sorted([(u, u + 1) for u in range(n - 1)] + [(0, n - 1)])
+            assert watts_strogatz_edges(n, 0.0, _SEEDS[n]) == ring
+
+    def test_full_attachment_is_the_star(self):
+        for n in range(2, 12):
+            star = [(0, v) for v in range(1, n)]
+            assert barabasi_albert_edges(n, n - 1, _SEEDS[n]) == star
+
+    def test_simple_sorted_edge_lists(self):
+        for n in (2, 3, 5, 13, 39):
+            for seed in _SEEDS[:10]:
+                for m in _ATTACHMENTS:
+                    if m < n:
+                        edges = barabasi_albert_edges(n, m, seed)
+                        assert _is_simple_sorted(edges)
+                        assert len(edges) == m * (n - m - 1) + m
+                for p in _REWIRE_PROBS:
+                    edges = watts_strogatz_edges(n, p, seed)
+                    assert _is_simple_sorted(edges)
+                    assert len(edges) == (1 if n == 2 else n)
+
+    def test_preconditions(self):
+        with pytest.raises(StructuralError, match="1 <= m < n"):
+            barabasi_albert_edges(3, 3, 0)
+        with pytest.raises(StructuralError, match="1 <= m < n"):
+            barabasi_albert_edges(3, 0, 0)
+        with pytest.raises(StructuralError, match="n >= 2"):
+            watts_strogatz_edges(1, 0.5, 0)
