@@ -58,6 +58,11 @@ def _generate_one(config: GenConfig, master_seed: int, index: int, out_root: str
     return index
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 0:
+        raise ConfigError(f"{flag} must be non-negative, got {value}")
+
+
 def _rejects(*errors: type[Exception]):
     """A command that raises one of ``errors`` prints one ``error:`` line and returns 2."""
     def wrap(command):
@@ -75,6 +80,7 @@ def _rejects(*errors: type[Exception]):
 @_rejects(ConfigError, OSError)
 def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_dir: str) -> int:
     """Generate num_dbs databases under out_dir/db_<i>, one split seed each."""
+    _check_count("--num-dbs", num_dbs)
     config = _resolve_config(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -103,6 +109,7 @@ def cmd_corpus(
     out_path: str,
 ) -> int:
     """Build a masked-cell corpus from one or more generated database directories."""
+    _check_count("--tokens", target_tokens)
     dbs = []
     for path in db_paths:
         for d in find_database_dirs(path):

@@ -138,7 +138,8 @@ class SeededRng:
         return self._gen.choice(n, size=k, replace=False)
 
     def bits64(self) -> int:
-        """One raw 64-bit draw (used to key third-party samplers)."""
+        """One raw 64-bit draw: the seed of the stdlib ``random.Random`` in
+        ``schema_gen.barabasi_albert_edges`` and ``schema_gen.watts_strogatz_edges``."""
         return int(self._gen.integers(0, _MASK64, endpoint=True, dtype=np.uint64))
 
 

@@ -11,9 +11,7 @@ seed row are never included.
 
 from __future__ import annotations
 
-import math
 import weakref
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -58,55 +56,56 @@ class ContextExample:
     tables: dict[str, GeneratedTable]
 
 
-class _DbIndex:
-    """Link lookups for one database: per-row parents and sorted child indices."""
-
-    def __init__(self, db: RelationalDatabase):
-        self.table_names = db.table_order()
-        self.tables: list[GeneratedTable] = [db.tables[n] for n in self.table_names]
-        self.pos = {n: i for i, n in enumerate(self.table_names)}
-        # child_edges[parent_pos] = [(child_pos, fk_col), ...] ordered by child table
-        self.child_edges: list[list[tuple[int, str]]] = [[] for _ in self.tables]
-        self.child_sorted: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-        for ci, child in enumerate(self.tables):
-            for fk_col in child.fk_names:
-                pi = self.pos[child.fk_targets[fk_col]]
-                self.child_edges[pi].append((ci, fk_col))
-                order = np.argsort(child.fk_columns[fk_col], kind="stable")
-                self.child_sorted[(ci, fk_col)] = (
-                    child.fk_columns[fk_col][order],
-                    order,
-                )
-        for edges in self.child_edges:
-            edges.sort()
-
-    def row_timestamp(self, t: int, row: int) -> float:
-        ts = self.tables[t].timestamps
-        return float(ts[row - 1]) if ts is not None else -math.inf
-
-    def parents_of(self, t: int, row: int) -> list[tuple[int, int]]:
-        """(parent_pos, parent_row) per foreign-key column, in column order."""
-        table = self.tables[t]
-        return [
-            (self.pos[table.fk_targets[col]], int(table.fk_columns[col][row - 1]))
-            for col in table.fk_names
-        ]
-
-    def children_of(self, t: int, row: int) -> list[tuple[int, int]]:
-        """All rows referencing (t, row), ascending by (child table, row index)."""
-        out: list[tuple[int, int]] = []
-        for ci, fk_col in self.child_edges[t]:
-            sorted_fk, order = self.child_sorted[(ci, fk_col)]
-            lo = np.searchsorted(sorted_fk, row, side="left")
-            hi = np.searchsorted(sorted_fk, row, side="right")
-            # a stable argsort keeps the rows of one key ascending
-            out.extend((ci, int(r) + 1) for r in order[lo:hi])
-        return out
-
-
 def _row_cells(table: GeneratedTable) -> int:
     """Tokens one row of ``table`` takes in a context: its feature cells and its timestamp."""
     return len(table.feature_names) + (1 if table.timestamps is not None else 0)
+
+
+class _DbIndex:
+    """One database's rows as one graph of integer node ids, in CSR arrays.
+
+    Row ``r`` (1-based) of the ``t``-th table in ``db.table_order()`` is node
+    ``start[t] + r - 1``, so nodes ascend by (table, row). Node ``g``'s parents,
+    in foreign-key column order, are ``parent_ids[parent_ptr[g]:parent_ptr[g + 1]]``,
+    and the nodes referencing it, ascending, are
+    ``child_ids[child_ptr[g]:child_ptr[g + 1]]``. ``ts[g]`` is its row's timestamp
+    (``-inf`` for an entity row) and ``cells[g]`` the tokens the row takes.
+    Node ids are int32, since the count bounds keep a database under 2**31 rows;
+    pointers are int64, since its links need not be; ``cells`` is int16.
+    """
+
+    def __init__(self, db: RelationalDatabase):
+        self.table_names = db.table_order()
+        tables = [db.tables[n] for n in self.table_names]
+        pos = {n: i for i, n in enumerate(self.table_names)}
+        sizes = [t.num_rows for t in tables]
+        self.start = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        # each table's parents as a (rows, fk columns) block, raveled row by row
+        blocks = []
+        for t in tables:
+            block = np.empty((t.num_rows, len(t.fk_names)), dtype=np.int32)
+            for j, col in enumerate(t.fk_names):
+                block[:, j] = self.start[pos[t.fk_targets[col]]] - 1 + t.fk_columns[col]
+            blocks.append(block.ravel())
+        self.parent_ids = np.concatenate(blocks)
+        fan_in = np.repeat([len(t.fk_names) for t in tables], sizes)
+        self.parent_ptr = np.concatenate(([0], np.cumsum(fan_in, dtype=np.int64)))
+        # a stable sort keeps each parent's children in ascending node order
+        owner = np.repeat(np.arange(len(fan_in), dtype=np.int32), fan_in)
+        self.child_ids = owner[np.argsort(self.parent_ids, kind="stable")]
+        counts = np.bincount(self.parent_ids, minlength=len(fan_in))
+        self.child_ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        self.ts = np.concatenate(
+            [
+                np.full(t.num_rows, -np.inf) if t.timestamps is None else t.timestamps.astype(float)
+                for t in tables
+            ]
+        )
+        self.cells = np.repeat(np.array([_row_cells(t) for t in tables], dtype=np.int16), sizes)
+
+    def parents(self, g: int) -> list[int]:
+        """Node ``g``'s parents, in foreign-key column order."""
+        return self.parent_ids[self.parent_ptr[g] : self.parent_ptr[g + 1]].tolist()
 
 
 _index_cache: "weakref.WeakKeyDictionary[RelationalDatabase, _DbIndex]" = (
@@ -141,12 +140,10 @@ def bfs_context(
     """
     if rng is None:
         rng = SeededRng(0)
-    idx = _index_for(db)
     seed_table, seed_column, seed_row = seed_cell
-    if seed_table not in idx.pos:
+    if seed_table not in db.tables:
         raise ValueError(f"unknown table {seed_table!r}")
-    t0 = idx.pos[seed_table]
-    table = idx.tables[t0]
+    table = db.tables[seed_table]
     if seed_column not in table.feature_names:
         raise ValueError(
             f"seed cell must be a feature cell, got column {seed_column!r} of {seed_table}"
@@ -158,75 +155,13 @@ def bfs_context(
     if budget < _row_cells(table):
         raise ValueError(f"budget {budget} smaller than the seed row ({_row_cells(table)} cells)")
 
-    seed_ts = idx.row_timestamp(t0, seed_row)
-
-    n_tokens = 0
-    rows: list[tuple[str, int]] = []
-    visited: set[tuple[int, int]] = set()
-    child_count: dict[tuple[int, int], int] = {}
-    queue: deque[tuple[int, int]] = deque()
-    stopped = False
-
-    def admissible(t: int, r: int) -> bool:
-        return idx.row_timestamp(t, r) <= seed_ts
-
-    def add_row(t: int, r: int) -> bool:
-        nonlocal n_tokens, stopped
-        cells = _row_cells(idx.tables[t])
-        if n_tokens + cells > budget:
-            stopped = True
-            return False
-        visited.add((t, r))
-        n_tokens += cells
-        rows.append((idx.table_names[t], r))
-        for pt, pr in idx.parents_of(t, r):
-            child_count[(pt, pr)] = child_count.get((pt, pr), 0) + 1
-        queue.append((t, r))
-        return True
-
-    add_row(t0, seed_row)
-    while queue and not stopped:
-        t, r = queue.popleft()
-        # child-to-parent links: always follow
-        for pt, pr in idx.parents_of(t, r):
-            if (pt, pr) in visited or not admissible(pt, pr):
-                continue
-            if not add_row(pt, pr):
-                break
-        if stopped:
-            break
-        # parent-to-child links: uniform subsample bounded by the fan-out width
-        remaining = width - child_count.get((t, r), 0)
-        if remaining <= 0:
-            continue
-        candidates = [
-            (ct, cr)
-            for ct, cr in idx.children_of(t, r)
-            if (ct, cr) not in visited and admissible(ct, cr)
-        ]
-        if not candidates:
-            continue
-        added = 0
-        for i in rng.permutation(len(candidates)):
-            if added >= remaining:
-                break
-            ct, cr = candidates[int(i)]
-            # adding this child must not overflow the cap of any parent it references
-            if any(
-                child_count.get((pt, pr), 0) >= width
-                for pt, pr in idx.parents_of(ct, cr)
-            ):
-                continue
-            if not add_row(ct, cr):
-                break
-            added += 1
-
-    fk_edges = [
-        ((name, r), (idx.table_names[pt], pr))
-        for name, r in rows
-        for pt, pr in idx.parents_of(idx.pos[name], r)
-        if (pt, pr) in visited
-    ]
+    idx = _index_for(db)
+    seed = int(idx.start[idx.table_names.index(seed_table)]) + seed_row - 1
+    nodes = np.array(_walk(idx, seed, budget, width, rng))
+    t = np.searchsorted(idx.start, nodes, side="right") - 1
+    rows = list(zip([idx.table_names[i] for i in t.tolist()], (nodes - idx.start[t] + 1).tolist()))
+    row_of = dict(zip(nodes.tolist(), rows))
+    fk_edges = [(row_of[g], row_of[p]) for g in row_of for p in idx.parents(g) if p in row_of]
 
     return ContextExample(
         db_id=db_id,
@@ -237,9 +172,59 @@ def bfs_context(
         target_type=table.feature_types[seed_column],
         rows=rows,
         fk_edges=fk_edges,
-        n_tokens=n_tokens,
+        n_tokens=int(idx.cells[nodes].sum()),
         tables=db.tables,
     )
+
+
+def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> list[int]:
+    """Node ids in the order ``bfs_context`` admits them, up to the first that overflows ``budget``.
+
+    ``nodes`` is also the queue: ``for g in nodes`` reaches the nodes appended while it runs.
+    """
+    seed_ts = idx.ts[seed]
+    nodes: list[int] = []
+    visited: set[int] = set()
+    child_count: dict[int, int] = {}
+    n_tokens = 0
+
+    def admit(h: int) -> bool:
+        nonlocal n_tokens
+        n_tokens += int(idx.cells[h])
+        if n_tokens > budget:
+            return False
+        visited.add(h)
+        nodes.append(h)
+        for p in idx.parents(h):
+            child_count[p] = child_count.get(p, 0) + 1
+        return True
+
+    admit(seed)
+    for g in nodes:
+        # child-to-parent links: always follow
+        for p in idx.parents(g):
+            if p not in visited and idx.ts[p] <= seed_ts and not admit(p):
+                return nodes
+        # parent-to-child links: uniform subsample bounded by the fan-out width
+        remaining = width - child_count.get(g, 0)
+        if remaining <= 0:
+            continue
+        kids = idx.child_ids[idx.child_ptr[g] : idx.child_ptr[g + 1]]
+        candidates = [c for c in kids[idx.ts[kids] <= seed_ts].tolist() if c not in visited]
+        if not candidates:
+            continue
+        added = 0
+        for i in rng.permutation(len(candidates)):
+            if added >= remaining:
+                break
+            c = candidates[i]
+            # adding this child must not overflow the cap of any parent it references
+            if any(child_count.get(p, 0) >= width for p in idx.parents(c)):
+                continue
+            if not admit(c):
+                return nodes
+            added += 1
+    return nodes
 
 
 def _feature_cell_catalog(db: RelationalDatabase) -> tuple[list[tuple[str, str]], np.ndarray]:

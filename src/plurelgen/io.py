@@ -172,11 +172,33 @@ def _cells(text: tuple[str, ...], column: dict):
     return text
 
 
+def _check_domain(path, column: dict, cells: np.ndarray, null: np.ndarray) -> None:
+    """Raise a ConfigError naming ``path`` and the column if a non-NULL cell is outside its domain.
+
+    A categorical cell is a category in 1..cardinality (1.. when schema.json gives
+    none); a numeric cell is finite.
+    """
+    if column["dtype"] == CATEGORICAL:
+        card = column.get("cardinality")
+        domain = f"1..{card}" if card is not None else "1.."
+        bad = (cells < 1) | (cells > card) if card is not None else cells < 1
+    else:
+        domain = "finite numbers"
+        bad = ~np.isfinite(cells)
+    bad &= ~null
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ConfigError(
+            f"{path}, column {column['name']}: row {row + 1} holds {cells[row]}, outside {domain}"
+        )
+
+
 def _read_table_csv(path, spec: dict) -> GeneratedTable:
     """One table CSV, parsed a block of rows at a time into one array per column.
 
     A ``ConfigError`` naming ``path`` says where it does not match ``spec``: its
-    header, its row count, a cell that does not parse, or ``row_idx`` other than 1..n.
+    header, its row count, a cell that does not parse, ``row_idx`` other than 1..n,
+    or a non-NULL feature cell outside its column's domain.
     """
     columns = spec["columns"]
     names = [c["name"] for c in columns]
@@ -208,6 +230,8 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
         raise ConfigError(f"{path}: {lo} rows, schema.json has {num_rows}")
     if not np.array_equal(values["row_idx"], np.arange(1, num_rows + 1)):
         raise ConfigError(f"{path}: row_idx is not 1..{num_rows}")
+    for column in features:
+        _check_domain(path, column, values[column["name"]], null_mask[column["name"]])
     return GeneratedTable(
         name=spec["name"],
         kind=spec["kind"],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ def databases_equal(a: RelationalDatabase, b: RelationalDatabase) -> bool:
     if a.schema.names != b.schema.names or a.schema.edges != b.schema.edges:
         return False
     return all(tables_equal(a.tables[n], b.tables[n]) for n in a.table_order())
+
+
+def row_timestamp(db: RelationalDatabase, table: str, row: int) -> float:
+    """Row ``row`` (1-based) of ``table``'s timestamp, read from the table; ``-inf`` if it has none."""
+    stamps = db.tables[table].timestamps
+    return -math.inf if stamps is None else float(stamps[row - 1])
 
 
 def make_table(

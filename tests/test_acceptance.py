@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import databases_equal
+from conftest import databases_equal, row_timestamp
 from plurelgen.analysis import (
     FitDegenerateError,
     diversity_report,
@@ -22,7 +22,6 @@ from plurelgen.core import SeededRng, default_config, split_seed
 from plurelgen.corpus import (
     _draw_seed_cell,
     _feature_cell_catalog,
-    _index_for,
     bfs_context,
     example_to_json,
 )
@@ -255,9 +254,8 @@ def test_criterion_06_corpus_contracts(db_pool):
         ex = bfs_context(db, cell, budget, width, rng)
         if ex.n_tokens > budget:
             budget_viol += 1
-        idx = _index_for(db)
-        seed_ts = idx.row_timestamp(idx.pos[ex.seed_table], ex.seed_row)
-        if any(idx.row_timestamp(idx.pos[t], r) > seed_ts for t, r in ex.rows):
+        seed_ts = row_timestamp(db, ex.seed_table, ex.seed_row)
+        if any(row_timestamp(db, t, r) > seed_ts for t, r in ex.rows):
             temporal_viol += 1
         per_parent: dict = {}
         for _, parent in ex.fk_edges:

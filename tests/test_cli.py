@@ -54,6 +54,13 @@ class TestGenerate:
         assert cmd_generate(None, 1, 0, str(out)) == 0
         assert list(out.iterdir()) == []
 
+    def test_negative_database_count_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert main(["generate", "--num-dbs", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "--num-dbs" in err
+        assert not out.exists()
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -277,6 +284,15 @@ class TestCorpusCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and field in err
 
+    def test_negative_token_target_is_one_line(self, generated_root, tmp_path, capsys):
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus", str(generated_root), "--tokens", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "--tokens" in err
+        assert not out.exists()
+        assert main(["corpus", str(generated_root), "--tokens", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "0\n" and out.read_text() == ""
+
     def test_failed_corpus_keeps_the_old_file(self, generated_root, tmp_path):
         out = tmp_path / "old.jsonl"
         out.write_text("previous\n")
@@ -347,6 +363,10 @@ MALFORMED_TABLES = {
     "foreign key 0": _cell("fk", "0"),
     "foreign key past its parent": _fk_past_parent,
     "non-numeric cell": _cell("numeric", "abc"),
+    "infinite numeric cell": _cell("numeric", "inf"),
+    "nan numeric cell": _cell("numeric", "nan"),
+    "category past the cardinality": _cell("categorical", "999"),
+    "negative category": _cell("categorical", "-3"),
     "empty timestamp": _cell("timestamp", ""),
     "row_idx out of order": _cell("row_idx", "2"),
     "extra row": _extra_row,
@@ -396,22 +416,25 @@ class TestMalformedDatabase:
 
     @staticmethod
     def _activity_table(db_dir) -> dict:
-        """The first table with a foreign key, a numeric feature and a timestamp."""
+        """The first table with a foreign key, numeric and categorical features and a timestamp."""
         schema = json.loads(OutputLayout.schema_path(db_dir).read_text())
         num_rows = {spec["name"]: spec["num_rows"] for spec in schema["tables"]}
         for spec in schema["tables"]:
             roles = {c["role"]: c for c in spec["columns"]}
             numeric = [c["name"] for c in spec["columns"] if c.get("dtype") == "numeric"]
-            if {"fk", "timestamp"} <= set(roles) and numeric:
+            categorical = [c for c in spec["columns"] if c.get("dtype") == "categorical"]
+            if {"fk", "timestamp"} <= set(roles) and numeric and categorical:
+                assert categorical[0]["cardinality"] < 999
                 return {
                     "name": spec["name"],
                     "fk": roles["fk"]["name"],
                     "parent_rows": num_rows[roles["fk"]["fk_target"]],
                     "numeric": numeric[0],
+                    "categorical": categorical[0]["name"],
                     "timestamp": roles["timestamp"]["name"],
                     "row_idx": "row_idx",
                 }
-        raise AssertionError("no activity table with a foreign key and a numeric feature")
+        raise AssertionError("no activity table with a foreign key and both feature types")
 
     @staticmethod
     def _rejected(argv, capsys, file_name):

@@ -1,13 +1,18 @@
+from collections import deque
+
 import pytest
 
-from conftest import make_database, make_table
-from plurelgen.core import ConfigError, SeededRng
+from conftest import make_database, make_table, row_timestamp
+from plurelgen.core import ConfigError, SeededRng, split_seed
 from plurelgen.corpus import (
+    _draw_seed_cell,
+    _feature_cell_catalog,
     bfs_context,
     build_corpus,
     example_to_json,
 )
 from plurelgen.scm_gen import generate_database
+from test_golden import small_config
 
 
 def _toy_db(child_rows=5, child_ts=None):
@@ -182,16 +187,13 @@ class TestBuildCorpus:
 
     def test_generated_database_contracts(self, config):
         db = generate_database(config, 17)
-        from plurelgen.corpus import _index_for
-
-        idx = _index_for(db)
         n = 0
         for ex in build_corpus([("db_17", db)], 60_000, budget=512, width=32, seed=7):
             n += 1
             assert ex.n_tokens <= 512
-            seed_ts = idx.row_timestamp(idx.pos[ex.seed_table], ex.seed_row)
+            seed_ts = row_timestamp(db, ex.seed_table, ex.seed_row)
             for tname, r in ex.rows:
-                assert idx.row_timestamp(idx.pos[tname], r) <= seed_ts
+                assert row_timestamp(db, tname, r) <= seed_ts
             per_parent = {}
             for c, p in ex.fk_edges:
                 per_parent[p] = per_parent.get(p, 0) + 1
@@ -200,6 +202,101 @@ class TestBuildCorpus:
             assert ex.n_tokens == len(tokens)
             assert sum(t["masked"] for t in tokens) == 1
         assert n > 10
+
+
+def _reference_context(db, seed_cell, budget, width, rng):
+    """(rows, fk_edges, n_tokens) of ``bfs_context``'s traversal, keyed by (table, row) tuples.
+
+    An independent reference: it reads links and timestamps from ``db.tables``
+    and lists a row's children by table position in ``db.table_order()``, then row.
+    """
+    tables = db.tables
+
+    def parents(t, r):
+        table = tables[t]
+        return [(table.fk_targets[c], int(table.fk_columns[c][r - 1])) for c in table.fk_names]
+
+    children = {}
+    for t in db.table_order():
+        for r in range(1, tables[t].num_rows + 1):
+            for p in parents(t, r):
+                children.setdefault(p, []).append((t, r))
+
+    seed_table, _, seed_row = seed_cell
+    seed_ts = row_timestamp(db, seed_table, seed_row)
+    rows, visited, count, queue = [], set(), {}, deque()
+    n_tokens = 0
+
+    def add(row):
+        nonlocal n_tokens
+        table = tables[row[0]]
+        cells = len(table.feature_names) + (table.timestamps is not None)
+        if n_tokens + cells > budget:
+            return False
+        n_tokens += cells
+        rows.append(row)
+        visited.add(row)
+        queue.append(row)
+        for p in parents(*row):
+            count[p] = count.get(p, 0) + 1
+        return True
+
+    def admissible(row):
+        return row not in visited and row_timestamp(db, *row) <= seed_ts
+
+    add((seed_table, seed_row))
+    full = False
+    while queue and not full:
+        row = queue.popleft()
+        for p in parents(*row):
+            if admissible(p) and not add(p):
+                full = True
+                break
+        remaining = width - count.get(row, 0)
+        if full or remaining <= 0:
+            continue
+        candidates = [c for c in children.get(row, []) if admissible(c)]
+        if not candidates:
+            continue
+        added = 0
+        for i in rng.permutation(len(candidates)):
+            if added == remaining:
+                break
+            child = candidates[int(i)]
+            if any(count.get(p, 0) >= width for p in parents(*child)):
+                continue
+            if not add(child):
+                full = True
+                break
+            added += 1
+    fk_edges = [(row, p) for row in rows for p in parents(*row) if p in visited]
+    return rows, fk_edges, n_tokens
+
+
+class TestReferenceTraversal:
+    """``bfs_context`` walks the rows a plain tuple-keyed traversal walks, fan-out cap included."""
+
+    @pytest.fixture(scope="class")
+    def dbs(self):
+        dbs = [(f"db_{s}", generate_database(small_config(), s)) for s in (0, 4, 5, 6)]
+        for _, db in dbs:  # each has a table with more than one parent
+            assert max(len(t.fk_names) for t in db.tables.values()) >= 2
+        return dbs
+
+    @pytest.mark.parametrize("budget", [64, 1024])
+    @pytest.mark.parametrize("width", [1, 2, 4, 128])
+    def test_build_corpus_matches_reference(self, dbs, width, budget):
+        catalogs = [_feature_cell_catalog(db) for _, db in dbs]
+        examples = list(build_corpus(dbs, 40 * budget, budget, width, seed=width))
+        for k, ex in enumerate(examples):
+            rng = SeededRng(split_seed(width, k))  # the draws build_corpus made before its BFS
+            di = int(rng.integers(0, len(dbs) - 1))
+            db = dbs[di][1]
+            cell = _draw_seed_cell(db, *catalogs[di], rng)
+            assert (ex.db_id, ex.seed_table, ex.seed_column, ex.seed_row) == (dbs[di][0], *cell)
+            rows, fk_edges, n_tokens = _reference_context(db, cell, budget, width, rng)
+            assert (ex.rows, ex.fk_edges, ex.n_tokens) == (rows, fk_edges, n_tokens)
+        assert len(examples) >= 40
 
 
 class TestExampleJson:
