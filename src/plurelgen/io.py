@@ -22,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, format_timestamp
+from .core import ConfigError, StructuralError, format_timestamp
 from .corpus import example_to_json
-from .schema_gen import SchemaGraph, TableMeta
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -79,7 +78,8 @@ def write_json(obj, path) -> None:
 
 def database_schema_dict(db: RelationalDatabase) -> dict:
     tables = []
-    for name in db.schema.names:  # index order, so loading by position round-trips
+    schema = db.schema
+    for name in schema.names:  # index order, so loading by position round-trips
         table = db.tables[name]
         columns = [{"name": "row_idx", "role": "pk", "dtype": "int"}]
         for fk in table.fk_names:
@@ -94,9 +94,7 @@ def database_schema_dict(db: RelationalDatabase) -> dict:
         tables.append(
             {"name": name, "kind": table.kind, "num_rows": table.num_rows, "columns": columns}
         )
-    edges = [
-        [db.schema.names[p], db.schema.names[c]] for p, c in sorted(db.schema.edges)
-    ]
+    edges = [[schema.names[p], schema.names[c]] for p, c in schema.edges]
     return {"tables": tables, "edges": edges}
 
 
@@ -272,37 +270,15 @@ def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -
 def load_database(directory) -> RelationalDatabase:
     """Read what ``save_database`` wrote; a ``ConfigError`` names a malformed file.
 
-    A foreign key outside [1, its parent's ``num_rows``] makes its table CSV malformed.
+    A foreign key outside [1, its parent's ``num_rows``] makes its table CSV
+    malformed. The foreign-key columns are the table graph: schema.json is
+    malformed if its ``edges`` are not theirs, if they form a cycle or reference
+    their own table, or if two columns of one table reference the same table.
     """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
     if not schema_file.exists():
         raise ConfigError(f"no schema.json under {directory}")
-    with _naming(schema_file):
-        schema_dict = json.loads(schema_file.read_text())
-        specs = schema_dict["tables"]
-        name_to_idx = {t["name"]: i for i, t in enumerate(specs)}
-        edges = tuple(sorted((name_to_idx[p], name_to_idx[c]) for p, c in schema_dict["edges"]))
-        tables: dict[str, GeneratedTable] = {}
-        for spec in specs:
-            path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"
-            table = tables[spec["name"]] = _read_table_csv(path, spec)
-            for col, target in table.fk_targets.items():
-                keys, n = table.fk_columns[col], int(specs[name_to_idx[target]]["num_rows"])
-                if ((keys < 1) | (keys > n)).any():
-                    raise ConfigError(f"{path}: foreign key {col} outside [1, {n}]")
-    metas = [
-        TableMeta(
-            kind=table.kind,
-            num_rows=table.num_rows,
-            num_feature_columns=len(table.feature_names),
-            fk_parents=tuple(name_to_idx[table.fk_targets[c]] for c in table.fk_names),
-            has_timestamp=table.timestamps is not None,
-        )
-        for table in tables.values()
-    ]
-    schema = SchemaGraph(names=tuple(tables), edges=edges, meta=tuple(metas))
-
     seed, null_fraction = 0, float("nan")
     meta_file = OutputLayout.meta_path(directory)
     if meta_file.exists():
@@ -310,9 +286,28 @@ def load_database(directory) -> RelationalDatabase:
             meta = json.loads(meta_file.read_text())
             seed = int(meta.get("db_seed", 0))
             null_fraction = float(meta.get("null_fraction", float("nan")))
-    return RelationalDatabase(
-        schema=schema, tables=tables, seed=seed, null_fraction=null_fraction
-    )
+    db = RelationalDatabase(tables={}, seed=seed, null_fraction=null_fraction)
+    with _naming(schema_file):
+        schema_dict = json.loads(schema_file.read_text())
+        num_rows = {spec["name"]: int(spec["num_rows"]) for spec in schema_dict["tables"]}
+        for spec in schema_dict["tables"]:
+            path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"
+            table = db.tables[spec["name"]] = _read_table_csv(path, spec)
+            if len(set(table.fk_targets.values())) < len(table.fk_names):
+                raise ConfigError(f"{schema_file}: two foreign keys of {table.name} share a target")
+            for col, target in table.fk_targets.items():
+                keys, n = table.fk_columns[col], num_rows[target]
+                if ((keys < 1) | (keys > n)).any():
+                    raise ConfigError(f"{path}: foreign key {col} outside [1, {n}]")
+        names = list(db.tables)
+        edges = tuple(sorted((names.index(p), names.index(c)) for p, c in schema_dict["edges"]))
+        if edges != db.schema.edges:
+            raise ConfigError(f"{schema_file}: edges are not the ones its foreign keys give")
+    try:
+        db.table_order()
+    except StructuralError as exc:
+        raise ConfigError(f"{schema_file}: its foreign keys are not a DAG ({exc})") from None
+    return db
 
 
 def find_database_dirs(path) -> list[Path]:

@@ -31,8 +31,6 @@ class TableMeta:
     kind: str  # entity | activity
     num_rows: int
     num_feature_columns: int
-    fk_parents: tuple[int, ...]  # parent table indices, ascending
-    has_timestamp: bool
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class SchemaGraph:
 
     names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]  # sorted (parent, child) index pairs
-    meta: tuple[TableMeta, ...] | None = None
+    meta: tuple[TableMeta, ...] | None = None  # the generation plan; None for a database's graph
 
     @property
     def num_tables(self) -> int:
@@ -213,8 +211,6 @@ def assign_table_metadata(graph: SchemaGraph, config: GenConfig, rng: SeededRng)
             kind=kind,
             num_rows=int(draw(rows_prior, rng)),
             num_feature_columns=int(ncols),
-            fk_parents=graph.parents(t),
-            has_timestamp=kind == ACTIVITY,
         )
     return replace(graph, meta=tuple(metas))
 

@@ -565,13 +565,23 @@ class GeneratedTable:
 
 @dataclass(eq=False)
 class RelationalDatabase:
-    schema: SchemaGraph
+    """Tables in schema index order; their foreign-key columns are the table graph."""
+
     tables: dict[str, GeneratedTable]
     seed: int
     null_fraction: float
 
+    @property
+    def schema(self) -> SchemaGraph:
+        """The table DAG its foreign keys give: an edge (p, c) when table c references table p."""
+        index = {name: t for t, name in enumerate(self.tables)}
+        tables = enumerate(self.tables.values())
+        edges = {(index[p], c) for c, table in tables for p in table.fk_targets.values()}
+        return SchemaGraph(names=tuple(index), edges=tuple(sorted(edges)))
+
     def table_order(self) -> list[str]:
-        return [self.schema.names[t] for t in topological_order(self.schema)]
+        names = list(self.tables)
+        return [names[t] for t in topological_order(self.schema)]
 
 
 def _sample_timestamps(num_rows: int, t_min: int, t_max: int, rng: SeededRng) -> np.ndarray:
@@ -586,8 +596,7 @@ def _foreign_refs_for(
     table_index: int, graph: SchemaGraph, generated: dict[str, GeneratedTable]
 ) -> tuple[ForeignFeatureRef, ...]:
     refs: list[ForeignFeatureRef] = []
-    meta = graph.meta[table_index]
-    for p in meta.fk_parents:
+    for p in graph.parents(table_index):
         parent = generated[graph.names[p]]
         w = 1.0 / len(parent.feature_names)
         for col in parent.feature_names:
@@ -618,12 +627,13 @@ def generate_table(
         raise StructuralError("schema metadata missing; run assign_table_metadata first")
     meta = graph.meta[table_index]
     name = graph.names[table_index]
-    for p in meta.fk_parents:
+    parents = graph.parents(table_index)
+    for p in parents:
         if graph.names[p] not in generated:
             raise StructuralError(f"parent {graph.names[p]} of {name} not generated yet")
 
     fk_names, fk_targets, fk_columns = [], {}, {}
-    for j, p in enumerate(meta.fk_parents):
+    for j, p in enumerate(parents):
         parent = generated[graph.names[p]]
         col_name = f"foreign_row_{j + 1}"
         fk_names.append(col_name)
@@ -652,7 +662,7 @@ def generate_table(
         fcards[col] = causal.cardinalities[node]
 
     timestamps = None
-    if meta.has_timestamp:
+    if meta.kind == ACTIVITY:
         t_min = parse_date(str(draw(config.timestamp_min, rng)))
         t_max = parse_date(str(draw(config.timestamp_max, rng)))
         timestamps = _sample_timestamps(meta.num_rows, t_min, t_max, rng.spawn(9000))
@@ -702,8 +712,7 @@ def generate_database(config: GenConfig, seed: int) -> RelationalDatabase:
         tables[graph.names[t]] = generate_table(t, graph, config, tables, table_rng)
 
     db = RelationalDatabase(
-        schema=graph,
-        tables=tables,
+        tables={name: tables[name] for name in graph.names},  # schema index order
         seed=seed,
         null_fraction=float(draw(config.null_fraction, rng_db)),
     )

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from plurelgen.core import default_config
-from plurelgen.schema_gen import SchemaGraph, TableMeta
+from plurelgen.core import SeededRng, default_config, split_seed
+from plurelgen.schema_gen import SchemaGraph, assign_table_metadata, sample_schema_graph
 from plurelgen.scm_gen import GeneratedTable, RelationalDatabase
 
 
@@ -81,20 +81,12 @@ def make_table(
     )
 
 
-def make_database(tables: list[GeneratedTable], edges: list[tuple[int, int]]) -> RelationalDatabase:
-    names = tuple(t.name for t in tables)
-    metas = []
-    for i, t in enumerate(tables):
-        metas.append(
-            TableMeta(
-                kind=t.kind,
-                num_rows=t.num_rows,
-                num_feature_columns=len(t.feature_names),
-                fk_parents=tuple(sorted(p for p, c in edges if c == i)),
-                has_timestamp=t.timestamps is not None,
-            )
-        )
-    schema = SchemaGraph(names=names, edges=tuple(sorted(edges)), meta=tuple(metas))
-    return RelationalDatabase(
-        schema=schema, tables={t.name: t for t in tables}, seed=0, null_fraction=0.0
-    )
+def make_database(tables: list[GeneratedTable]) -> RelationalDatabase:
+    """Hand-built tables as a database; its table graph is their foreign keys."""
+    return RelationalDatabase(tables={t.name: t for t in tables}, seed=0, null_fraction=0.0)
+
+
+def generation_plan(config, seed: int) -> SchemaGraph:
+    """The schema graph with table metadata that ``generate_database(config, seed)`` samples."""
+    rng = SeededRng(split_seed(seed, 1))
+    return assign_table_metadata(sample_schema_graph(config, rng), config, rng)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import databases_equal, row_timestamp
+from conftest import databases_equal, generation_plan, row_timestamp
 from plurelgen.analysis import (
     FitDegenerateError,
     diversity_report,
@@ -84,10 +84,12 @@ def test_criterion_01_determinism_and_runtime(tmp_path):
     )
 
 
-def test_criterion_02_structural_validity(db_pool):
+def test_criterion_02_structural_validity(config, db_pool):
     fk_violations = 0
-    for db in db_pool:
-        graph = db.schema
+    for i, db in enumerate(db_pool):
+        # the sampled plan is the one the database's foreign keys give
+        graph = generation_plan(config, split_seed(POOL_SEED, i))
+        assert (db.schema.names, db.schema.edges) == (graph.names, graph.edges)
         order = topological_order(graph)  # raises on a cycle
         assert len(order) == graph.num_tables
         assert 3 <= graph.num_tables <= 20
@@ -341,8 +343,8 @@ def test_criterion_09_performance_envelope(config):
 
 def test_criterion_10_conditional_path_degeneracy(config):
     db = generate_database(config, 14)
-    graph = db.schema
-    parentless = [t for t in topological_order(graph) if not graph.meta[t].fk_parents]
+    graph = generation_plan(config, 14)
+    parentless = [t for t in topological_order(graph) if not graph.parents(t)]
     assert parentless
     bitwise = True
     for t in parentless:

@@ -177,7 +177,7 @@ class TestDiversity:
             "t", 4, {"feature_1": [0.0, 0.0, 0.0, 100.0]}, {"feature_1": "numeric"}
         )
         table.null_mask["feature_1"][3] = True
-        db = make_database([table], [])
+        db = make_database([table])
         rep = diversity_report([("only", db)])
         assert rep.moments["only"]["t.feature_1"]["mean"] == 0.0
         assert rep.moments["only"]["t.feature_1"]["count"] == 3

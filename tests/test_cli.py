@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_database, make_table
 from plurelgen.cli import cmd_corpus, cmd_fit, cmd_generate, cmd_profile, cmd_stats, main
 from plurelgen.core import ConfigError, PriorSpec, default_config, split_seed
 from plurelgen.corpus import build_corpus
@@ -194,9 +195,11 @@ class TestRoundTrip:
         assert loaded.null_fraction == db.null_fraction
         assert loaded.schema.names == db.schema.names
         assert loaded.schema.edges == db.schema.edges
-        assert loaded.schema.meta == db.schema.meta
+        assert loaded.schema == db.schema
         for name in db.table_order():
             a, b = db.tables[name], loaded.tables[name]
+            assert (a.kind, a.num_rows, a.fk_targets) == (b.kind, b.num_rows, b.fk_targets)
+            assert (a.timestamps is None) == (b.timestamps is None)
             assert a.feature_names == b.feature_names
             assert a.feature_types == b.feature_types
             assert a.feature_cards == b.feature_cards
@@ -391,11 +394,34 @@ def _edit_json(edit):
     return apply
 
 
-# a schema.json that cannot be read as one
+def _retarget(choose):
+    """Point the first FK column that it can at ``choose(table, tables referencing it)``, and make
+    ``edges`` the ones the keys then give. The new target has at least the old one's rows, so
+    every key stays inside [1, num_rows]."""
+
+    def edit(schema):
+        num_rows = {spec["name"]: spec["num_rows"] for spec in schema["tables"]}
+        fks = [(s["name"], c) for s in schema["tables"] for c in s["columns"] if c["role"] == "fk"]
+        for table, column in fks:
+            target = choose(table, [t for t, c in fks if c["fk_target"] == table])
+            if target is not None and num_rows[target] >= num_rows[column["fk_target"]]:
+                column["fk_target"] = target
+                schema["edges"] = [[c["fk_target"], t] for t, c in fks]
+                return
+        raise AssertionError("no foreign key could be retargeted")
+
+    return _edit_json(edit)
+
+
+# a schema.json that cannot be read as one, or whose edges are not the ones its keys give
 MALFORMED_SCHEMAS = {
     "not JSON": lambda text: "{broken",
     "missing num_rows": _edit_json(lambda schema: schema["tables"][0].pop("num_rows")),
     "unknown fk target": _edit_json(_unknown_fk_target),
+    "cyclic edges": _edit_json(lambda schema: schema["edges"].append(schema["edges"][0][::-1])),
+    "missing edge": _edit_json(lambda schema: schema["edges"].pop()),
+    "keys with a cycle": _retarget(lambda table, children: children[0] if children else None),
+    "fk target is its own table": _retarget(lambda table, children: table),
 }
 
 
@@ -458,6 +484,19 @@ class TestMalformedDatabase:
         path = OutputLayout.schema_path(db_dir)
         path.write_text(MALFORMED_SCHEMAS[fault](path.read_text()))
         self._rejected(_load_command(command, db_dir, tmp_path), capsys, "schema.json")
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    def test_two_keys_into_one_table(self, tmp_path, capsys, command):
+        """A child row whose FK columns a and b reference one parent row is not loaded."""
+        parent = make_table("parent", 1, {"feature_1": [1.5]}, {"feature_1": "numeric"})
+        child = make_table(
+            "child", 1, {"feature_1": [2.5]}, {"feature_1": "numeric"},
+            fk={"a": [1], "b": [1]}, fk_targets={"a": "parent", "b": "parent"},
+        )
+        save_database(make_database([parent, child]), tmp_path / "db")
+        with pytest.raises(ConfigError, match="schema.json: two foreign keys of child"):
+            load_database(tmp_path / "db")
+        self._rejected(_load_command(command, tmp_path / "db", tmp_path), capsys, "schema.json")
 
 
 class TestFitCommand:

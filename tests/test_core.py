@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -21,6 +23,7 @@ from plurelgen.core import (
     save_config,
     split_seed,
 )
+from plurelgen.io import load_database, save_database
 from plurelgen.scm_gen import NUMERIC, generate_database
 
 
@@ -504,6 +507,24 @@ _SMALL = {
     "rows_entity": PriorSpec.uniform_range(3, 12),
     "rows_activity": PriorSpec.uniform_range(3, 12),
 }
+# the 1-2 fields each property-test case overrides
+_PRIOR_NAMES = st.lists(st.sampled_from(_CONFIG_FIELDS), min_size=1, max_size=2, unique=True)
+
+
+def _drawn_config(config, names, data):
+    """The small config with each of ``names`` given a prior of hostile points; None if rejected."""
+    point = st.sampled_from(_HOSTILE_POINTS)
+    small = dict(_SMALL)
+    try:
+        for name in names:
+            kind = data.draw(st.sampled_from(_PRIOR_KINDS))
+            if kind == "constant":
+                small[name] = PriorSpec.constant(data.draw(point))
+            else:
+                small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
+        return replace(config, **small)
+    except ConfigError:
+        return None
 
 
 class TestEveryAcceptedConfigGenerates:
@@ -532,22 +553,29 @@ class TestEveryAcceptedConfigGenerates:
             _assert_finite_cells(generate_database(cfg, 0))
 
     @settings(max_examples=1500, deadline=None, derandomize=True)
-    @given(
-        names=st.lists(st.sampled_from(_CONFIG_FIELDS), min_size=1, max_size=2, unique=True),
-        data=st.data(),
-    )
+    @given(names=_PRIOR_NAMES, data=st.data())
     def test_validate_rejects_or_generate_succeeds(self, config, names, data):
         """Every config validate() accepts generates finite cells; the rest raise a ConfigError."""
-        point = st.sampled_from(_HOSTILE_POINTS)
-        small = dict(_SMALL)
-        try:
-            for name in names:
-                kind = data.draw(st.sampled_from(_PRIOR_KINDS))
-                if kind == "constant":
-                    small[name] = PriorSpec.constant(data.draw(point))
-                else:
-                    small[name] = PriorSpec(kind, (data.draw(point), data.draw(point)))
-            cfg = replace(config, **small)
-        except ConfigError:
+        cfg = _drawn_config(config, names, data)
+        if cfg is not None:
+            _assert_finite_cells(generate_database(cfg, data.draw(st.integers(0, 3))))
+
+    @settings(max_examples=1500, deadline=None, derandomize=True)
+    @given(names=_PRIOR_NAMES, data=st.data())
+    def test_accepted_config_round_trips(self, config, names, data):
+        """Save, load and save again writes the same bytes, and the loaded schema is the same."""
+        cfg = _drawn_config(config, names, data)
+        if cfg is None:
             return
-        _assert_finite_cells(generate_database(cfg, data.draw(st.integers(0, 3))))
+        db = generate_database(cfg, data.draw(st.integers(0, 3)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "first"), Path(tmp, "second")
+            save_database(db, first)
+            loaded = load_database(first)
+            save_database(loaded, second)
+            assert loaded.schema == db.schema
+            first_bytes, second_bytes = (
+                {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+                for d in (first, second)
+            )
+            assert first_bytes == second_bytes

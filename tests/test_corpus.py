@@ -34,7 +34,7 @@ def _toy_db(child_rows=5, child_ts=None):
         timestamps=child_ts,
         kind="activity" if child_ts is not None else "entity",
     )
-    return make_database([parent, child], [(0, 1)])
+    return make_database([parent, child])
 
 
 class TestBfsContext:
@@ -45,7 +45,7 @@ class TestBfsContext:
             {"feature_1": [1.0, 2.0, 3.0, 4.0], "feature_2": [10.0, 20.0, 30.0, 40.0]},
             {"feature_1": "numeric", "feature_2": "numeric"},
         )
-        db = make_database([table], [])
+        db = make_database([table])
         ex = bfs_context(db, ("solo", "feature_1", 2), 100, 8, SeededRng(0))
         assert ex.rows == [("solo", 2)]
         assert ex.n_tokens == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import generation_plan
 from plurelgen.core import PriorSpec, SeededRng, StructuralError, split_seed
 from plurelgen.schema_gen import (
     ACTIVITY,
@@ -14,6 +15,7 @@ from plurelgen.schema_gen import (
     topological_order,
     watts_strogatz_edges,
 )
+from plurelgen.scm_gen import generate_database
 
 
 def _force_family(config, family, n=None):
@@ -92,13 +94,26 @@ class TestAssignTableMetadata:
                 assert meta.kind == expected_kind
                 if meta.kind == ENTITY:
                     assert 500 <= meta.num_rows <= 1000
-                    assert not meta.has_timestamp
                 else:
                     assert 2000 <= meta.num_rows <= 5000
-                    assert meta.has_timestamp
                 assert 3 <= meta.num_feature_columns <= 40
-                assert meta.fk_parents == g.parents(t)
-                assert len(meta.fk_parents) == len(g.parents(t))
+
+    def test_generated_tables_follow_the_plan(self, config):
+        # an activity table has a timestamp column, and a table has one foreign
+        # key into each of its parents in the plan, in ascending parent order
+        small = replace(
+            config,
+            rows_entity=PriorSpec.uniform_range(5, 10),
+            rows_activity=PriorSpec.uniform_range(10, 20),
+        )
+        for seed in range(5):
+            g, db = generation_plan(small, seed), generate_database(small, seed)
+            assert tuple(db.tables) == g.names
+            for t, name in enumerate(g.names):
+                table = db.tables[name]
+                assert (table.timestamps is not None) == (g.meta[t].kind == ACTIVITY)
+                targets = [table.fk_targets[c] for c in table.fk_names]
+                assert targets == [g.names[p] for p in g.parents(t)]
 
     def test_determinism(self, config):
         a = self._sample(config, 5)

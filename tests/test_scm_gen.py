@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import databases_equal
+from conftest import databases_equal, generation_plan
 from plurelgen import scm_gen
 from plurelgen.core import SCM_FAMILIES, PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.neural import TinyMlp
@@ -353,11 +353,8 @@ class TestGenerateTable:
                 assert 2000 <= table.num_rows <= 5000
 
     def test_missing_parent_raises(self, config):
-        db = self._db(config, seed=12)
-        graph = db.schema
-        child = next(
-            t for t in topological_order(graph) if graph.meta[t].fk_parents
-        )
+        graph = generation_plan(config, 12)
+        child = next(t for t in topological_order(graph) if graph.parents(t))
         from plurelgen.core import StructuralError
 
         with pytest.raises(StructuralError):
@@ -372,7 +369,7 @@ class TestInjectNulls:
         cols = {f"feature_{i + 1}": np.zeros(25_000) for i in range(40)}
         types = {k: NUMERIC for k in cols}
         table = make_table("table_0", 25_000, cols, types, kind="activity")
-        return make_database([table], [])
+        return make_database([table])
 
     def test_zero_fraction(self):
         db = inject_nulls(self._big_db(), 0.0, SeededRng(0))
@@ -437,8 +434,8 @@ class TestGenerateDatabase:
         # the conditional machinery with an empty foreign set must reproduce
         # the plain realization bit for bit
         db = generate_database(config, 14)
-        graph = db.schema
-        parentless = [t for t in topological_order(graph) if not graph.meta[t].fk_parents]
+        graph = generation_plan(config, 14)
+        parentless = [t for t in topological_order(graph) if not graph.parents(t)]
         assert parentless
         t = parentless[0]
         seed = split_seed(14, 2 + t)
@@ -466,8 +463,8 @@ def _wide_parent_and_child(config):
         names=("parent", "child"),
         edges=((0, 1),),
         meta=(
-            TableMeta("entity", 8, 24, (), False),
-            TableMeta("activity", 7, 22, (0,), True),
+            TableMeta("entity", 8, 24),
+            TableMeta("activity", 7, 22),
         ),
     )
     parent = generate_table(0, graph, config, {}, SeededRng(31))
