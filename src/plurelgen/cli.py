@@ -4,6 +4,8 @@ Subcommands: generate (databases), corpus (masked-cell contexts), stats
 (diversity report), fit (power-law frontier fit), profile (latency/memory).
 All outputs are deterministic in their inputs except profile timings. The
 PLURELGEN_THREADS environment variable caps the generate worker pool.
+stats, fit and profile import ``analysis``, and a pooled generate its worker
+pool, when they run, so generate and corpus start without either.
 """
 
 from __future__ import annotations
@@ -13,15 +15,8 @@ import dataclasses
 import functools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .analysis import (
-    FitDegenerateError,
-    diversity_report,
-    fit_power_law,
-    profile_generation,
-)
 from .core import ConfigError, GenConfig, default_config, load_config, config_to_dict, split_seed
 from .corpus import DEFAULT_CONTEXT_LEN, DEFAULT_WIDTH, build_corpus
 from .io import (
@@ -89,6 +84,8 @@ def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_di
         for i in range(num_dbs):
             _generate_one(config, master_seed, i, str(out))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, num_dbs)) as pool:
             jobs = [
                 pool.submit(_generate_one, config, master_seed, i, str(out))
@@ -123,15 +120,22 @@ def cmd_corpus(
 @_rejects(ConfigError, OSError)
 def cmd_stats(db_path: str, report_path: str) -> int:
     """Diversity report over every database found under db_path."""
+    from .analysis import diversity_report
+
     dbs = [(d.name, load_database(d)) for d in find_database_dirs(db_path)]
     write_json(diversity_report(dbs).to_dict(), report_path)
     return 0
 
 
-@_rejects(ConfigError, OSError, ValueError, FitDegenerateError)
+@_rejects(ConfigError, OSError, ValueError)
 def cmd_fit(points_path: str, out_path: str) -> int:
     """Fit the saturating power law to a two-column (x, loss) CSV."""
-    fit = fit_power_law(read_points_csv(points_path))
+    from .analysis import FitDegenerateError, fit_power_law
+
+    try:
+        fit = fit_power_law(read_points_csv(points_path))
+    except FitDegenerateError as exc:
+        raise ValueError(exc) from None
     write_json(dataclasses.asdict(fit), out_path)
     return 0
 
@@ -141,6 +145,8 @@ def cmd_profile(
     config_path: str | None, counts: list[int], repeats: int, out_path: str, seed: int = 0
 ) -> int:
     """Measure single-threaded generation latency and peak memory per table count."""
+    from .analysis import profile_generation
+
     config = _resolve_config(config_path)
     rows = profile_generation(config, counts, repeats=repeats, seed=seed)
     write_profile_csv(rows, out_path)

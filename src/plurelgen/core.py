@@ -69,6 +69,14 @@ def split_seed(master: int, index: int) -> int:
     return _mix64((master + _GOLDEN * (index + 1)) & _MASK64)
 
 
+# Integer Beta shapes up to this a + b are drawn as order statistics of
+# uniforms; above it that is no faster than numpy's sampler (README)
+_ORDER_STAT_MAX_SUM = 8
+# uniforms per block of the order-statistic sampler, and candidate pairs per
+# chunk of Jöhnk's: a block and its temporaries stay in a core's L2 cache
+_BLOCK = 1 << 14
+
+
 class SeededRng:
     """Deterministic random stream keyed by a 64-bit seed (PCG64-backed).
 
@@ -106,9 +114,79 @@ class SeededRng:
         return out
 
     def beta(self, a: float, b: float, size=None):
+        """Beta(a, b) draws. Integer shapes with a + b <= ``_ORDER_STAT_MAX_SUM``
+        and (1/2, 1/2) are built from uniforms with exact IEEE operations (see
+        ``_order_statistic`` and ``_johnk_half``); any other shape is numpy's sampler."""
         if a <= 0 or b <= 0:
             raise ConfigError(f"beta parameters must be positive, got ({a}, {b})")
-        return self._gen.beta(a, b, size=size)
+        shape = () if size is None else size
+        if a == b == 0.5:
+            out = self._johnk_half(shape)
+        elif float(a).is_integer() and float(b).is_integer() and a + b <= _ORDER_STAT_MAX_SUM:
+            out = self._order_statistic(int(a), int(b), shape)
+        else:
+            return self._gen.beta(a, b, size=size)
+        return float(out) if size is None else out
+
+    def _order_statistic(self, a: int, b: int, shape) -> np.ndarray:
+        """Elementwise a-th smallest of m = a + b - 1 uniforms: exactly Beta(a, b).
+
+        The output is filled in blocks of ``_BLOCK`` elements in C order, and for
+        each block m arrays of uniforms of its length are drawn one after another.
+        Only the k = min(a, b) most extreme draws so far are kept (the smallest if
+        a <= b, else the largest), sorted from the extreme inward; each new draw is
+        carried through them by compare-exchange, so the last one ends as the a-th
+        smallest. The k + 2 block buffers are allocated once per call.
+        """
+        low, high = (np.minimum, np.maximum) if a <= b else (np.maximum, np.minimum)
+        k = min(a, b)
+        out = np.empty(shape)
+        flat = out.reshape(-1)  # a view: out is fresh and contiguous
+        buffers = np.empty((k + 2, min(_BLOCK, flat.size)))
+        for lo in range(0, flat.size, _BLOCK):
+            n = min(_BLOCK, flat.size - lo)
+            free = list(buffers[:, :n])
+            stats: list[np.ndarray] = []
+            for _ in range(a + b - 1):
+                x = self._gen.random(out=free.pop())
+                for i, s in enumerate(stats):
+                    if i == k - 1:
+                        low(s, x, out=s)  # the displaced draw leaves the kept set
+                        free.append(x)
+                    else:
+                        stats[i] = low(s, x, out=free.pop())
+                        high(s, x, out=x)
+                        free.append(s)
+                if len(stats) < k:
+                    stats.append(x)
+            flat[lo : lo + n] = stats[-1]
+        return out
+
+    def _johnk_half(self, shape) -> np.ndarray:
+        """Beta(1/2, 1/2) by Jöhnk's method: with X = U^2, Y = V^2 and 0 < X + Y <= 1,
+        X / (X + Y) is exactly Beta(1/2, 1/2).
+
+        Candidate pairs come in chunks of c pairs, drawn as c values of U then c of
+        V, with c = min(``_BLOCK``, 4/3 of the draws still missing + 64): a pair is
+        accepted with probability pi/4, so one chunk almost always suffices. Accepted
+        pairs fill the output in C order and the surplus of the last chunk is dropped.
+        """
+        out = np.empty(shape)
+        flat = out.reshape(-1)  # a view: out is fresh and contiguous
+        filled = 0
+        while filled < flat.size:
+            missing = flat.size - filled
+            u, v = self._gen.random((2, min(_BLOCK, missing * 4 // 3 + 64)))
+            u *= u
+            v *= v
+            v += u  # X + Y
+            ok = (v <= 1.0) & (v > 0.0)
+            with np.errstate(invalid="ignore"):  # 0 / 0 where U = V = 0, rejected
+                u /= v
+            accepted = u[ok][:missing]
+            flat[filled : filled + accepted.size] = accepted
+            filled += accepted.size
+        return out
 
     def choice(self, seq: Sequence):
         """Uniform draw from a non-empty sequence."""

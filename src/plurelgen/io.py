@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, StructuralError, format_timestamp
+from .core import ConfigError, format_timestamp
 from .corpus import example_to_json
 from .scm_gen import (
     CATEGORICAL,
@@ -296,6 +296,10 @@ def load_database(directory) -> RelationalDatabase:
             if len(set(table.fk_targets.values())) < len(table.fk_names):
                 raise ConfigError(f"{schema_file}: two foreign keys of {table.name} share a target")
             for col, target in table.fk_targets.items():
+                if target == table.name:
+                    raise ConfigError(
+                        f"{schema_file}: foreign key {col} of {table.name} references its own table"
+                    )
                 keys, n = table.fk_columns[col], num_rows[target]
                 if ((keys < 1) | (keys > n)).any():
                     raise ConfigError(f"{path}: foreign key {col} outside [1, {n}]")
@@ -303,11 +307,28 @@ def load_database(directory) -> RelationalDatabase:
         edges = tuple(sorted((names.index(p), names.index(c)) for p, c in schema_dict["edges"]))
         if edges != db.schema.edges:
             raise ConfigError(f"{schema_file}: edges are not the ones its foreign keys give")
-    try:
-        db.table_order()
-    except StructuralError as exc:
-        raise ConfigError(f"{schema_file}: its foreign keys are not a DAG ({exc})") from None
+        cycle = _key_cycle(db.tables)
+        if cycle:
+            raise ConfigError(f"{schema_file}: its foreign keys form a cycle, {cycle}")
     return db
+
+
+def _key_cycle(tables: dict[str, GeneratedTable]) -> str | None:
+    """One cycle of foreign keys as ``t.key -> u.key -> t``, each key into the next
+    table; None if there is none. Assumes no table holds two keys into one table."""
+    left = {name: set(t.fk_targets.values()) for name, t in tables.items()}
+    # drop the tables whose targets are all dropped: each one left has a target left
+    while free := [name for name, targets in left.items() if not targets & left.keys()]:
+        for name in free:
+            del left[name]
+    if not left:
+        return None
+    walk = [min(left)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(min(left[walk[-1]] & left.keys()))
+    cycle = walk[walk.index(walk[-1]) :]
+    keys = {(t.name, target): col for t in tables.values() for col, target in t.fk_targets.items()}
+    return " -> ".join(f"{c}.{keys[c, p]}" for c, p in zip(cycle, cycle[1:])) + f" -> {cycle[-1]}"
 
 
 def find_database_dirs(path) -> list[Path]:

@@ -389,7 +389,7 @@ def _edit_json(edit):
     def apply(text):
         schema = json.loads(text)
         edit(schema)
-        return json.dumps(schema)
+        return json.dumps(schema), ()
 
     return apply
 
@@ -397,9 +397,11 @@ def _edit_json(edit):
 def _retarget(choose):
     """Point the first FK column that it can at ``choose(table, tables referencing it)``, and make
     ``edges`` the ones the keys then give. The new target has at least the old one's rows, so
-    every key stays inside [1, num_rows]."""
+    every key stays inside [1, num_rows]. The error must name the table, the column and the
+    new target."""
 
-    def edit(schema):
+    def apply(text):
+        schema = json.loads(text)
         num_rows = {spec["name"]: spec["num_rows"] for spec in schema["tables"]}
         fks = [(s["name"], c) for s in schema["tables"] for c in s["columns"] if c["role"] == "fk"]
         for table, column in fks:
@@ -407,15 +409,16 @@ def _retarget(choose):
             if target is not None and num_rows[target] >= num_rows[column["fk_target"]]:
                 column["fk_target"] = target
                 schema["edges"] = [[c["fk_target"], t] for t, c in fks]
-                return
+                return json.dumps(schema), (table, column["name"], target)
         raise AssertionError("no foreign key could be retargeted")
 
-    return _edit_json(edit)
+    return apply
 
 
-# a schema.json that cannot be read as one, or whose edges are not the ones its keys give
+# a schema.json that cannot be read as one, or whose edges are not the ones its keys give, each
+# as a function of the file's text to the malformed text and the names its error must hold
 MALFORMED_SCHEMAS = {
-    "not JSON": lambda text: "{broken",
+    "not JSON": lambda text: ("{broken", ()),
     "missing num_rows": _edit_json(lambda schema: schema["tables"][0].pop("num_rows")),
     "unknown fk target": _edit_json(_unknown_fk_target),
     "cyclic edges": _edit_json(lambda schema: schema["edges"].append(schema["edges"][0][::-1])),
@@ -463,10 +466,11 @@ class TestMalformedDatabase:
         raise AssertionError("no activity table with a foreign key and both feature types")
 
     @staticmethod
-    def _rejected(argv, capsys, file_name):
+    def _rejected(argv, capsys, *names):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and file_name in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert [name for name in names if name not in err] == []
 
     @pytest.mark.parametrize("command", ["corpus", "stats"])
     @pytest.mark.parametrize("fault", list(MALFORMED_TABLES))
@@ -482,8 +486,9 @@ class TestMalformedDatabase:
     @pytest.mark.parametrize("fault", list(MALFORMED_SCHEMAS))
     def test_schema_json(self, db_dir, tmp_path, capsys, command, fault):
         path = OutputLayout.schema_path(db_dir)
-        path.write_text(MALFORMED_SCHEMAS[fault](path.read_text()))
-        self._rejected(_load_command(command, db_dir, tmp_path), capsys, "schema.json")
+        text, named = MALFORMED_SCHEMAS[fault](path.read_text())
+        path.write_text(text)
+        self._rejected(_load_command(command, db_dir, tmp_path), capsys, "schema.json", *named)
 
     @pytest.mark.parametrize("command", ["corpus", "stats"])
     def test_two_keys_into_one_table(self, tmp_path, capsys, command):

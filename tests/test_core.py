@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plurelgen.core import (
+    _BLOCK,
     FIELD_RULES,
     ConfigError,
     GenConfig,
@@ -148,6 +149,19 @@ class TestDraw:
                 assert isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+DEFAULT_BETA_PAIRS = GenConfig().exogenous_priors.payload
+INTEGER_BETA_PAIRS = [(a, b) for a, b in DEFAULT_BETA_PAIRS if (a, b) != (0.5, 0.5)]
+
+
+def _beta_cdf(a: float, b: float):
+    """The exact Beta(a, b) CDF for integer shapes and for (1/2, 1/2)."""
+    if (a, b) == (0.5, 0.5):
+        return lambda x: 2 / np.pi * np.arcsin(np.sqrt(x))
+    m = int(a + b) - 1  # P(at least a of m uniforms lie below x)
+    terms = [(math.comb(m, j), j) for j in range(int(a), m + 1)]
+    return lambda x: sum(c * x**j * (1 - x) ** (m - j) for c, j in terms)
+
+
 class TestSampleBeta:
     @pytest.mark.parametrize(
         "a,b,mean", [(1.0, 1.0, 0.5), (4.0, 1.0, 0.8), (2.0, 3.0, 0.4)]
@@ -157,11 +171,45 @@ class TestSampleBeta:
         assert np.all((xs >= 0) & (xs <= 1))
         assert abs(xs.mean() - mean) < 0.01
 
+    @pytest.mark.parametrize("size", [(301, 7), (700, 32)])
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("a,b", INTEGER_BETA_PAIRS + [(1.0, 1.0), (1.0, 3.0), (3.0, 5.0)])
+    def test_integer_shapes_are_order_statistics(self, a, b, seed, size):
+        # per block of the flattened output, the a-th smallest of a + b - 1 arrays
+        # of uniforms of the block's length, drawn one after another; (700, 32)
+        # spans one whole block and part of a second
+        gen = np.random.Generator(np.random.PCG64(seed))
+        n = math.prod(size)
+        blocks = [
+            np.sort(gen.random((int(a + b) - 1, min(_BLOCK, n - lo))), axis=0)[int(a) - 1]
+            for lo in range(0, n, _BLOCK)
+        ]
+        expected = np.concatenate(blocks).reshape(size)
+        assert np.array_equal(SeededRng(seed).beta(a, b, size), expected)
+
+    @pytest.mark.parametrize("a,b", DEFAULT_BETA_PAIRS)
+    def test_kolmogorov_smirnov_against_the_exact_cdf(self, a, b):
+        # 100 000 draws of (1/2, 1/2) span more than one chunk of candidate pairs
+        n = 100_000
+        xs = np.sort(SeededRng(17).beta(a, b, size=n))
+        cdf = _beta_cdf(a, b)(xs)
+        d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert d < 1.95 / math.sqrt(n)  # the asymptotic critical value at the 0.1 % level
+
+    @pytest.mark.parametrize("a,b", DEFAULT_BETA_PAIRS)
+    def test_scalar_is_a_one_element_draw(self, a, b):
+        x = SeededRng(4).beta(a, b)
+        assert isinstance(x, float) and x == SeededRng(4).beta(a, b, size=1)[0]
+
+    @pytest.mark.parametrize("a,b", [(1.5, 2.5), (0.5, 2.0), (10.0, 10.0)])
+    def test_other_shapes_are_numpys_sampler(self, a, b):
+        expected = np.random.Generator(np.random.PCG64(3)).beta(a, b, size=(50, 4))
+        assert np.array_equal(SeededRng(3).beta(a, b, size=(50, 4)), expected)
+
     def test_invalid_parameters(self):
-        with pytest.raises(ConfigError):
-            SeededRng(0).beta(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            SeededRng(0).beta(1.0, -2.0)
+        for a, b in [(0.0, 1.0), (1.0, -2.0), (-0.5, -0.5), (0.0, 0.0), (-2.0, 3.0)]:
+            with pytest.raises(ConfigError):
+                SeededRng(0).beta(a, b)
 
 
 class TestSeededRng:

@@ -9,6 +9,7 @@ writer with that of the corpus.
 """
 
 import copy
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -42,9 +43,9 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "210aa6f13bfb0e9e659053fdd89dc89f4386afe2470ab587bbd863aef952679a"
+GOLDEN_TREE_DIGEST = "f60ccf83a3991e66ef2de9d54d3ac2967c8f3c9b40ee0923f6c83e378d674daf"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
-GOLDEN_CORPUS_DIGEST = "c2dfc3d9233c30d3a7e162cdee817cbc49c300a629c259dc69a54b5dbe658769"
+GOLDEN_CORPUS_DIGEST = "b49b7ca0736b503f7b215351120ab5d30e10f3ee32d1d1a87ed488c257a56e1a"
 
 EPOCH = datetime(1970, 1, 1)
 YEAR_500 = int((datetime(500, 6, 1) - EPOCH).total_seconds())
@@ -88,8 +89,22 @@ def _generate_golden_tree(tmp_path) -> Path:
     return out
 
 
+def _openblas_kernel() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked at run time, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _platform() -> str:
-    """What the bytes rest on besides (config, seed): numpy, BLAS, SIMD targets, forced kernels."""
+    """What the bytes rest on besides (config, seed): numpy, BLAS and its running kernel,
+    SIMD targets, forced kernels."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 has no dict mode
@@ -101,8 +116,8 @@ def _platform() -> str:
     return (
         "the digests were pinned on numpy 2.4.6 and OpenBLAS 0.3.31 with its SkylakeX kernel on "
         "an AVX-512 host, and numeric cells differ in their last bits on other kernels (README, "
-        f"'Byte contract'); this run: numpy {np.__version__}, BLAS {blas}, SIMD found {simd}, "
-        f"forced {forced}"
+        f"'Byte contract'); this run: numpy {np.__version__}, BLAS {blas}, OpenBLAS kernel "
+        f"{_openblas_kernel()}, SIMD found {simd}, forced {forced}"
     )
 
 
