@@ -210,7 +210,9 @@ def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> 
         if remaining <= 0:
             continue
         kids = idx.child_ids[idx.child_ptr[g] : idx.child_ptr[g + 1]]
-        candidates = [c for c in kids[idx.ts[kids] <= seed_ts].tolist() if c not in visited]
+        # a child that references g through two key columns is listed twice; take it once
+        kids = dict.fromkeys(kids[idx.ts[kids] <= seed_ts].tolist())
+        candidates = [c for c in kids if c not in visited]
         if not candidates:
             continue
         added = 0

@@ -97,13 +97,24 @@ def _group_rows(labels: np.ndarray):
 
     Returns (unique_vectors, flat_row_order, offsets, counts) where
     flat_row_order[offsets[g]:offsets[g] + counts[g]] are the 0-based rows of
-    group g in ascending order.
+    group g in ascending order. Each row's vector is read as one mixed-radix
+    int64 key (labels are >= 1, base max label + 1), whose order is the
+    lexicographic order of the vectors.
     """
-    uniq, inverse, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0 returned (n, 1) for axis unique
+    levels = labels.shape[1]
+    base = int(labels.max()) + 1
+    if base**levels > np.iinfo(np.int64).max:
+        raise ValueError(f"block labels up to {base - 1} at {levels} levels overflow an int64 key")
+    keys = labels[:, 0].copy()
+    for l in range(1, levels):
+        keys *= base
+        keys += labels[:, l]
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
     flat = np.argsort(inverse, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return uniq, flat, offsets, counts
+    return labels[first], flat, offsets, counts
 
 
 def _group_scores(

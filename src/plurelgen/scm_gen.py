@@ -7,20 +7,28 @@ up through the sampled foreign keys) into a shared latent space, aggregates,
 and reconstructs a value of its own type. Feature-node values become table
 cells.
 
-Projections run once per distinct input, are scaled by their edge weight and
-are then gathered once: a parent feature column is projected at parent-row
-granularity and gathered through the foreign key, and a categorical input
-projects its embedding table once and is indexed by category (through the
-foreign key, for a parent column). An MLP acts on each row alone, so this
-gives the values of projecting every gathered row. They agree bit for bit on
-OpenBLAS at the default hidden width of 32; a one-row batch (a one-row table,
-or a one-category input), which numpy hands to a matrix-vector routine, and
-hidden widths of 300 or more can round the last bit differently.
+Only the live nodes are realized: the feature nodes and their ancestors,
+the nodes some table column reads. A mechanism that no feature node depends
+on is bound by ``build_scm`` like any other, but it is never realized and
+draws nothing.
+
+Projections run once per distinct input, with the edge weight folded into
+the projector's second-layer matrix: a parent feature column is projected at
+parent-row granularity, a categorical input projects its embedding table
+once and is indexed by category. The projections of one parent table's
+columns are summed at parent-row granularity, and the sum is gathered once
+through the foreign key. An MLP acts on each row alone and the sum is
+elementwise, so this gives the values of projecting every gathered row and
+adding in the same order. They agree bit for bit on OpenBLAS at the default
+hidden width of 32; a one-row batch (a one-row table, or a one-category
+input), which numpy hands to a matrix-vector routine, and hidden widths of
+300 or more can round the last bit differently.
 
 A built SCM holds each mechanism's structure and scalars but no weight
-arrays: every mechanism draws its MLP weights and embeddings from its own
-seeded stream when it is realized, and drops them once it is done, so set-up
-memory does not grow with a table's projector count.
+arrays: every mechanism draws its exogenous Beta input, then its MLP weights
+and embeddings, from its own seeded stream when it is realized, and drops
+them once it is done, so set-up memory does not grow with a table's
+projector count. Source nodes draw from the table's stream.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -190,6 +199,18 @@ class CausalGraph:
     def predecessors(self, v: int) -> tuple[int, ...]:
         return self._predecessor_lists[v]
 
+    @cached_property
+    def live_nodes(self) -> frozenset[int]:
+        """The feature nodes and their ancestors: every node a table column depends on."""
+        live = set(self.feature_nodes)
+        stack = list(live)
+        while stack:
+            for u in self.predecessors(stack.pop()):
+                if u not in live:
+                    live.add(u)
+                    stack.append(u)
+        return frozenset(live)
+
     @property
     def source_nodes(self) -> tuple[int, ...]:
         targets = {w for _, w in self.edges}
@@ -332,8 +353,9 @@ class ReconHead:
 class NodeMechanism:
     """Structure and scalars of one non-source node.
 
-    ``weight_seed`` keys the stream its projector and reconstruction weights
-    are drawn from, in order, when the node is realized.
+    ``weight_seed`` keys the stream its exogenous Beta input, projector
+    weights and reconstruction weights are drawn from, in that order, when the
+    node is realized.
     """
 
     exo_weight: float
@@ -391,9 +413,10 @@ def build_scm(
     Every non-source node receives one projector per foreign feature column
     (all parents) and one per in-graph predecessor, a scalar exogenous weight,
     a Beta prior for its latent exogenous input, and a reconstruction head of
-    its own data type. The MLP and embedding arrays are not drawn here: node
-    ``v`` draws them from its own stream, the seed of ``rng.spawn(1 + v)``,
-    when it is realized, so no draw on ``rng`` is spent on them.
+    its own data type. The Beta input, MLP and embedding arrays are not drawn
+    here: node ``v`` draws them from its own stream, the seed of
+    ``rng.spawn(1 + v)``, when it is realized, so no draw on ``rng`` is spent
+    on them.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
     sources: dict[int, tuple[TemporalParams, ...]] = {}
@@ -442,11 +465,19 @@ def build_scm(
 def _projector_weights(
     proj: InputProjector, hidden: int, rng: SeededRng
 ) -> tuple[TinyMlp, np.ndarray | None]:
-    """A projector's MLP, and a categorical input's embedding, drawn from its mechanism's stream."""
+    """A projector's MLP, and a categorical input's embedding, drawn from its mechanism's stream.
+
+    The edge weight is folded into the second-layer matrix, so the MLP's
+    output is the weighted projection.
+    """
     if proj.dtype == NUMERIC:
-        return init_mlp(1, hidden, proj.scheme, proj.activation, rng, hidden), None
-    emb = init_embedding(int(proj.cardinality), hidden, rng)
-    return init_mlp(hidden, hidden, proj.scheme, proj.activation, rng, hidden), emb
+        mlp, emb = init_mlp(1, hidden, proj.scheme, proj.activation, rng, hidden), None
+    else:
+        emb = init_embedding(int(proj.cardinality), hidden, rng)
+        mlp = init_mlp(hidden, hidden, proj.scheme, proj.activation, rng, hidden)
+    w2 = mlp.w2  # scaled in place: the frozen MLP holds the same array
+    w2 *= proj.weight
+    return mlp, emb
 
 
 def _recon_weights(
@@ -459,29 +490,33 @@ def _recon_weights(
     return mlp, init_embedding(int(head.cardinality), hidden, rng)
 
 
-def _project(
-    proj: InputProjector, values: np.ndarray, index: np.ndarray | None, hidden: int, rng: SeededRng
-) -> np.ndarray:
-    """Project raw input values (n,) into the latent space, scaled by the edge weight and gathered.
+def _project(proj: InputProjector, values: np.ndarray, hidden: int, rng: SeededRng) -> np.ndarray:
+    """Weighted projection (n, hidden) of raw input values (n,) into the latent space.
 
     The projector's weights are drawn from ``rng`` and dropped on return. The
-    MLP runs once per distinct input: over a categorical input's C x hidden
-    embedding table, or over a foreign input's parent column, once per parent
-    row. Its output is scaled in place, then gathered once, by category and by
-    ``index``, the parent row of each child row (None for a local input).
-    Scaling is elementwise, so ``(w * e)[i]`` equals ``w * e[i]`` bit for bit.
+    MLP runs once per distinct input: over a numeric column's values, or over
+    a categorical input's C x hidden embedding table, which is then indexed
+    by category.
     """
     mlp, emb = _projector_weights(proj, hidden, rng)
     if emb is None:
-        out = mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
-        rows = index
-    else:
-        out = mlp_forward(mlp, emb)
-        rows = np.asarray(values, dtype=np.int64) - 1
-        if index is not None:  # category lookup and foreign-key gather as one index
-            rows = rows[index]
-    out *= proj.weight
-    return out if rows is None else out[rows]
+        return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
+    return mlp_forward(mlp, emb)[np.asarray(values, dtype=np.int64) - 1]
+
+
+def _parent_groups(
+    foreign_refs: tuple[ForeignFeatureRef, ...],
+    foreign_values: list[tuple[np.ndarray, np.ndarray]],
+) -> list[tuple[list[int], np.ndarray]]:
+    """The positions of each run of refs to one parent table, and the key index they share."""
+    groups = []
+    for parent, run in groupby(range(len(foreign_refs)), key=lambda k: foreign_refs[k].parent):
+        ks = list(run)
+        index = foreign_values[ks[0]][1]
+        if any(not np.array_equal(foreign_values[k][1], index) for k in ks[1:]):
+            raise ValueError(f"the columns of parent {parent} come with different key indices")
+        groups.append((ks, index))
+    return groups
 
 
 def realize_table_values(
@@ -490,27 +525,38 @@ def realize_table_values(
     foreign_values: list[tuple[np.ndarray, np.ndarray]],
     rng: SeededRng,
 ) -> dict[int, np.ndarray]:
-    """Realize all rows at once: one value vector of length num_rows per node.
+    """Realize all rows at once: one value vector of length num_rows per live node.
+
+    Only the live nodes, ``scm.graph.live_nodes`` (the feature nodes and their
+    ancestors), are realized, and the result holds their values only; every
+    other node is skipped and draws nothing.
 
     foreign_values must align with scm.foreign_refs. Each entry is a pair
     ``(parent_values, fk_index)``: the parent's feature column at parent-row
     granularity, and the 0-based parent row of each of the num_rows rows
-    (the foreign key minus one). The column is projected once per parent row
-    and the projection is gathered by ``fk_index``. An empty list is the
-    no-parent specialization.
+    (the foreign key minus one), which must be the same for every column of
+    one parent. Each column is projected once per parent row, the parent's
+    projections are summed, and the sum is gathered once by ``fk_index``. An
+    empty list is the no-parent specialization.
 
-    Each mechanism draws its projector and reconstruction weights from its
-    own ``weight_seed`` stream just before it uses them, so the table holds
-    one projector's weights at a time, and realizing one ``ScmSpec`` twice
-    from equal ``rng`` states gives equal values.
+    Source nodes draw from ``rng``. Each mechanism draws its exogenous Beta
+    input, then its projector and reconstruction weights, from its own
+    ``weight_seed`` stream just before it uses them, so the table holds one
+    projector's weights at a time, and realizing one ``ScmSpec`` twice from
+    equal ``rng`` states gives equal values.
     """
     if len(foreign_values) != len(scm.foreign_refs):
         raise ValueError(
             f"expected {len(scm.foreign_refs)} foreign value columns, got {len(foreign_values)}"
         )
+    groups = _parent_groups(scm.foreign_refs, foreign_values)
+    live = scm.graph.live_nodes
+    hidden = scm.hidden_dim
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     values: dict[int, np.ndarray] = {}
     for v in scm.topo:
+        if v not in live:
+            continue
         if v in scm.sources:
             params = scm.sources[v]
             if scm.graph.node_types[v] == NUMERIC:
@@ -519,17 +565,20 @@ def realize_table_values(
                 values[v] = categorical_source_sample(rs, params, rng)
             continue
         m = scm.mechanisms[v]
-        u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        # the sum is made in u's buffer, one weighted projection at a time, so
-        # it holds one projection and one projector's weights at once; under
-        # the one name, the previous node's sum is freed when u is drawn
-        u *= m.exo_weight
         w_rng = SeededRng(m.weight_seed)
-        for p, (x, index) in zip(m.foreign_proj, foreign_values):
-            u += _project(p, x, index, scm.hidden_dim, w_rng)
+        # the sum is made in u's buffer, one parent's summed projections or one
+        # local projection at a time; under the one name, the previous node's
+        # sum is freed when u is drawn
+        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
+        u *= m.exo_weight
+        for ks, index in groups:
+            parent_sum = _project(m.foreign_proj[ks[0]], foreign_values[ks[0]][0], hidden, w_rng)
+            for k in ks[1:]:
+                parent_sum += _project(m.foreign_proj[k], foreign_values[k][0], hidden, w_rng)
+            u += parent_sum[index]
         for p, j in zip(m.local_proj, m.local_inputs):
-            u += _project(p, values[j], None, scm.hidden_dim, w_rng)
-        recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
+            u += _project(p, values[j], hidden, w_rng)
+        recon, emb = _recon_weights(m.recon, hidden, w_rng)
         latent = mlp_forward(recon, u)
         values[v] = latent[:, 0] if emb is None else decode_category(emb, latent)
     return values

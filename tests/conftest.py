@@ -90,3 +90,17 @@ def generation_plan(config, seed: int) -> SchemaGraph:
     """The schema graph with table metadata that ``generate_database(config, seed)`` samples."""
     rng = SeededRng(split_seed(seed, 1))
     return assign_table_metadata(sample_schema_graph(config, rng), config, rng)
+
+
+def feature_ancestors(graph) -> set[int]:
+    """A causal graph's feature nodes and every node with a path to one.
+
+    Written apart from ``CausalGraph.live_nodes``: the fixed point of adding
+    the tails of edges into the set.
+    """
+    live = set(graph.feature_nodes)
+    while True:
+        grown = live | {u for u, w in graph.edges if w in live}
+        if grown == live:
+            return live
+        live = grown

@@ -2,14 +2,15 @@
 
 ``bench/tracing.py`` wraps functions by module and name. A renamed function
 fails ``install``; a bypassed one is never called, and its traced metric
-would silently read 0. This test fails on both, and on projector and forward
-counts that no longer agree with each other.
+would silently read 0. This test fails on both, and on forward and Beta
+counts that no longer agree with a recount over the realized mechanisms.
 """
 
 import importlib
 from dataclasses import replace
 from pathlib import Path
 
+from conftest import feature_ancestors
 from plurelgen import corpus, scm_gen
 from plurelgen import io as pio
 from plurelgen.core import PriorSpec, default_config
@@ -25,6 +26,14 @@ def test_every_wrapped_span_opens(tmp_path, monkeypatch):
         rows_entity=PriorSpec.uniform_range(5, 10),
         rows_activity=PriorSpec.uniform_range(5, 10),
     )
+    built = []
+
+    def recording_build_scm(*args, **kwargs):
+        built.append(original_build_scm(*args, **kwargs))
+        return built[-1]
+
+    original_build_scm = scm_gen.build_scm
+    monkeypatch.setattr(scm_gen, "build_scm", recording_build_scm)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -38,7 +47,17 @@ def test_every_wrapped_span_opens(tmp_path, monkeypatch):
         tracer.uninstall()
     opened = {name for name, *_ in tracer.spans}
     assert not (set(tracing.WRAPPED) | {"core.beta"}) - opened
-    # one forward per projector, plus one reconstruction per mechanism (one Beta draw each)
-    mechanisms = sum(name == "core.beta" for name, *_ in tracer.spans)
-    assert tracer.counts["scm_gen.projectors"] > 0
-    assert tracer.counts["neural.forward_calls"] == tracer.counts["scm_gen.projectors"] + mechanisms
+    # a mechanism is realized when a feature node is it or depends on it; each
+    # realized one makes one Beta draw and one forward per projector plus its
+    # reconstruction, and the rest make none
+    realized = []
+    for scm in built:
+        live = feature_ancestors(scm.graph)
+        realized += [m for v, m in scm.mechanisms.items() if v in live]
+    assert len(realized) < sum(len(scm.mechanisms) for scm in built)  # some are skipped
+    assert tracer.counts["scm_gen.projectors"] == sum(
+        len(m.foreign_proj) + len(m.local_proj) for scm in built for m in scm.mechanisms.values()
+    )
+    assert sum(name == "core.beta" for name, *_ in tracer.spans) == len(realized)
+    forwards = sum(len(m.foreign_proj) + len(m.local_proj) + 1 for m in realized)
+    assert tracer.counts["neural.forward_calls"] == forwards

@@ -575,6 +575,87 @@ def _drawn_config(config, names, data):
         return None
 
 
+# Valid points for each field, written out like the hostile ones, so that a
+# rule stricter than generation needs shows as a rejected config: each
+# field's prior kinds and points inside its domain, kept small enough to
+# generate fast.
+_POINTS, _NUMBERS = ("constant", "set-uniform"), ("constant", "set-uniform", "range-uniform")
+_SCALES = (_NUMBERS, (-1e6, -1.0, 0.0, 0.05, 3.0))
+_SHARES = (_NUMBERS, (0.0, 0.3, 1.0))
+_VALID_POINTS = {
+    "schema_graph_priors": (_POINTS, ("barabasi-albert", "reverse-random-tree", "watts-strogatz")),
+    "num_tables": (_NUMBERS, (2, 3, 5)),
+    "rows_entity": (_NUMBERS, (1, 2, 7, 30)),
+    "rows_activity": (_NUMBERS, (1, 3, 12, 40)),
+    "num_columns": (_NUMBERS + ("range-power-law",), (1, 2, 4, 9)),
+    "timestamp_min": (_POINTS, ("1900-01-01", "1990-01-01", "2000-02-29T12:30:00")),
+    "timestamp_max": (_POINTS, ("2025-01-01", "2030-06-15", "2100-12-31")),
+    "null_fraction": (_NUMBERS, (0.0, 0.05, 0.5, 1.0)),
+    "scm_graph_priors": (
+        _POINTS,
+        ("layered", "erdos-renyi", "barabasi-albert", "random-tree", "reverse-random-tree"),
+    ),
+    "feature_node_fraction": (_NUMBERS, (0.1, 0.3, 0.9, 1.0)),
+    "num_categories": (_NUMBERS, (1, 2, 10, 50)),
+    "mlp_init_schemes": (
+        _POINTS,
+        ("kaiming-normal", "kaiming-uniform", "xavier-normal", "xavier-uniform",
+         "truncated-normal", "sparse"),
+    ),
+    "mlp_activations": (_POINTS, ("relu", "elu", "silu", "softsign", "tanh")),
+    "mlp_hidden_dim": (_NUMBERS, (1, 2, 32, 64)),
+    "exogenous_priors": (_POINTS, ((0.5, 0.5), (2.0, 3.0), (4.0, 1.0), (1.0, 1.0), (0.7, 2.5))),
+    "hsbm_levels": (_NUMBERS, (1, 2, 5)),
+    "hsbm_clusters_per_level": (_NUMBERS, (1, 3, 8)),
+    "trend_exponent": (_NUMBERS, (-10.0, -1.5, 0.0, 2.0, 10.0)),
+    "trend_scale_activity": (_NUMBERS, (-1000.0, -1.0, 0.0, 0.5, 1000.0)),
+    "trend_scale_entity": (_NUMBERS, (-1000.0, -1.0, 0.0, 0.5, 1000.0)),
+    "cycle_frequency": (_NUMBERS, (0.1, 1.0, 7.5)),
+    "cycle_scale_activity": _SCALES,
+    "cycle_scale_entity": _SCALES,
+    "noise_scale_activity": _SCALES,
+    "noise_scale_entity": _SCALES,
+    "ba_edge_dropout": _SHARES,
+    "ba_attachment": (_NUMBERS, (1, 2, 6)),
+    "er_edge_prob": _SHARES,
+    "ws_rewire_prob": _SHARES,
+    "layered_depth": (_NUMBERS, (1, 2, 8)),
+    "layered_edge_dropout": _SHARES,
+    "power_law_exponent": (("constant",), (0.5, 2.0, 5.0)),
+}
+
+
+def _valid_config(config, names, data):
+    """The small config with each of ``names`` given a prior of its valid points."""
+    small = dict(_SMALL)
+    for name in names:
+        kinds, points = _VALID_POINTS[name]
+        kind = data.draw(st.sampled_from(kinds))
+        point = st.sampled_from(points)
+        if kind == "constant":
+            small[name] = PriorSpec.constant(data.draw(point))
+        elif kind == "set-uniform":
+            small[name] = PriorSpec(kind, tuple(data.draw(st.lists(point, min_size=1, max_size=3))))
+        else:
+            small[name] = PriorSpec(kind, tuple(sorted((data.draw(point), data.draw(point)))))
+    return replace(config, **small)
+
+
+def _assert_round_trips(db):
+    """Save, load and save again writes the same bytes, and the loaded schema is the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first"), Path(tmp, "second")
+        save_database(db, first)
+        loaded = load_database(first)
+        save_database(loaded, second)
+        assert loaded.schema == db.schema
+        first_bytes, second_bytes = (
+            {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+            for d in (first, second)
+        )
+        assert first_bytes == second_bytes
+
+
 class TestEveryAcceptedConfigGenerates:
     def test_rule_table_covers_every_prior_field(self):
         hints = get_type_hints(GenConfig)
@@ -615,15 +696,15 @@ class TestEveryAcceptedConfigGenerates:
         cfg = _drawn_config(config, names, data)
         if cfg is None:
             return
-        db = generate_database(cfg, data.draw(st.integers(0, 3)))
-        with tempfile.TemporaryDirectory() as tmp:
-            first, second = Path(tmp, "first"), Path(tmp, "second")
-            save_database(db, first)
-            loaded = load_database(first)
-            save_database(loaded, second)
-            assert loaded.schema == db.schema
-            first_bytes, second_bytes = (
-                {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
-                for d in (first, second)
-            )
-            assert first_bytes == second_bytes
+        _assert_round_trips(generate_database(cfg, data.draw(st.integers(0, 3))))
+
+    def test_valid_points_cover_every_field(self):
+        assert set(_VALID_POINTS) == set(_CONFIG_FIELDS)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(names=_PRIOR_NAMES, data=st.data())
+    def test_valid_config_validates_generates_and_round_trips(self, config, names, data):
+        """A prior of valid points is accepted, generates finite cells and round-trips."""
+        db = generate_database(_valid_config(config, names, data), data.draw(st.integers(0, 3)))
+        _assert_finite_cells(db)
+        _assert_round_trips(db)

@@ -51,6 +51,20 @@ class TestBfsContext:
         assert ex.n_tokens == 2
         assert ex.target_value == 2.0
 
+    def test_child_with_two_keys_into_one_row_is_admitted_once(self):
+        # the hand-built database that load_database rejects (two keys into one table)
+        parent = make_table("parent", 1, {"feature_1": [1.5]}, {"feature_1": "numeric"})
+        child = make_table(
+            "child", 1, {"feature_1": [2.5]}, {"feature_1": "numeric"},
+            fk={"a": [1], "b": [1]}, fk_targets={"a": "parent", "b": "parent"},
+        )
+        db = make_database([parent, child])
+        cell = ("parent", "feature_1", 1)
+        ex = bfs_context(db, cell, 100, 8, SeededRng(0))
+        assert ex.rows == [("parent", 1), ("child", 1)]
+        assert ex.n_tokens == 2
+        assert ex.rows == _reference_context(db, cell, 100, 8, SeededRng(0))[0]
+
     def test_fan_out_width_one(self):
         db = _toy_db(child_rows=5)
         ex = bfs_context(db, ("parent", "feature_1", 1), 1000, 1, SeededRng(3))
@@ -255,7 +269,7 @@ def _reference_context(db, seed_cell, budget, width, rng):
         remaining = width - count.get(row, 0)
         if full or remaining <= 0:
             continue
-        candidates = [c for c in children.get(row, []) if admissible(c)]
+        candidates = [c for c in dict.fromkeys(children.get(row, [])) if admissible(c)]
         if not candidates:
             continue
         added = 0

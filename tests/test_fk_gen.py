@@ -8,6 +8,7 @@ from plurelgen.fk_gen import (
     DIAGONAL_PROB,
     OFF_BLOCK_HIGH,
     OFF_BLOCK_LOW,
+    _group_rows,
     assign_block_hierarchy,
     link_probabilities,
     populate_foreign_keys,
@@ -127,6 +128,32 @@ class TestLinkProbabilities:
         stack = sample_matrix_stack((2,), (2,), SeededRng(1))
         with pytest.raises(ValueError):
             link_probabilities(np.array([1, 1]), parent, stack)
+
+
+def _group_rows_by_vector(labels):
+    """Reference grouping: ``np.unique`` over the rows of the label array itself."""
+    uniq, inverse, counts = np.unique(labels, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0 returned (n, 1) for axis unique
+    flat = np.argsort(inverse, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return uniq, flat, offsets, counts
+
+
+class TestGroupRows:
+    def test_key_grouping_matches_vector_grouping(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            levels = int(rng.integers(1, 6))
+            blocks = rng.integers(1, 9, size=levels)
+            num_rows = int(rng.integers(1, 2000))
+            labels = np.stack([rng.integers(1, b + 1, size=num_rows) for b in blocks], axis=1)
+            for new, ref in zip(_group_rows(labels), _group_rows_by_vector(labels)):
+                assert new.dtype == ref.dtype
+                assert np.array_equal(new, ref)
+
+    def test_labels_too_large_for_a_key(self):
+        with pytest.raises(ValueError, match="overflow"):
+            _group_rows(np.full((3, 5), 2**13, dtype=np.int64))
 
 
 class TestSampleLinks:

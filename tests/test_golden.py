@@ -16,13 +16,14 @@ import subprocess
 import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import plurelgen
-from conftest import generation_plan, make_database, make_table
+from conftest import feature_ancestors, generation_plan, make_database, make_table
 from plurelgen.core import PriorSpec, SeededRng, default_config, save_config, split_seed
 from plurelgen.corpus import bfs_context, example_to_json
 from plurelgen.io import write_table_csv
@@ -43,9 +44,9 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "f60ccf83a3991e66ef2de9d54d3ac2967c8f3c9b40ee0923f6c83e378d674daf"
+GOLDEN_TREE_DIGEST = "c42c1aa264e72ad99f5164c96907eacae3a244d645f6ca6e1e33280dcd364664"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
-GOLDEN_CORPUS_DIGEST = "b49b7ca0736b503f7b215351120ab5d30e10f3ee32d1d1a87ed488c257a56e1a"
+GOLDEN_CORPUS_DIGEST = "ceb96e79e40c6767c5ebda55e26c7d232f3a16cefeb469de391fa4b18252ed86"
 
 EPOCH = datetime(1970, 1, 1)
 YEAR_500 = int((datetime(500, 6, 1) - EPOCH).total_seconds())
@@ -146,12 +147,18 @@ def _project_rowwise(mlp, emb, values):
 def _realize_gather_then_project(scm, num_rows, gathered, rng):
     """Reference realization: foreign values gathered through the FK, then projected.
 
-    The weights come from each mechanism's own stream, in the order realization
-    draws them: every projector's, foreign then local, then the reconstruction head's.
+    Only the feature nodes and their ancestors are realized. Each mechanism
+    draws from its own stream in the order realization draws: the Beta input,
+    every projector's weights, foreign then local, then the reconstruction
+    head's. The latent sum adds the exogenous term, then each parent table's
+    projections summed in column order, then each local projection.
     """
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
+    live = feature_ancestors(scm.graph)
     values = {}
     for v in scm.topo:
+        if v not in live:
+            continue
         if v in scm.sources:
             if scm.graph.node_types[v] == NUMERIC:
                 (params,) = scm.sources[v]
@@ -161,18 +168,23 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
                 values[v] = rng.categorical_rows(softmax(g)) + 1
             continue
         m = scm.mechanisms[v]
-        u = rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
         w_rng = SeededRng(m.weight_seed)
+        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
         inputs = list(gathered) + [values[j] for j in m.local_inputs]
         projected = [
             _project_rowwise(*_projector_weights(p, scm.hidden_dim, w_rng), x)
             for p, x in zip(m.foreign_proj + m.local_proj, inputs)
         ]
-        weights = [p.weight for p in m.foreign_proj] + [p.weight for p in m.local_proj]
         recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
+        foreign, local = projected[: len(gathered)], projected[len(gathered) :]
         e = m.exo_weight * u
-        for w_k, e_k in zip(weights, projected):
-            e = e + w_k * e_k
+        for _, run in groupby(zip(scm.foreign_refs, foreign), key=lambda pair: pair[0].parent):
+            parent_sum = None
+            for _, e_k in run:
+                parent_sum = e_k if parent_sum is None else parent_sum + e_k
+            e = e + parent_sum
+        for e_k in local:
+            e = e + e_k
         latent = mlp_forward(recon, e)
         if emb is None:
             values[v] = latent[:, 0]

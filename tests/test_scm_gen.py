@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import databases_equal, generation_plan
+from conftest import databases_equal, feature_ancestors, generation_plan
 from plurelgen import scm_gen
 from plurelgen.core import SCM_FAMILIES, PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.neural import TinyMlp
@@ -304,8 +304,8 @@ class TestRealization:
     def test_realize_table_types_and_shapes(self, config):
         graph, scm, _ = _build_simple_scm(config, "activity", 200, 6, seed=3)
         values = realize_table_values(scm, 200, [], SeededRng(9))
-        assert set(values) == set(range(graph.num_nodes))
-        for v in range(graph.num_nodes):
+        assert set(values) == feature_ancestors(graph) == graph.live_nodes
+        for v in values:
             assert values[v].shape == (200,)
             if graph.node_types[v] == CATEGORICAL:
                 card = graph.cardinalities[v]
@@ -314,12 +314,72 @@ class TestRealization:
                 assert np.all(np.isfinite(values[v]))
 
     def test_categorical_outputs_in_range_across_seeds(self, config):
+        dead = 0
         for seed in range(10):
             graph, scm, _ = _build_simple_scm(config, "entity", 80, 5, seed=seed)
             values = realize_table_values(scm, 80, [], SeededRng(seed))
-            for v, t in enumerate(graph.node_types):
-                if t == CATEGORICAL:
+            assert set(values) == feature_ancestors(graph)
+            dead += graph.num_nodes - len(values)
+            for v in values:
+                if graph.node_types[v] == CATEGORICAL:
                     assert set(np.unique(values[v])) <= set(range(1, graph.cardinalities[v] + 1))
+        assert dead > 0  # some seeds leave nodes that no feature column reads
+
+    def test_dead_mechanisms_do_not_change_features(self, config):
+        # 0 -> 1 -> 3 (feature) and 0 -> 2 -> 4, 1 -> 4: nodes 2 and 4 feed no feature
+        graph = scm_gen.CausalGraph(
+            num_nodes=5,
+            edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 4)),
+            edge_weights={(0, 1): 0.7, (0, 2): -1.2, (1, 3): 1.1, (1, 4): 0.4, (2, 4): -0.3},
+            node_types=(NUMERIC, CATEGORICAL, NUMERIC, NUMERIC, CATEGORICAL),
+            cardinalities=(None, 4, None, None, 3),
+            feature_nodes=(3,),
+        )
+        wide, generated = _wide_parent_and_child(config)
+        parent = generated["parent"]
+        refs = _foreign_refs_for(1, wide, generated)
+        rng = SeededRng(35)
+        scm = build_scm(graph, "activity", 7, refs, config, rng)
+        fk_index = SeededRng(36).integers(0, parent.num_rows - 1, size=7)
+        columns = [(parent.features[r.column], fk_index) for r in refs]
+        base = realize_table_values(scm, 7, columns, copy.deepcopy(rng))
+        assert set(base) == {0, 1, 3} == graph.live_nodes
+
+        def retagged(m):
+            flip = {"relu": "tanh", "tanh": "relu"}
+            return replace(
+                m,
+                exo_weight=-m.exo_weight,
+                exo_beta=(3.0, 1.0),
+                foreign_proj=tuple(
+                    replace(p, activation=flip.get(p.activation, "relu")) for p in m.foreign_proj
+                ),
+                recon=replace(m.recon, scheme="sparse", activation="silu"),
+                weight_seed=m.weight_seed ^ 0x5A5A,
+            )
+
+        mechanisms = {v: retagged(m) if v in (2, 4) else m for v, m in scm.mechanisms.items()}
+        changed = replace(scm, mechanisms=mechanisms)
+        again = realize_table_values(changed, 7, columns, copy.deepcopy(rng))
+        assert again.keys() == base.keys()
+        for v in base:
+            assert again[v].tobytes() == base[v].tobytes()
+        # the same change on the live mechanism 1 does move the feature
+        changed = replace(scm, mechanisms={**scm.mechanisms, 1: retagged(scm.mechanisms[1])})
+        moved = realize_table_values(changed, 7, columns, copy.deepcopy(rng))
+        assert moved[3].tobytes() != base[3].tobytes()
+
+    def test_one_parent_needs_one_foreign_key_index(self, config):
+        wide, generated = _wide_parent_and_child(config)
+        refs = _foreign_refs_for(1, wide, generated)
+        rng = SeededRng(37)
+        graph = sample_causal_graph(4, config, rng)
+        scm = build_scm(graph, "activity", 7, refs, config, rng)
+        parent = generated["parent"]
+        columns = [(parent.features[r.column], np.arange(7) % 8) for r in refs]
+        columns[-1] = (columns[-1][0], np.zeros(7, dtype=np.int64))
+        with pytest.raises(ValueError, match="parent parent"):
+            realize_table_values(scm, 7, columns, rng)
 
 
 class TestGenerateTable:
