@@ -74,6 +74,8 @@ def fit_power_law(points) -> PowerLawFit:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
         raise ValueError("need at least 4 (x, loss) points")
+    if not np.isfinite(pts).all():
+        raise ValueError("x values and losses must be finite")
     x, losses = pts[:, 0], pts[:, 1]
     if np.any(np.diff(x) <= 0):
         raise ValueError("x values must be strictly increasing")

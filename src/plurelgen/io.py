@@ -273,7 +273,9 @@ def load_database(directory) -> RelationalDatabase:
     A foreign key outside [1, its parent's ``num_rows``] makes its table CSV
     malformed. The foreign-key columns are the table graph: schema.json is
     malformed if its ``edges`` are not theirs, if they form a cycle or reference
-    their own table, or if two columns of one table reference the same table.
+    their own table, or if two columns of one table reference the same table. It
+    is also malformed if it lists a table twice, or names a table with anything
+    but one plain path component, which would read a CSV outside ``tables/``.
     """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
@@ -289,7 +291,14 @@ def load_database(directory) -> RelationalDatabase:
     db = RelationalDatabase(tables={}, seed=seed, null_fraction=null_fraction)
     with _naming(schema_file):
         schema_dict = json.loads(schema_file.read_text())
-        num_rows = {spec["name"]: int(spec["num_rows"]) for spec in schema_dict["tables"]}
+        num_rows = {}
+        for spec in schema_dict["tables"]:
+            name = spec["name"]
+            if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+                raise ConfigError(f"{schema_file}: table name {name!r} is not one path component")
+            if name in num_rows:
+                raise ConfigError(f"{schema_file}: table {name} is listed twice")
+            num_rows[name] = int(spec["num_rows"])
         for spec in schema_dict["tables"]:
             path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"
             table = db.tables[spec["name"]] = _read_table_csv(path, spec)
@@ -374,12 +383,18 @@ def write_corpus_file(stream, path) -> tuple[int, int]:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Two-column (x, loss) CSV; a non-numeric first row is treated as a header."""
+    """Two-column (x, loss) CSV; a non-numeric first row is treated as a header.
+
+    A row of other than two cells, the header too, is a ``ConfigError`` naming the row.
+    """
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ConfigError(f"{path}: row {reader.line_num} has {len(row)} cells, not 2")
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:

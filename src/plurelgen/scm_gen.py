@@ -24,11 +24,15 @@ hidden width of 32; a one-row batch (a one-row table, or a one-category
 input), which numpy hands to a matrix-vector routine, and hidden widths of
 300 or more can round the last bit differently.
 
-A built SCM holds each mechanism's structure and scalars but no weight
-arrays: every mechanism draws its exogenous Beta input, then its MLP weights
-and embeddings, from its own seeded stream when it is realized, and drops
-them once it is done, so set-up memory does not grow with a table's
-projector count. Source nodes draw from the table's stream.
+A built SCM holds only what ``build_scm`` draws: each mechanism's scalars
+and the (init scheme, activation) tags of its projectors and reconstruction
+head, but no weight arrays. Realization reads everything else from the
+causal graph and the parent tables: an input's type and cardinality, and its
+weight, the causal edge's or 1 / (the parent's feature count). Every
+mechanism draws its exogenous Beta input, then its MLP weights and
+embeddings, from its own seeded stream when it is realized, and drops them
+once it is done, so set-up memory does not grow with a table's projector
+count. Source nodes draw from the table's stream.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 
 import numpy as np
 
 from .core import GenConfig, SeededRng, StructuralError, draw, parse_date, split_seed
 from .fk_gen import populate_foreign_keys
-from .neural import TinyMlp, decode_category, init_embedding, init_mlp, mlp_forward
+from .neural import decode_category, init_embedding, init_mlp, mlp_forward
 from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
@@ -71,7 +74,6 @@ __all__ = [
     "categorical_source_sample",
     "CausalGraph",
     "sample_causal_graph",
-    "ForeignFeatureRef",
     "ScmSpec",
     "build_scm",
     "realize_table_values",
@@ -318,33 +320,9 @@ def sample_causal_graph(
 
 
 @dataclass(frozen=True)
-class ForeignFeatureRef:
-    """One feature column of a parent table feeding every non-source mechanism."""
+class Tags:
+    """An MLP's init scheme and activation as drawn; its weights are drawn when it is realized."""
 
-    parent: str
-    column: str
-    dtype: str
-    cardinality: int | None
-    weight: float  # uniform 1 / (parent's feature-node count)
-
-
-@dataclass(frozen=True)
-class InputProjector:
-    """One input's projector as drawn tags; its weights are drawn when it is realized."""
-
-    dtype: str
-    cardinality: int | None
-    scheme: str
-    activation: str
-    weight: float
-
-
-@dataclass(frozen=True)
-class ReconHead:
-    """A mechanism's reconstruction head as drawn tags, like ``InputProjector``."""
-
-    dtype: str
-    cardinality: int | None
     scheme: str
     activation: str
 
@@ -353,24 +331,24 @@ class ReconHead:
 class NodeMechanism:
     """Structure and scalars of one non-source node.
 
-    ``weight_seed`` keys the stream its exogenous Beta input, projector
-    weights and reconstruction weights are drawn from, in that order, when the
-    node is realized.
+    ``foreign_proj`` holds one projector per feature column of the parent
+    tables, parent by parent; ``local_proj`` one per in-graph predecessor, in
+    ``graph.predecessors`` order. ``weight_seed`` keys the stream its
+    exogenous Beta input, projector weights and reconstruction weights are
+    drawn from, in that order, when the node is realized.
     """
 
     exo_weight: float
     exo_beta: tuple[float, float]
-    foreign_proj: tuple[InputProjector, ...]
-    local_inputs: tuple[int, ...]
-    local_proj: tuple[InputProjector, ...]
-    recon: ReconHead
+    foreign_proj: tuple[Tags, ...]
+    local_proj: tuple[Tags, ...]
+    recon: Tags
     weight_seed: int
 
 
 @dataclass(frozen=True, eq=False)
 class ScmSpec:
     graph: CausalGraph
-    foreign_refs: tuple[ForeignFeatureRef, ...]
     # temporal params of each source node: one for a numeric node, one per category
     sources: dict[int, tuple[TemporalParams, ...]]
     mechanisms: dict[int, NodeMechanism]
@@ -392,31 +370,27 @@ def _draw_temporal(kind: str, num_rows: int, config: GenConfig, rng: SeededRng) 
     )
 
 
-def _make_projector(
-    dtype: str, cardinality: int | None, weight: float, config: GenConfig, rng: SeededRng
-) -> InputProjector:
-    scheme = draw(config.mlp_init_schemes, rng)
-    act = draw(config.mlp_activations, rng)
-    return InputProjector(dtype, cardinality, scheme, act, weight)
+def _draw_tags(config: GenConfig, rng: SeededRng) -> Tags:
+    return Tags(draw(config.mlp_init_schemes, rng), draw(config.mlp_activations, rng))
 
 
 def build_scm(
     graph: CausalGraph,
     kind: str,
     num_rows: int,
-    foreign_refs: tuple[ForeignFeatureRef, ...],
+    num_foreign: int,
     config: GenConfig,
     rng: SeededRng,
 ) -> ScmSpec:
-    """Bind every mechanism's structure and scalars: tags, input weights, exogenous priors.
+    """Bind every mechanism's structure and scalars: tags, exogenous weight and prior.
 
     Every non-source node receives one projector per foreign feature column
-    (all parents) and one per in-graph predecessor, a scalar exogenous weight,
-    a Beta prior for its latent exogenous input, and a reconstruction head of
-    its own data type. The Beta input, MLP and embedding arrays are not drawn
-    here: node ``v`` draws them from its own stream, the seed of
-    ``rng.spawn(1 + v)``, when it is realized, so no draw on ``rng`` is spent
-    on them.
+    (``num_foreign``, over all parent tables) and one per in-graph
+    predecessor, a scalar exogenous weight, a Beta prior for its latent
+    exogenous input, and a reconstruction head. The Beta input, MLP and
+    embedding arrays are not drawn here: node ``v`` draws them from its own
+    stream, the seed of ``rng.spawn(1 + v)``, when it is realized, so no draw
+    on ``rng`` is spent on them.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
     sources: dict[int, tuple[TemporalParams, ...]] = {}
@@ -428,33 +402,20 @@ def build_scm(
             count = 1 if graph.node_types[v] == NUMERIC else int(graph.cardinalities[v])
             sources[v] = tuple(_draw_temporal(kind, num_rows, config, rng) for _ in range(count))
             continue
-        foreign_proj = tuple(
-            _make_projector(ref.dtype, ref.cardinality, ref.weight, config, rng)
-            for ref in foreign_refs
-        )
-        local_inputs = graph.predecessors(v)
-        local_proj = tuple(
-            _make_projector(
-                graph.node_types[u], graph.cardinalities[u], graph.edge_weights[(u, v)], config, rng
-            )
-            for u in local_inputs
-        )
+        foreign_proj = tuple(_draw_tags(config, rng) for _ in range(num_foreign))
+        local_proj = tuple(_draw_tags(config, rng) for _ in graph.predecessors(v))
         exo_weight = float(rng.standard_normal())
         exo_beta = draw(config.exogenous_priors, rng)
-        scheme = draw(config.mlp_init_schemes, rng)
-        act = draw(config.mlp_activations, rng)
         mechanisms[v] = NodeMechanism(
             exo_weight=exo_weight,
             exo_beta=(float(exo_beta[0]), float(exo_beta[1])),
             foreign_proj=foreign_proj,
-            local_inputs=local_inputs,
             local_proj=local_proj,
-            recon=ReconHead(graph.node_types[v], graph.cardinalities[v], scheme, act),
+            recon=_draw_tags(config, rng),
             weight_seed=split_seed(rng.seed, 1 + v),
         )
     return ScmSpec(
         graph=graph,
-        foreign_refs=foreign_refs,
         sources=sources,
         mechanisms=mechanisms,
         topo=tuple(topo),
@@ -462,67 +423,39 @@ def build_scm(
     )
 
 
-def _projector_weights(
-    proj: InputProjector, hidden: int, rng: SeededRng
-) -> tuple[TinyMlp, np.ndarray | None]:
-    """A projector's MLP, and a categorical input's embedding, drawn from its mechanism's stream.
-
-    The edge weight is folded into the second-layer matrix, so the MLP's
-    output is the weighted projection.
-    """
-    if proj.dtype == NUMERIC:
-        mlp, emb = init_mlp(1, hidden, proj.scheme, proj.activation, rng, hidden), None
-    else:
-        emb = init_embedding(int(proj.cardinality), hidden, rng)
-        mlp = init_mlp(hidden, hidden, proj.scheme, proj.activation, rng, hidden)
-    w2 = mlp.w2  # scaled in place: the frozen MLP holds the same array
-    w2 *= proj.weight
-    return mlp, emb
-
-
-def _recon_weights(
-    head: ReconHead, hidden: int, rng: SeededRng
-) -> tuple[TinyMlp, np.ndarray | None]:
-    """A reconstruction head's MLP, and a categorical node's embedding, from the same stream."""
-    if head.dtype == NUMERIC:
-        return init_mlp(hidden, 1, head.scheme, head.activation, rng, hidden), None
-    mlp = init_mlp(hidden, hidden, head.scheme, head.activation, rng, hidden)
-    return mlp, init_embedding(int(head.cardinality), hidden, rng)
-
-
-def _project(proj: InputProjector, values: np.ndarray, hidden: int, rng: SeededRng) -> np.ndarray:
+def _project(
+    tags: Tags,
+    dtype: str,
+    cardinality: int | None,
+    weight: float,
+    values: np.ndarray,
+    hidden: int,
+    rng: SeededRng,
+) -> np.ndarray:
     """Weighted projection (n, hidden) of raw input values (n,) into the latent space.
 
-    The projector's weights are drawn from ``rng`` and dropped on return. The
-    MLP runs once per distinct input: over a numeric column's values, or over
-    a categorical input's C x hidden embedding table, which is then indexed
-    by category.
+    The projector's weights are drawn from ``rng``, a categorical input's
+    embedding before its MLP, and dropped on return. The input weight is folded
+    into the second-layer matrix. The MLP runs once per distinct input: over a
+    numeric column's values, or over a categorical input's C x hidden
+    embedding table, which is then indexed by category.
     """
-    mlp, emb = _projector_weights(proj, hidden, rng)
+    if dtype == NUMERIC:
+        mlp, emb = init_mlp(1, hidden, tags.scheme, tags.activation, rng, hidden), None
+    else:
+        emb = init_embedding(int(cardinality), hidden, rng)
+        mlp = init_mlp(hidden, hidden, tags.scheme, tags.activation, rng, hidden)
+    w2 = mlp.w2  # scaled in place: the frozen MLP holds the same array
+    w2 *= weight
     if emb is None:
         return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
     return mlp_forward(mlp, emb)[np.asarray(values, dtype=np.int64) - 1]
 
 
-def _parent_groups(
-    foreign_refs: tuple[ForeignFeatureRef, ...],
-    foreign_values: list[tuple[np.ndarray, np.ndarray]],
-) -> list[tuple[list[int], np.ndarray]]:
-    """The positions of each run of refs to one parent table, and the key index they share."""
-    groups = []
-    for parent, run in groupby(range(len(foreign_refs)), key=lambda k: foreign_refs[k].parent):
-        ks = list(run)
-        index = foreign_values[ks[0]][1]
-        if any(not np.array_equal(foreign_values[k][1], index) for k in ks[1:]):
-            raise ValueError(f"the columns of parent {parent} come with different key indices")
-        groups.append((ks, index))
-    return groups
-
-
 def realize_table_values(
     scm: ScmSpec,
     num_rows: int,
-    foreign_values: list[tuple[np.ndarray, np.ndarray]],
+    parents: list[tuple[GeneratedTable, np.ndarray]],
     rng: SeededRng,
 ) -> dict[int, np.ndarray]:
     """Realize all rows at once: one value vector of length num_rows per live node.
@@ -531,13 +464,13 @@ def realize_table_values(
     ancestors), are realized, and the result holds their values only; every
     other node is skipped and draws nothing.
 
-    foreign_values must align with scm.foreign_refs. Each entry is a pair
-    ``(parent_values, fk_index)``: the parent's feature column at parent-row
-    granularity, and the 0-based parent row of each of the num_rows rows
-    (the foreign key minus one), which must be the same for every column of
-    one parent. Each column is projected once per parent row, the parent's
-    projections are summed, and the sum is gathered once by ``fk_index``. An
-    empty list is the no-parent specialization.
+    ``parents`` holds one pair ``(parent, fk_index)`` per foreign-key column,
+    in the order ``build_scm`` counted their feature columns: the parent table
+    and the 0-based parent row of each of the num_rows rows (the foreign key
+    minus one). Each parent feature column is projected once per parent row
+    with weight 1 / (the parent's feature count), the parent's projections
+    are summed, and the sum is gathered once by ``fk_index``. An empty list is
+    the no-parent specialization.
 
     Source nodes draw from ``rng``. Each mechanism draws its exogenous Beta
     input, then its projector and reconstruction weights, from its own
@@ -545,13 +478,13 @@ def realize_table_values(
     projector's weights at a time, and realizing one ``ScmSpec`` twice from
     equal ``rng`` states gives equal values.
     """
-    if len(foreign_values) != len(scm.foreign_refs):
+    graph, hidden, live = scm.graph, scm.hidden_dim, scm.graph.live_nodes
+    num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
+    widths = {len(m.foreign_proj) for m in scm.mechanisms.values()}
+    if widths - {num_foreign}:
         raise ValueError(
-            f"expected {len(scm.foreign_refs)} foreign value columns, got {len(foreign_values)}"
+            f"the parents have {num_foreign} feature columns, the mechanisms project {sorted(widths)}"
         )
-    groups = _parent_groups(scm.foreign_refs, foreign_values)
-    live = scm.graph.live_nodes
-    hidden = scm.hidden_dim
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     values: dict[int, np.ndarray] = {}
     for v in scm.topo:
@@ -559,7 +492,7 @@ def realize_table_values(
             continue
         if v in scm.sources:
             params = scm.sources[v]
-            if scm.graph.node_types[v] == NUMERIC:
+            if graph.node_types[v] == NUMERIC:
                 values[v] = temporal_signal(rs, params[0], rng)
             else:
                 values[v] = categorical_source_sample(rs, params, rng)
@@ -571,16 +504,33 @@ def realize_table_values(
         # sum is freed when u is drawn
         u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
         u *= m.exo_weight
-        for ks, index in groups:
-            parent_sum = _project(m.foreign_proj[ks[0]], foreign_values[ks[0]][0], hidden, w_rng)
-            for k in ks[1:]:
-                parent_sum += _project(m.foreign_proj[k], foreign_values[k][0], hidden, w_rng)
-            u += parent_sum[index]
-        for p, j in zip(m.local_proj, m.local_inputs):
-            u += _project(p, values[j], hidden, w_rng)
-        recon, emb = _recon_weights(m.recon, hidden, w_rng)
-        latent = mlp_forward(recon, u)
-        values[v] = latent[:, 0] if emb is None else decode_category(emb, latent)
+        tags = iter(m.foreign_proj)
+        for parent, fk_index in parents:
+            weight = 1.0 / len(parent.feature_names)
+            projections = (
+                _project(
+                    next(tags), parent.feature_types[c], parent.feature_cards[c], weight,
+                    parent.features[c], hidden, w_rng,
+                )
+                for c in parent.feature_names
+            )
+            parent_sum = next(projections)
+            for projected in projections:
+                parent_sum += projected
+            u += parent_sum[fk_index]
+        for p, j in zip(m.local_proj, graph.predecessors(v)):
+            u += _project(
+                p, graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)],
+                values[j], hidden, w_rng,
+            )
+        # a reconstruction head draws its MLP before a categorical node's embedding
+        if graph.node_types[v] == NUMERIC:
+            recon = init_mlp(hidden, 1, m.recon.scheme, m.recon.activation, w_rng, hidden)
+            values[v] = mlp_forward(recon, u)[:, 0]
+        else:
+            recon = init_mlp(hidden, hidden, m.recon.scheme, m.recon.activation, w_rng, hidden)
+            emb = init_embedding(int(graph.cardinalities[v]), hidden, w_rng)
+            values[v] = decode_category(emb, mlp_forward(recon, u))
     return values
 
 
@@ -641,26 +591,6 @@ def _sample_timestamps(num_rows: int, t_min: int, t_max: int, rng: SeededRng) ->
     return np.floor(base + jitter).astype(np.int64)
 
 
-def _foreign_refs_for(
-    table_index: int, graph: SchemaGraph, generated: dict[str, GeneratedTable]
-) -> tuple[ForeignFeatureRef, ...]:
-    refs: list[ForeignFeatureRef] = []
-    for p in graph.parents(table_index):
-        parent = generated[graph.names[p]]
-        w = 1.0 / len(parent.feature_names)
-        for col in parent.feature_names:
-            refs.append(
-                ForeignFeatureRef(
-                    parent=parent.name,
-                    column=col,
-                    dtype=parent.feature_types[col],
-                    cardinality=parent.feature_cards[col],
-                    weight=w,
-                )
-            )
-    return tuple(refs)
-
-
 def generate_table(
     table_index: int,
     graph: SchemaGraph,
@@ -676,13 +606,12 @@ def generate_table(
         raise StructuralError("schema metadata missing; run assign_table_metadata first")
     meta = graph.meta[table_index]
     name = graph.names[table_index]
-    parents = graph.parents(table_index)
-    for p in parents:
+    # (parent table, 0-based key index) per foreign-key column, as realization reads them
+    parents: list[tuple[GeneratedTable, np.ndarray]] = []
+    fk_names, fk_targets, fk_columns = [], {}, {}
+    for j, p in enumerate(graph.parents(table_index)):
         if graph.names[p] not in generated:
             raise StructuralError(f"parent {graph.names[p]} of {name} not generated yet")
-
-    fk_names, fk_targets, fk_columns = [], {}, {}
-    for j, p in enumerate(parents):
         parent = generated[graph.names[p]]
         col_name = f"foreign_row_{j + 1}"
         fk_names.append(col_name)
@@ -690,18 +619,13 @@ def generate_table(
         fk_columns[col_name] = populate_foreign_keys(
             meta.num_rows, parent.num_rows, config, rng.spawn(1 + j)
         )
+        parents.append((parent, fk_columns[col_name] - 1))
 
     rng_scm = rng.spawn(0)
     causal = sample_causal_graph(meta.num_feature_columns, config, rng_scm)
-    foreign_refs = _foreign_refs_for(table_index, graph, generated)
-    scm = build_scm(causal, meta.kind, meta.num_rows, foreign_refs, config, rng_scm)
-
-    fk_index = {fk_targets[n]: fk_columns[n] - 1 for n in fk_names}
-    foreign_values = [
-        (generated[ref.parent].features[ref.column], fk_index[ref.parent])
-        for ref in scm.foreign_refs
-    ]
-    node_values = realize_table_values(scm, meta.num_rows, foreign_values, rng_scm)
+    num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
+    scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng_scm)
+    node_values = realize_table_values(scm, meta.num_rows, parents, rng_scm)
 
     feature_names = tuple(f"feature_{i + 1}" for i in range(meta.num_feature_columns))
     features, ftypes, fcards = {}, {}, {}

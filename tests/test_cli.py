@@ -415,8 +415,31 @@ def _retarget(choose):
     return apply
 
 
-# a schema.json that cannot be read as one, or whose edges are not the ones its keys give, each
-# as a function of the file's text to the malformed text and the names its error must hold
+def _listed_twice(text):
+    """The last table's spec appended again; the error must name the table."""
+    schema = json.loads(text)
+    schema["tables"].append(schema["tables"][-1])
+    return json.dumps(schema), (schema["tables"][-1]["name"],)
+
+
+def _renamed_through_parent_dir(text):
+    """The first table renamed, in its spec, its keys' targets and ``edges``, to a path that
+    leaves ``tables/`` and comes back to the same CSV. The error must name the new name."""
+    schema = json.loads(text)
+    old = schema["tables"][0]["name"]
+    new = f"../tables/{old}"
+    schema["tables"][0]["name"] = new
+    for spec in schema["tables"]:
+        for column in spec["columns"]:
+            if column.get("fk_target") == old:
+                column["fk_target"] = new
+    schema["edges"] = [[new if name == old else name for name in edge] for edge in schema["edges"]]
+    return json.dumps(schema), (new,)
+
+
+# a schema.json that cannot be read as one, whose edges are not the ones its keys give, or whose
+# tables are not one CSV each under tables/, each as a function of the file's text to the
+# malformed text and the names its error must hold
 MALFORMED_SCHEMAS = {
     "not JSON": lambda text: ("{broken", ()),
     "missing num_rows": _edit_json(lambda schema: schema["tables"][0].pop("num_rows")),
@@ -425,6 +448,8 @@ MALFORMED_SCHEMAS = {
     "missing edge": _edit_json(lambda schema: schema["edges"].pop()),
     "keys with a cycle": _retarget(lambda table, children: children[0] if children else None),
     "fk target is its own table": _retarget(lambda table, children: table),
+    "table listed twice": _listed_twice,
+    "table name with a path": _renamed_through_parent_dir,
 }
 
 
@@ -527,6 +552,28 @@ class TestFitCommand:
 
     def test_unreadable_input(self, tmp_path):
         assert cmd_fit(str(tmp_path / "missing.csv"), str(tmp_path / "f.json")) == 2
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("16", ["points.csv", "row 3", "1 cells"]),
+            ("16,1.6,7", ["points.csv", "row 3", "3 cells"]),
+            ("16,nan", ["finite"]),
+            ("16,inf", ["finite"]),
+        ],
+        ids=["one cell", "three cells", "nan loss", "inf loss"],
+    )
+    def test_malformed_point_is_one_line(self, tmp_path, capsys, row, named):
+        """The third line of the file is the bad row; the fit writes no JSON."""
+        points, out = tmp_path / "points.csv", tmp_path / "fit.json"
+        lines = ["x,loss"] + [f"{x},{2.0 * x**-0.5 + 0.1}" for x in (8, 16, 32, 64, 128)]
+        lines[2] = row
+        points.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(points), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert [name for name in named if name not in err] == []
+        assert not out.exists()
 
 
 class TestProfileCommand:

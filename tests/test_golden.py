@@ -16,7 +16,6 @@ import subprocess
 import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +26,10 @@ from conftest import feature_ancestors, generation_plan, make_database, make_tab
 from plurelgen.core import PriorSpec, SeededRng, default_config, save_config, split_seed
 from plurelgen.corpus import bfs_context, example_to_json
 from plurelgen.io import write_table_csv
-from plurelgen.neural import mlp_forward
+from plurelgen.neural import init_embedding, init_mlp, mlp_forward
 from plurelgen.schema_gen import topological_order
 from plurelgen.scm_gen import (
     NUMERIC,
-    _foreign_refs_for,
-    _projector_weights,
-    _recon_weights,
     build_scm,
     generate_database,
     realize_table_values,
@@ -144,23 +140,28 @@ def _project_rowwise(mlp, emb, values):
     return mlp_forward(mlp, emb[np.asarray(values, dtype=np.int64) - 1])
 
 
-def _realize_gather_then_project(scm, num_rows, gathered, rng):
+def _realize_gather_then_project(scm, num_rows, parents, rng):
     """Reference realization: foreign values gathered through the FK, then projected.
 
     Only the feature nodes and their ancestors are realized. Each mechanism
     draws from its own stream in the order realization draws: the Beta input,
     every projector's weights, foreign then local, then the reconstruction
-    head's. The latent sum adds the exogenous term, then each parent table's
-    projections summed in column order, then each local projection.
+    head's. A projector of a categorical input draws its embedding, then its
+    MLP; a reconstruction head draws its MLP, then a categorical node's
+    embedding. A projector's input weight, 1 / (the parent's feature count)
+    or the causal edge's weight, scales its MLP's second layer. The latent
+    sum adds the exogenous term, then each parent table's projections summed
+    in column order, then each local projection.
     """
+    graph, hidden = scm.graph, scm.hidden_dim
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
-    live = feature_ancestors(scm.graph)
+    live = feature_ancestors(graph)
     values = {}
     for v in scm.topo:
         if v not in live:
             continue
         if v in scm.sources:
-            if scm.graph.node_types[v] == NUMERIC:
+            if graph.node_types[v] == NUMERIC:
                 (params,) = scm.sources[v]
                 values[v] = temporal_signal(rs, params, rng)
             else:
@@ -169,21 +170,39 @@ def _realize_gather_then_project(scm, num_rows, gathered, rng):
             continue
         m = scm.mechanisms[v]
         w_rng = SeededRng(m.weight_seed)
-        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, scm.hidden_dim))
-        inputs = list(gathered) + [values[j] for j in m.local_inputs]
-        projected = [
-            _project_rowwise(*_projector_weights(p, scm.hidden_dim, w_rng), x)
-            for p, x in zip(m.foreign_proj + m.local_proj, inputs)
+        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
+        # (dtype, cardinality, input weight, gathered values) of every input, foreign then local
+        inputs = [
+            (table.feature_types[c], table.feature_cards[c], 1.0 / len(table.feature_names),
+             table.features[c][index])
+            for table, index in parents
+            for c in table.feature_names
         ]
-        recon, emb = _recon_weights(m.recon, scm.hidden_dim, w_rng)
-        foreign, local = projected[: len(gathered)], projected[len(gathered) :]
+        inputs += [
+            (graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)], values[j])
+            for j in graph.predecessors(v)
+        ]
+        projected = []
+        for tags, (dtype, card, weight, x) in zip(m.foreign_proj + m.local_proj, inputs):
+            emb = None if dtype == NUMERIC else init_embedding(card, hidden, w_rng)
+            width = 1 if emb is None else hidden
+            mlp = init_mlp(width, hidden, tags.scheme, tags.activation, w_rng, hidden)
+            mlp = replace(mlp, w2=mlp.w2 * weight)
+            projected.append(_project_rowwise(mlp, emb, x))
+        numeric = graph.node_types[v] == NUMERIC
+        recon = init_mlp(
+            hidden, 1 if numeric else hidden, m.recon.scheme, m.recon.activation, w_rng, hidden
+        )
+        emb = None if numeric else init_embedding(graph.cardinalities[v], hidden, w_rng)
         e = m.exo_weight * u
-        for _, run in groupby(zip(scm.foreign_refs, foreign), key=lambda pair: pair[0].parent):
-            parent_sum = None
-            for _, e_k in run:
-                parent_sum = e_k if parent_sum is None else parent_sum + e_k
+        for table, _ in parents:
+            count = len(table.feature_names)
+            parent_sum = projected[0]
+            for e_k in projected[1:count]:
+                parent_sum = parent_sum + e_k
             e = e + parent_sum
-        for e_k in local:
+            projected = projected[count:]
+        for e_k in projected:
             e = e + e_k
         latent = mlp_forward(recon, e)
         if emb is None:
@@ -206,19 +225,17 @@ def test_realize_matches_gather_then_project(seed):
         meta, table = graph.meta[t], db.tables[graph.names[t]]
         rng = SeededRng(split_seed(seed, 2 + t)).spawn(0)
         causal = sample_causal_graph(meta.num_feature_columns, config, rng)
-        refs = _foreign_refs_for(t, graph, db.tables)
-        scm = build_scm(causal, meta.kind, meta.num_rows, refs, config, rng)
-        fk = {table.fk_targets[c]: table.fk_columns[c] - 1 for c in table.fk_names}
-        columns = [(db.tables[r.parent].features[r.column], fk[r.parent]) for r in refs]
-        gathered = [col[index] for col, index in columns]
-        new = realize_table_values(scm, meta.num_rows, columns, copy.deepcopy(rng))
-        expected = _realize_gather_then_project(scm, meta.num_rows, gathered, rng)
+        parents = [(db.tables[table.fk_targets[c]], table.fk_columns[c] - 1) for c in table.fk_names]
+        num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
+        scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng)
+        new = realize_table_values(scm, meta.num_rows, parents, copy.deepcopy(rng))
+        expected = _realize_gather_then_project(scm, meta.num_rows, parents, rng)
         assert new.keys() == expected.keys()
         for v in expected:
             assert np.array_equal(new[v], expected[v])
         for col, node in zip(table.feature_names, causal.feature_nodes):
             assert np.array_equal(table.features[col], new[node])
-        kinds |= {r.dtype for r in refs}
+        kinds |= {parent.feature_types[c] for parent, _ in parents for c in parent.feature_names}
     assert kinds == {"numeric", "categorical"}
 
 

@@ -18,7 +18,6 @@ from plurelgen.scm_gen import (
     FlucParams,
     TemporalParams,
     TrendParams,
-    _foreign_refs_for,
     build_scm,
     categorical_source_sample,
     cycle,
@@ -225,7 +224,7 @@ class TestSampleCausalGraph:
         for seed in range(5):
             g = sample_causal_graph(1, cfg, SeededRng(seed))
             assert (g.num_nodes, g.edges, g.feature_nodes) == (1, (), (0,))
-            scm = build_scm(g, "activity", 20, (), cfg, SeededRng(seed))
+            scm = build_scm(g, "activity", 20, 0, cfg, SeededRng(seed))
             assert realize_table_values(scm, 20, [], SeededRng(seed))[0].shape == (20,)
         one_column = replace(
             cfg,
@@ -290,16 +289,19 @@ class TestSampleCausalGraph:
 def _build_simple_scm(config, kind, num_rows, num_features, seed):
     rng = SeededRng(seed)
     graph = sample_causal_graph(num_features, config, rng)
-    scm = build_scm(graph, kind, num_rows, (), config, rng)
+    scm = build_scm(graph, kind, num_rows, 0, config, rng)
     return graph, scm, rng
 
 
 class TestRealization:
     def test_realize_table_values_foreign_count_mismatch(self, config):
+        # the mechanisms project no foreign column, and the parent has 24
         _, scm, _ = _build_simple_scm(config, "entity", 50, 4, seed=2)
+        assert scm.mechanisms
+        _, generated = _wide_parent_and_child(config)
         with pytest.raises(ValueError):
-            one_column = [(np.ones(3), np.zeros(50, dtype=np.int64))]
-            realize_table_values(scm, 50, one_column, SeededRng(0))
+            one_parent = [(generated["parent"], np.zeros(50, dtype=np.int64))]
+            realize_table_values(scm, 50, one_parent, SeededRng(0))
 
     def test_realize_table_types_and_shapes(self, config):
         graph, scm, _ = _build_simple_scm(config, "activity", 200, 6, seed=3)
@@ -337,11 +339,10 @@ class TestRealization:
         )
         wide, generated = _wide_parent_and_child(config)
         parent = generated["parent"]
-        refs = _foreign_refs_for(1, wide, generated)
         rng = SeededRng(35)
-        scm = build_scm(graph, "activity", 7, refs, config, rng)
+        scm = build_scm(graph, "activity", 7, len(parent.feature_names), config, rng)
         fk_index = SeededRng(36).integers(0, parent.num_rows - 1, size=7)
-        columns = [(parent.features[r.column], fk_index) for r in refs]
+        columns = [(parent, fk_index)]
         base = realize_table_values(scm, 7, columns, copy.deepcopy(rng))
         assert set(base) == {0, 1, 3} == graph.live_nodes
 
@@ -368,18 +369,6 @@ class TestRealization:
         changed = replace(scm, mechanisms={**scm.mechanisms, 1: retagged(scm.mechanisms[1])})
         moved = realize_table_values(changed, 7, columns, copy.deepcopy(rng))
         assert moved[3].tobytes() != base[3].tobytes()
-
-    def test_one_parent_needs_one_foreign_key_index(self, config):
-        wide, generated = _wide_parent_and_child(config)
-        refs = _foreign_refs_for(1, wide, generated)
-        rng = SeededRng(37)
-        graph = sample_causal_graph(4, config, rng)
-        scm = build_scm(graph, "activity", 7, refs, config, rng)
-        parent = generated["parent"]
-        columns = [(parent.features[r.column], np.arange(7) % 8) for r in refs]
-        columns[-1] = (columns[-1][0], np.zeros(7, dtype=np.int64))
-        with pytest.raises(ValueError, match="parent parent"):
-            realize_table_values(scm, 7, columns, rng)
 
 
 class TestGenerateTable:
@@ -504,7 +493,7 @@ class TestGenerateDatabase:
 
         rng_scm = SeededRng(seed).spawn(0)
         causal = sample_causal_graph(graph.meta[t].num_feature_columns, config, rng_scm)
-        scm = build_scm(causal, graph.meta[t].kind, graph.meta[t].num_rows, (), config, rng_scm)
+        scm = build_scm(causal, graph.meta[t].kind, graph.meta[t].num_rows, 0, config, rng_scm)
         values = realize_table_values(scm, graph.meta[t].num_rows, [], rng_scm)
         for col, node in zip(via_general.feature_names, causal.feature_nodes):
             assert np.array_equal(via_general.features[col], values[node])
@@ -560,10 +549,9 @@ class TestMechanismWeights:
         meta, parent = graph.meta[1], generated["parent"]
         rng = SeededRng(33)
         causal = sample_causal_graph(meta.num_feature_columns, config, rng)
-        refs = _foreign_refs_for(1, graph, generated)
-        scm = build_scm(causal, meta.kind, meta.num_rows, refs, config, rng)
+        scm = build_scm(causal, meta.kind, meta.num_rows, len(parent.feature_names), config, rng)
         fk_index = SeededRng(34).integers(0, parent.num_rows - 1, size=meta.num_rows)
-        columns = [(parent.features[r.column], fk_index) for r in refs]
+        columns = [(parent, fk_index)]
         first = realize_table_values(scm, meta.num_rows, columns, copy.deepcopy(rng))
         second = realize_table_values(scm, meta.num_rows, columns, rng)
         assert first.keys() == second.keys()
