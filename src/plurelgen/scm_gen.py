@@ -7,10 +7,18 @@ up through the sampled foreign keys) into a shared latent space, aggregates,
 and reconstructs a value of its own type. Feature-node values become table
 cells.
 
-Only the live nodes are realized: the feature nodes and their ancestors,
-the nodes some table column reads. A mechanism that no feature node depends
-on is bound by ``build_scm`` like any other, but it is never realized and
-draws nothing.
+A built SCM is the whole recipe of its table. It holds only the live nodes,
+the feature nodes and their ancestors, and for each only what ``build_scm``
+draws: a source's temporal parameters, or a mechanism's scalars and the
+(init scheme, activation) tags of its projectors and reconstruction head,
+but no weight arrays. Realization reads everything else from the causal
+graph and the parent tables: an input's type and cardinality, and its
+weight, the causal edge's or 1 / (the parent's feature count). Node ``v``
+draws from its own stream, ``split_seed(scm.seed, 1 + v)``, when it is
+realized: a source its temporal noise and categories; a mechanism its
+exogenous Beta input, then its MLP weights and embeddings, which it drops
+once it is done, so set-up memory does not grow with a table's projector
+count.
 
 Projections run once per distinct input, with the edge weight folded into
 the projector's second-layer matrix: a parent feature column is projected at
@@ -23,16 +31,6 @@ adding in the same order. They agree bit for bit on OpenBLAS at the default
 hidden width of 32; a one-row batch (a one-row table, or a one-category
 input), which numpy hands to a matrix-vector routine, and hidden widths of
 300 or more can round the last bit differently.
-
-A built SCM holds only what ``build_scm`` draws: each mechanism's scalars
-and the (init scheme, activation) tags of its projectors and reconstruction
-head, but no weight arrays. Realization reads everything else from the
-causal graph and the parent tables: an input's type and cardinality, and its
-weight, the causal edge's or 1 / (the parent's feature count). Every
-mechanism draws its exogenous Beta input, then its MLP weights and
-embeddings, from its own seeded stream when it is realized, and drops them
-once it is done, so set-up memory does not grow with a table's projector
-count. Source nodes draw from the table's stream.
 """
 
 from __future__ import annotations
@@ -213,11 +211,6 @@ class CausalGraph:
                     stack.append(u)
         return frozenset(live)
 
-    @property
-    def source_nodes(self) -> tuple[int, ...]:
-        targets = {w for _, w in self.edges}
-        return tuple(v for v in range(self.num_nodes) if v not in targets)
-
     def topo_order(self) -> list[int]:
         return kahn_order(self.num_nodes, self.edges)
 
@@ -333,9 +326,7 @@ class NodeMechanism:
 
     ``foreign_proj`` holds one projector per feature column of the parent
     tables, parent by parent; ``local_proj`` one per in-graph predecessor, in
-    ``graph.predecessors`` order. ``weight_seed`` keys the stream its
-    exogenous Beta input, projector weights and reconstruction weights are
-    drawn from, in that order, when the node is realized.
+    ``graph.predecessors`` order.
     """
 
     exo_weight: float
@@ -343,17 +334,19 @@ class NodeMechanism:
     foreign_proj: tuple[Tags, ...]
     local_proj: tuple[Tags, ...]
     recon: Tags
-    weight_seed: int
 
 
 @dataclass(frozen=True, eq=False)
 class ScmSpec:
+    """The live nodes of a causal graph, in topological order, bound to what they draw."""
+
     graph: CausalGraph
     # temporal params of each source node: one for a numeric node, one per category
     sources: dict[int, tuple[TemporalParams, ...]]
     mechanisms: dict[int, NodeMechanism]
     topo: tuple[int, ...]
     hidden_dim: int
+    seed: int  # node v draws from split_seed(seed, 1 + v)
 
 
 def _draw_temporal(kind: str, num_rows: int, config: GenConfig, rng: SeededRng) -> TemporalParams:
@@ -382,23 +375,23 @@ def build_scm(
     config: GenConfig,
     rng: SeededRng,
 ) -> ScmSpec:
-    """Bind every mechanism's structure and scalars: tags, exogenous weight and prior.
+    """Bind every live node: a source's temporal parameters, a mechanism's tags and scalars.
 
-    Every non-source node receives one projector per foreign feature column
-    (``num_foreign``, over all parent tables) and one per in-graph
-    predecessor, a scalar exogenous weight, a Beta prior for its latent
-    exogenous input, and a reconstruction head. The Beta input, MLP and
-    embedding arrays are not drawn here: node ``v`` draws them from its own
-    stream, the seed of ``rng.spawn(1 + v)``, when it is realized, so no draw
-    on ``rng`` is spent on them.
+    Only the feature nodes and their ancestors are bound, in topological
+    order; a node without predecessors is a source. Every mechanism receives
+    one projector per foreign feature column (``num_foreign``, over all parent
+    tables) and one per in-graph predecessor, a scalar exogenous weight, a
+    Beta prior for its latent exogenous input, and a reconstruction head. No
+    value, Beta input, MLP or embedding array is drawn here: node ``v`` draws
+    them from its own stream, that of ``rng.spawn(1 + v)``, when it is
+    realized.
     """
     hidden = int(draw(config.mlp_hidden_dim, rng))
     sources: dict[int, tuple[TemporalParams, ...]] = {}
     mechanisms: dict[int, NodeMechanism] = {}
-    topo = graph.topo_order()
-    source_set = set(graph.source_nodes)
+    topo = tuple(v for v in graph.topo_order() if v in graph.live_nodes)
     for v in topo:
-        if v in source_set:
+        if not graph.predecessors(v):
             count = 1 if graph.node_types[v] == NUMERIC else int(graph.cardinalities[v])
             sources[v] = tuple(_draw_temporal(kind, num_rows, config, rng) for _ in range(count))
             continue
@@ -412,15 +405,8 @@ def build_scm(
             foreign_proj=foreign_proj,
             local_proj=local_proj,
             recon=_draw_tags(config, rng),
-            weight_seed=split_seed(rng.seed, 1 + v),
         )
-    return ScmSpec(
-        graph=graph,
-        sources=sources,
-        mechanisms=mechanisms,
-        topo=tuple(topo),
-        hidden_dim=hidden,
-    )
+    return ScmSpec(graph, sources, mechanisms, topo, hidden, rng.seed)
 
 
 def _project(
@@ -456,13 +442,8 @@ def realize_table_values(
     scm: ScmSpec,
     num_rows: int,
     parents: list[tuple[GeneratedTable, np.ndarray]],
-    rng: SeededRng,
 ) -> dict[int, np.ndarray]:
-    """Realize all rows at once: one value vector of length num_rows per live node.
-
-    Only the live nodes, ``scm.graph.live_nodes`` (the feature nodes and their
-    ancestors), are realized, and the result holds their values only; every
-    other node is skipped and draws nothing.
+    """Realize all rows at once: one value vector of length num_rows per node of ``scm.topo``.
 
     ``parents`` holds one pair ``(parent, fk_index)`` per foreign-key column,
     in the order ``build_scm`` counted their feature columns: the parent table
@@ -472,13 +453,13 @@ def realize_table_values(
     are summed, and the sum is gathered once by ``fk_index``. An empty list is
     the no-parent specialization.
 
-    Source nodes draw from ``rng``. Each mechanism draws its exogenous Beta
-    input, then its projector and reconstruction weights, from its own
-    ``weight_seed`` stream just before it uses them, so the table holds one
-    projector's weights at a time, and realizing one ``ScmSpec`` twice from
-    equal ``rng`` states gives equal values.
+    Node ``v`` draws from its own stream, ``split_seed(scm.seed, 1 + v)``: a
+    mechanism its exogenous Beta input, then its projector and reconstruction
+    weights, just before it uses them, so the table holds one projector's
+    weights at a time. The values are a function of ``scm`` and ``parents``
+    alone.
     """
-    graph, hidden, live = scm.graph, scm.hidden_dim, scm.graph.live_nodes
+    graph, hidden = scm.graph, scm.hidden_dim
     num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
     widths = {len(m.foreign_proj) for m in scm.mechanisms.values()}
     if widths - {num_foreign}:
@@ -488,21 +469,19 @@ def realize_table_values(
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     values: dict[int, np.ndarray] = {}
     for v in scm.topo:
-        if v not in live:
-            continue
+        node_rng = SeededRng(split_seed(scm.seed, 1 + v))
         if v in scm.sources:
             params = scm.sources[v]
             if graph.node_types[v] == NUMERIC:
-                values[v] = temporal_signal(rs, params[0], rng)
+                values[v] = temporal_signal(rs, params[0], node_rng)
             else:
-                values[v] = categorical_source_sample(rs, params, rng)
+                values[v] = categorical_source_sample(rs, params, node_rng)
             continue
         m = scm.mechanisms[v]
-        w_rng = SeededRng(m.weight_seed)
         # the sum is made in u's buffer, one parent's summed projections or one
         # local projection at a time; under the one name, the previous node's
         # sum is freed when u is drawn
-        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
+        u = node_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
         u *= m.exo_weight
         tags = iter(m.foreign_proj)
         for parent, fk_index in parents:
@@ -510,7 +489,7 @@ def realize_table_values(
             projections = (
                 _project(
                     next(tags), parent.feature_types[c], parent.feature_cards[c], weight,
-                    parent.features[c], hidden, w_rng,
+                    parent.features[c], hidden, node_rng,
                 )
                 for c in parent.feature_names
             )
@@ -521,15 +500,15 @@ def realize_table_values(
         for p, j in zip(m.local_proj, graph.predecessors(v)):
             u += _project(
                 p, graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)],
-                values[j], hidden, w_rng,
+                values[j], hidden, node_rng,
             )
         # a reconstruction head draws its MLP before a categorical node's embedding
         if graph.node_types[v] == NUMERIC:
-            recon = init_mlp(hidden, 1, m.recon.scheme, m.recon.activation, w_rng, hidden)
+            recon = init_mlp(hidden, 1, m.recon.scheme, m.recon.activation, node_rng, hidden)
             values[v] = mlp_forward(recon, u)[:, 0]
         else:
-            recon = init_mlp(hidden, hidden, m.recon.scheme, m.recon.activation, w_rng, hidden)
-            emb = init_embedding(int(graph.cardinalities[v]), hidden, w_rng)
+            recon = init_mlp(hidden, hidden, m.recon.scheme, m.recon.activation, node_rng, hidden)
+            emb = init_embedding(int(graph.cardinalities[v]), hidden, node_rng)
             values[v] = decode_category(emb, mlp_forward(recon, u))
     return values
 
@@ -625,7 +604,7 @@ def generate_table(
     causal = sample_causal_graph(meta.num_feature_columns, config, rng_scm)
     num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
     scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng_scm)
-    node_values = realize_table_values(scm, meta.num_rows, parents, rng_scm)
+    node_values = realize_table_values(scm, meta.num_rows, parents)
 
     feature_names = tuple(f"feature_{i + 1}" for i in range(meta.num_feature_columns))
     features, ftypes, fcards = {}, {}, {}

@@ -355,7 +355,7 @@ def test_criterion_10_conditional_path_degeneracy(config):
         rng = SeededRng(seed).spawn(0)
         causal = sample_causal_graph(graph.meta[t].num_feature_columns, config, rng)
         scm = build_scm(causal, graph.meta[t].kind, graph.meta[t].num_rows, 0, config, rng)
-        values = realize_table_values(scm, graph.meta[t].num_rows, [], rng)
+        values = realize_table_values(scm, graph.meta[t].num_rows, [])
         for col, node in zip(general.feature_names, causal.feature_nodes):
             arr_a = general.features[col]
             arr_b = values[node]

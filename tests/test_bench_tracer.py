@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` wraps functions by module and name. A renamed function
 fails ``install``; a bypassed one is never called, and its traced metric
-would silently read 0. This test fails on both, and on forward and Beta
-counts that no longer agree with a recount over the realized mechanisms.
+would silently read 0. This test fails on both, on a projector count that
+includes a mechanism no feature column reads, and on forward and Beta counts
+that no longer agree with a recount over the bound mechanisms.
 """
 
 import importlib
@@ -47,17 +48,13 @@ def test_every_wrapped_span_opens(tmp_path, monkeypatch):
         tracer.uninstall()
     opened = {name for name, *_ in tracer.spans}
     assert not (set(tracing.WRAPPED) | {"core.beta"}) - opened
-    # a mechanism is realized when a feature node is it or depends on it; each
-    # realized one makes one Beta draw and one forward per projector plus its
-    # reconstruction, and the rest make none
-    realized = []
-    for scm in built:
-        live = feature_ancestors(scm.graph)
-        realized += [m for v, m in scm.mechanisms.items() if v in live]
-    assert len(realized) < sum(len(scm.mechanisms) for scm in built)  # some are skipped
-    assert tracer.counts["scm_gen.projectors"] == sum(
-        len(m.foreign_proj) + len(m.local_proj) for scm in built for m in scm.mechanisms.values()
-    )
-    assert sum(name == "core.beta" for name, *_ in tracer.spans) == len(realized)
-    forwards = sum(len(m.foreign_proj) + len(m.local_proj) + 1 for m in realized)
-    assert tracer.counts["neural.forward_calls"] == forwards
+    # build_scm binds the feature nodes and their ancestors only, though some
+    # graphs have other nodes, and every bound mechanism is realized: one Beta
+    # draw, and one forward per projector plus its reconstruction
+    assert any(len(feature_ancestors(scm.graph)) < scm.graph.num_nodes for scm in built)
+    assert all(set(scm.topo) <= feature_ancestors(scm.graph) for scm in built)
+    mechanisms = [m for scm in built for m in scm.mechanisms.values()]
+    projectors = sum(len(m.foreign_proj) + len(m.local_proj) for m in mechanisms)
+    assert tracer.counts["scm_gen.projectors"] == projectors
+    assert sum(name == "core.beta" for name, *_ in tracer.spans) == len(mechanisms)
+    assert tracer.counts["neural.forward_calls"] == projectors + len(mechanisms)

@@ -8,7 +8,6 @@ with plain references written in this file, and the timestamp text of the CSV
 writer with that of the corpus.
 """
 
-import copy
 import ctypes
 import hashlib
 import os
@@ -40,9 +39,9 @@ from plurelgen.scm_gen import (
 
 # `plurelgen generate --seed 42 --num-dbs 2` under the default priors with
 # 20-50 entity rows and 50-200 activity rows, one BLAS thread
-GOLDEN_TREE_DIGEST = "c42c1aa264e72ad99f5164c96907eacae3a244d645f6ca6e1e33280dcd364664"
+GOLDEN_TREE_DIGEST = "53fe77e962dac4e3135d0f2d9331ee1b573304226cce7d408090d970572cf348"
 # `plurelgen corpus <that tree> --tokens 20000 --seed 7`, default context length and width
-GOLDEN_CORPUS_DIGEST = "ceb96e79e40c6767c5ebda55e26c7d232f3a16cefeb469de391fa4b18252ed86"
+GOLDEN_CORPUS_DIGEST = "5be0957f60002dd23e3d8c38d3eac30bf991f511b47fb6e6e10ecb736f18dd95"
 
 EPOCH = datetime(1970, 1, 1)
 YEAR_500 = int((datetime(500, 6, 1) - EPOCH).total_seconds())
@@ -119,7 +118,8 @@ def _platform() -> str:
 
 
 def test_generate_tree_digest_is_pinned(tmp_path):
-    assert tree_digest(_generate_golden_tree(tmp_path)) == GOLDEN_TREE_DIGEST, _platform()
+    digest = tree_digest(_generate_golden_tree(tmp_path))
+    assert digest == GOLDEN_TREE_DIGEST, f"observed {digest}; {_platform()}"
 
 
 def test_corpus_digest_is_pinned(tmp_path):
@@ -130,7 +130,8 @@ def test_corpus_digest_is_pinned(tmp_path):
     )
     data = corpus.read_bytes()
     assert b'"type":"timestamp"' in data
-    assert hashlib.sha256(data).hexdigest() == GOLDEN_CORPUS_DIGEST, _platform()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == GOLDEN_CORPUS_DIGEST, f"observed {digest}; {_platform()}"
 
 
 def _project_rowwise(mlp, emb, values):
@@ -140,37 +141,37 @@ def _project_rowwise(mlp, emb, values):
     return mlp_forward(mlp, emb[np.asarray(values, dtype=np.int64) - 1])
 
 
-def _realize_gather_then_project(scm, num_rows, parents, rng):
+def _realize_gather_then_project(scm, num_rows, parents):
     """Reference realization: foreign values gathered through the FK, then projected.
 
-    Only the feature nodes and their ancestors are realized. Each mechanism
-    draws from its own stream in the order realization draws: the Beta input,
-    every projector's weights, foreign then local, then the reconstruction
-    head's. A projector of a categorical input draws its embedding, then its
-    MLP; a reconstruction head draws its MLP, then a categorical node's
-    embedding. A projector's input weight, 1 / (the parent's feature count)
-    or the causal edge's weight, scales its MLP's second layer. The latent
-    sum adds the exogenous term, then each parent table's projections summed
-    in column order, then each local projection.
+    The spec must hold exactly the feature nodes and their ancestors. Node
+    ``v`` draws from the stream ``split_seed(scm.seed, 1 + v)``: a source its
+    temporal noise, then a categorical source its categories; a mechanism, in
+    the order realization draws, the Beta input, every projector's weights,
+    foreign then local, then the reconstruction head's. A projector of a
+    categorical input draws its embedding, then its MLP; a reconstruction
+    head draws its MLP, then a categorical node's embedding. A projector's
+    input weight, 1 / (the parent's feature count) or the causal edge's
+    weight, scales its MLP's second layer. The latent sum adds the exogenous
+    term, then each parent table's projections summed in column order, then
+    each local projection.
     """
     graph, hidden = scm.graph, scm.hidden_dim
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
-    live = feature_ancestors(graph)
+    assert sorted(scm.topo) == sorted(feature_ancestors(graph))
     values = {}
     for v in scm.topo:
-        if v not in live:
-            continue
+        node_rng = SeededRng(split_seed(scm.seed, 1 + v))
         if v in scm.sources:
             if graph.node_types[v] == NUMERIC:
                 (params,) = scm.sources[v]
-                values[v] = temporal_signal(rs, params, rng)
+                values[v] = temporal_signal(rs, params, node_rng)
             else:
-                g = np.column_stack([temporal_signal(rs, p, rng) for p in scm.sources[v]])
-                values[v] = rng.categorical_rows(softmax(g)) + 1
+                g = np.column_stack([temporal_signal(rs, p, node_rng) for p in scm.sources[v]])
+                values[v] = node_rng.categorical_rows(softmax(g)) + 1
             continue
         m = scm.mechanisms[v]
-        w_rng = SeededRng(m.weight_seed)
-        u = w_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
+        u = node_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
         # (dtype, cardinality, input weight, gathered values) of every input, foreign then local
         inputs = [
             (table.feature_types[c], table.feature_cards[c], 1.0 / len(table.feature_names),
@@ -184,16 +185,16 @@ def _realize_gather_then_project(scm, num_rows, parents, rng):
         ]
         projected = []
         for tags, (dtype, card, weight, x) in zip(m.foreign_proj + m.local_proj, inputs):
-            emb = None if dtype == NUMERIC else init_embedding(card, hidden, w_rng)
+            emb = None if dtype == NUMERIC else init_embedding(card, hidden, node_rng)
             width = 1 if emb is None else hidden
-            mlp = init_mlp(width, hidden, tags.scheme, tags.activation, w_rng, hidden)
+            mlp = init_mlp(width, hidden, tags.scheme, tags.activation, node_rng, hidden)
             mlp = replace(mlp, w2=mlp.w2 * weight)
             projected.append(_project_rowwise(mlp, emb, x))
         numeric = graph.node_types[v] == NUMERIC
         recon = init_mlp(
-            hidden, 1 if numeric else hidden, m.recon.scheme, m.recon.activation, w_rng, hidden
+            hidden, 1 if numeric else hidden, m.recon.scheme, m.recon.activation, node_rng, hidden
         )
-        emb = None if numeric else init_embedding(graph.cardinalities[v], hidden, w_rng)
+        emb = None if numeric else init_embedding(graph.cardinalities[v], hidden, node_rng)
         e = m.exo_weight * u
         for table, _ in parents:
             count = len(table.feature_names)
@@ -228,8 +229,8 @@ def test_realize_matches_gather_then_project(seed):
         parents = [(db.tables[table.fk_targets[c]], table.fk_columns[c] - 1) for c in table.fk_names]
         num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
         scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng)
-        new = realize_table_values(scm, meta.num_rows, parents, copy.deepcopy(rng))
-        expected = _realize_gather_then_project(scm, meta.num_rows, parents, rng)
+        new = realize_table_values(scm, meta.num_rows, parents)
+        expected = _realize_gather_then_project(scm, meta.num_rows, parents)
         assert new.keys() == expected.keys()
         for v in expected:
             assert np.array_equal(new[v], expected[v])
