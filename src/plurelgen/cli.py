@@ -74,10 +74,24 @@ def _rejects(*errors: type[Exception]):
 
 @_rejects(ConfigError, OSError)
 def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_dir: str) -> int:
-    """Generate num_dbs databases under out_dir/db_<i>, one split seed each."""
+    """Generate num_dbs databases under out_dir/db_<i>, one split seed each.
+
+    A database already under out_dir that this run would not rewrite is an
+    error, so one root never mixes two runs; nothing is deleted.
+    """
     _check_count("--num-dbs", num_dbs)
     config = _resolve_config(config_path)
     out = Path(out_dir)
+    rewritten = {OutputLayout(out).db_dir(i) for i in range(num_dbs)}
+    stale = [
+        d for d in out.glob("db_*") if d not in rewritten and OutputLayout.schema_path(d).exists()
+    ]
+    if stale:
+        first = min(stale, key=lambda d: (len(d.name), d.name))
+        raise ConfigError(
+            f"{out} holds {len(stale)} database(s) that a run of {num_dbs} would not rewrite, "
+            f"first {first.name}; use an empty --out"
+        )
     out.mkdir(parents=True, exist_ok=True)
     workers = _worker_count()
     if workers == 1 or num_dbs <= 1:

@@ -270,8 +270,9 @@ def build_corpus(
     if budget < widest:
         raise ConfigError(f"context length {budget} cannot hold the widest row ({widest} cells)")
     catalogs = [_feature_cell_catalog(db) for _, db in dbs]
-    if not all(cells for cells, _ in catalogs):
-        raise ConfigError("database has no feature cells")
+    for (db_id, _), (_, cum) in zip(dbs, catalogs):
+        if cum.size == 0 or cum[-1] == 0:
+            raise ConfigError(f"database {db_id} has no feature cells")
     total = 0
     k = 0
     while total < target_tokens:

@@ -274,8 +274,9 @@ def load_database(directory) -> RelationalDatabase:
     malformed. The foreign-key columns are the table graph: schema.json is
     malformed if its ``edges`` are not theirs, if they form a cycle or reference
     their own table, or if two columns of one table reference the same table. It
-    is also malformed if it lists a table twice, or names a table with anything
-    but one plain path component, which would read a CSV outside ``tables/``.
+    is also malformed if it lists a table twice, or a column of one table twice,
+    or names a table with anything but one plain path component, which would
+    read a CSV outside ``tables/``.
     """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
@@ -298,6 +299,10 @@ def load_database(directory) -> RelationalDatabase:
                 raise ConfigError(f"{schema_file}: table name {name!r} is not one path component")
             if name in num_rows:
                 raise ConfigError(f"{schema_file}: table {name} is listed twice")
+            columns = [column["name"] for column in spec["columns"]]
+            twice = [column for i, column in enumerate(columns) if column in columns[:i]]
+            if twice:
+                raise ConfigError(f"{schema_file}: table {name} lists column {twice[0]} twice")
             num_rows[name] = int(spec["num_rows"])
         for spec in schema_dict["tables"]:
             path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"

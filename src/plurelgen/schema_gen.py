@@ -1,10 +1,10 @@
-"""Stage 1: sample the schema DAG, classify tables, and attach row/column metadata."""
+"""Stage 1: sample the schema DAG, then plan each table's kind, row count and column count."""
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import GenConfig, SeededRng, StructuralError, draw
 
@@ -39,7 +39,6 @@ class SchemaGraph:
 
     names: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]  # sorted (parent, child) index pairs
-    meta: tuple[TableMeta, ...] | None = None  # the generation plan; None for a database's graph
 
     @property
     def num_tables(self) -> int:
@@ -172,7 +171,7 @@ def watts_strogatz_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
 
 
 def sample_schema_graph(config: GenConfig, rng: SeededRng) -> SchemaGraph:
-    """Draw the table-relationship DAG; metadata is attached separately."""
+    """Draw the table-relationship DAG; ``assign_table_metadata`` plans its tables."""
     n = draw(config.num_tables, rng)
     family = draw(config.schema_graph_priors, rng)
     if family == "barabasi-albert":
@@ -193,8 +192,10 @@ def sample_schema_graph(config: GenConfig, rng: SeededRng) -> SchemaGraph:
     return SchemaGraph(names=names, edges=tuple(sorted(edges)))
 
 
-def assign_table_metadata(graph: SchemaGraph, config: GenConfig, rng: SeededRng) -> SchemaGraph:
-    """Classify tables by out-degree and sample row/column counts.
+def assign_table_metadata(
+    graph: SchemaGraph, config: GenConfig, rng: SeededRng
+) -> tuple[TableMeta, ...]:
+    """The generation plan: each table's kind and row and column counts, in index order.
 
     Foreign-key column count equals the table's in-degree; tables referenced
     by others (out-degree >= 1) become entity tables, the rest activity tables
@@ -212,7 +213,7 @@ def assign_table_metadata(graph: SchemaGraph, config: GenConfig, rng: SeededRng)
             num_rows=int(draw(rows_prior, rng)),
             num_feature_columns=int(ncols),
         )
-    return replace(graph, meta=tuple(metas))
+    return tuple(metas)
 
 
 def topological_order(graph: SchemaGraph) -> list[int]:

@@ -47,6 +47,7 @@ from .neural import decode_category, init_embedding, init_mlp, mlp_forward
 from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
+    TableMeta,
     assign_table_metadata,
     barabasi_albert_edges,
     kahn_order,
@@ -338,13 +339,18 @@ class NodeMechanism:
 
 @dataclass(frozen=True, eq=False)
 class ScmSpec:
-    """The live nodes of a causal graph, in topological order, bound to what they draw."""
+    """The live nodes of a causal graph, in topological order, bound to what they draw.
+
+    With ``num_rows``, the row count it is built and realized for, it is its
+    table's whole recipe.
+    """
 
     graph: CausalGraph
     # temporal params of each source node: one for a numeric node, one per category
     sources: dict[int, tuple[TemporalParams, ...]]
     mechanisms: dict[int, NodeMechanism]
     topo: tuple[int, ...]
+    num_rows: int
     hidden_dim: int
     seed: int  # node v draws from split_seed(seed, 1 + v)
 
@@ -406,7 +412,7 @@ def build_scm(
             local_proj=local_proj,
             recon=_draw_tags(config, rng),
         )
-    return ScmSpec(graph, sources, mechanisms, topo, hidden, rng.seed)
+    return ScmSpec(graph, sources, mechanisms, topo, num_rows, hidden, rng.seed)
 
 
 def _project(
@@ -439,19 +445,17 @@ def _project(
 
 
 def realize_table_values(
-    scm: ScmSpec,
-    num_rows: int,
-    parents: list[tuple[GeneratedTable, np.ndarray]],
+    scm: ScmSpec, parents: list[tuple[GeneratedTable, np.ndarray]]
 ) -> dict[int, np.ndarray]:
-    """Realize all rows at once: one value vector of length num_rows per node of ``scm.topo``.
+    """Realize all rows at once: one value vector of ``scm.num_rows`` per node of ``scm.topo``.
 
     ``parents`` holds one pair ``(parent, fk_index)`` per foreign-key column,
     in the order ``build_scm`` counted their feature columns: the parent table
-    and the 0-based parent row of each of the num_rows rows (the foreign key
-    minus one). Each parent feature column is projected once per parent row
-    with weight 1 / (the parent's feature count), the parent's projections
-    are summed, and the sum is gathered once by ``fk_index``. An empty list is
-    the no-parent specialization.
+    and the 0-based parent row of each row (the foreign key minus one). Each
+    parent feature column is projected once per parent row with weight
+    1 / (the parent's feature count), the parent's projections are summed,
+    and the sum is gathered once by ``fk_index``. An empty list is the
+    no-parent specialization.
 
     Node ``v`` draws from its own stream, ``split_seed(scm.seed, 1 + v)``: a
     mechanism its exogenous Beta input, then its projector and reconstruction
@@ -459,7 +463,7 @@ def realize_table_values(
     weights at a time. The values are a function of ``scm`` and ``parents``
     alone.
     """
-    graph, hidden = scm.graph, scm.hidden_dim
+    graph, num_rows, hidden = scm.graph, scm.num_rows, scm.hidden_dim
     num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
     widths = {len(m.foreign_proj) for m in scm.mechanisms.values()}
     if widths - {num_foreign}:
@@ -571,40 +575,28 @@ def _sample_timestamps(num_rows: int, t_min: int, t_max: int, rng: SeededRng) ->
 
 
 def generate_table(
-    table_index: int,
-    graph: SchemaGraph,
+    name: str,
+    meta: TableMeta,
+    parents: list[GeneratedTable],
     config: GenConfig,
-    generated: dict[str, GeneratedTable],
     rng: SeededRng,
 ) -> GeneratedTable:
-    """Populate one table: foreign keys, SCM realization, timestamps.
+    """Populate one planned table: foreign keys, SCM realization, timestamps.
 
-    All parent tables must already be present in ``generated``.
+    ``parents`` are the tables it references, one foreign-key column each, in column order.
     """
-    if graph.meta is None:
-        raise StructuralError("schema metadata missing; run assign_table_metadata first")
-    meta = graph.meta[table_index]
-    name = graph.names[table_index]
-    # (parent table, 0-based key index) per foreign-key column, as realization reads them
-    parents: list[tuple[GeneratedTable, np.ndarray]] = []
-    fk_names, fk_targets, fk_columns = [], {}, {}
-    for j, p in enumerate(graph.parents(table_index)):
-        if graph.names[p] not in generated:
-            raise StructuralError(f"parent {graph.names[p]} of {name} not generated yet")
-        parent = generated[graph.names[p]]
-        col_name = f"foreign_row_{j + 1}"
-        fk_names.append(col_name)
-        fk_targets[col_name] = parent.name
-        fk_columns[col_name] = populate_foreign_keys(
-            meta.num_rows, parent.num_rows, config, rng.spawn(1 + j)
-        )
-        parents.append((parent, fk_columns[col_name] - 1))
-
+    fk_names = tuple(f"foreign_row_{j + 1}" for j in range(len(parents)))
+    fk_columns = {
+        col: populate_foreign_keys(meta.num_rows, parent.num_rows, config, rng.spawn(1 + j))
+        for j, (col, parent) in enumerate(zip(fk_names, parents))
+    }
     rng_scm = rng.spawn(0)
     causal = sample_causal_graph(meta.num_feature_columns, config, rng_scm)
-    num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
+    num_foreign = sum(len(parent.feature_names) for parent in parents)
     scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng_scm)
-    node_values = realize_table_values(scm, meta.num_rows, parents)
+    node_values = realize_table_values(
+        scm, [(parent, fk_columns[col] - 1) for col, parent in zip(fk_names, parents)]
+    )
 
     feature_names = tuple(f"feature_{i + 1}" for i in range(meta.num_feature_columns))
     features, ftypes, fcards = {}, {}, {}
@@ -623,8 +615,8 @@ def generate_table(
         name=name,
         kind=meta.kind,
         num_rows=meta.num_rows,
-        fk_names=tuple(fk_names),
-        fk_targets=fk_targets,
+        fk_names=fk_names,
+        fk_targets={col: parent.name for col, parent in zip(fk_names, parents)},
         fk_columns=fk_columns,
         feature_names=feature_names,
         feature_types=ftypes,
@@ -634,17 +626,17 @@ def generate_table(
     )
 
 
-def inject_nulls(db: RelationalDatabase, fraction: float, rng: SeededRng) -> RelationalDatabase:
-    """NULL each feature cell independently with the given probability.
+def inject_nulls(db: RelationalDatabase, rng: SeededRng) -> RelationalDatabase:
+    """NULL each feature cell independently with probability ``db.null_fraction``.
 
     Key and timestamp columns are never NULLed.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"null fraction must lie in [0, 1], got {fraction}")
+    if not 0.0 <= db.null_fraction <= 1.0:
+        raise ValueError(f"null fraction must lie in [0, 1], got {db.null_fraction}")
     for name in db.table_order():
         table = db.tables[name]
         for col in table.feature_names:
-            table.null_mask[col] = rng.uniform(size=table.num_rows) < fraction
+            table.null_mask[col] = rng.uniform(size=table.num_rows) < db.null_fraction
     return db
 
 
@@ -656,16 +648,17 @@ def generate_database(config: GenConfig, seed: int) -> RelationalDatabase:
     rng_db = SeededRng(split_seed(seed, 0))
     rng_schema = SeededRng(split_seed(seed, 1))
     graph = sample_schema_graph(config, rng_schema)
-    graph = assign_table_metadata(graph, config, rng_schema)
+    plan = assign_table_metadata(graph, config, rng_schema)
 
     tables: dict[str, GeneratedTable] = {}
     for t in topological_order(graph):
+        parents = [tables[graph.names[p]] for p in graph.parents(t)]
         table_rng = SeededRng(split_seed(seed, 2 + t))
-        tables[graph.names[t]] = generate_table(t, graph, config, tables, table_rng)
+        tables[graph.names[t]] = generate_table(graph.names[t], plan[t], parents, config, table_rng)
 
     db = RelationalDatabase(
         tables={name: tables[name] for name in graph.names},  # schema index order
         seed=seed,
         null_fraction=float(draw(config.null_fraction, rng_db)),
     )
-    return inject_nulls(db, db.null_fraction, SeededRng(split_seed(seed, 10_000)))
+    return inject_nulls(db, SeededRng(split_seed(seed, 10_000)))

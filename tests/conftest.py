@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from plurelgen.core import SeededRng, default_config, split_seed
-from plurelgen.schema_gen import SchemaGraph, assign_table_metadata, sample_schema_graph
+from plurelgen.schema_gen import (
+    SchemaGraph,
+    TableMeta,
+    assign_table_metadata,
+    sample_schema_graph,
+)
 from plurelgen.scm_gen import GeneratedTable, RelationalDatabase
 
 
@@ -86,10 +91,11 @@ def make_database(tables: list[GeneratedTable]) -> RelationalDatabase:
     return RelationalDatabase(tables={t.name: t for t in tables}, seed=0, null_fraction=0.0)
 
 
-def generation_plan(config, seed: int) -> SchemaGraph:
-    """The schema graph with table metadata that ``generate_database(config, seed)`` samples."""
+def generation_plan(config, seed: int) -> tuple[SchemaGraph, tuple[TableMeta, ...]]:
+    """The schema graph and table plan that ``generate_database(config, seed)`` samples."""
     rng = SeededRng(split_seed(seed, 1))
-    return assign_table_metadata(sample_schema_graph(config, rng), config, rng)
+    graph = sample_schema_graph(config, rng)
+    return graph, assign_table_metadata(graph, config, rng)
 
 
 def feature_ancestors(graph) -> set[int]:

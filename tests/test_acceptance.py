@@ -88,14 +88,14 @@ def test_criterion_02_structural_validity(config, db_pool):
     fk_violations = 0
     for i, db in enumerate(db_pool):
         # the sampled plan is the one the database's foreign keys give
-        graph = generation_plan(config, split_seed(POOL_SEED, i))
+        graph, plan = generation_plan(config, split_seed(POOL_SEED, i))
         assert (db.schema.names, db.schema.edges) == (graph.names, graph.edges)
         order = topological_order(graph)  # raises on a cycle
         assert len(order) == graph.num_tables
         assert 3 <= graph.num_tables <= 20
         assert all(p != c for p, c in graph.edges)
         for t in range(graph.num_tables):
-            meta = graph.meta[t]
+            meta = plan[t]
             table = db.tables[graph.names[t]]
             assert 3 <= meta.num_feature_columns <= 40
             expected = ENTITY if graph.out_degree(t) >= 1 else ACTIVITY
@@ -343,19 +343,19 @@ def test_criterion_09_performance_envelope(config):
 
 def test_criterion_10_conditional_path_degeneracy(config):
     db = generate_database(config, 14)
-    graph = generation_plan(config, 14)
+    graph, plan = generation_plan(config, 14)
     parentless = [t for t in topological_order(graph) if not graph.parents(t)]
     assert parentless
     bitwise = True
     for t in parentless:
         seed = split_seed(14, 2 + t)
-        # general conditional path, empty parent map
-        general = generate_table(t, graph, config, {}, SeededRng(seed))
+        # general conditional path, empty parent list
+        general = generate_table(graph.names[t], plan[t], [], config, SeededRng(seed))
         # source-only path: realize the causal graph without any foreign machinery
         rng = SeededRng(seed).spawn(0)
-        causal = sample_causal_graph(graph.meta[t].num_feature_columns, config, rng)
-        scm = build_scm(causal, graph.meta[t].kind, graph.meta[t].num_rows, 0, config, rng)
-        values = realize_table_values(scm, graph.meta[t].num_rows, [])
+        causal = sample_causal_graph(plan[t].num_feature_columns, config, rng)
+        scm = build_scm(causal, plan[t].kind, plan[t].num_rows, 0, config, rng)
+        values = realize_table_values(scm, [])
         for col, node in zip(general.feature_names, causal.feature_nodes):
             arr_a = general.features[col]
             arr_b = values[node]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_database, make_table
 from plurelgen.cli import cmd_corpus, cmd_fit, cmd_generate, cmd_profile, cmd_stats, main
-from plurelgen.core import ConfigError, PriorSpec, default_config, split_seed
+from plurelgen.core import ConfigError, PriorSpec, default_config, save_config, split_seed
 from plurelgen.corpus import build_corpus
 from plurelgen.io import (
     OutputLayout,
@@ -61,6 +61,28 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "--num-dbs" in err
         assert not out.exists()
+
+    def test_reused_root_is_one_line_and_deletes_nothing(self, tmp_path, capsys):
+        # a second, smaller run into one root would leave db_2 of the first run behind
+        config = tmp_path / "small.json"
+        small = replace(
+            default_config(),
+            num_tables=PriorSpec.constant(3),
+            rows_entity=PriorSpec.uniform_range(5, 10),
+            rows_activity=PriorSpec.uniform_range(10, 20),
+        )
+        save_config(small, config)
+        out = tmp_path / "root"
+        run = ["generate", "--config", str(config), "--out", str(out)]
+        assert main([*run, "--seed", "1", "--num-dbs", "3"]) == 0
+        before = _tree_bytes(out)
+        assert main([*run, "--seed", "2", "--num-dbs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "db_2" in err
+        assert _tree_bytes(out) == before
+        # a run that rewrites every database under the root may reuse it
+        assert main([*run, "--seed", "2", "--num-dbs", "3"]) == 0
+        assert json.loads((out / "db_2" / "meta.json").read_text())["master_seed"] == 2
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -296,6 +318,16 @@ class TestCorpusCommand:
         assert main(["corpus", str(generated_root), "--tokens", "0", "--out", str(out)]) == 0
         assert capsys.readouterr().out == "0\n" and out.read_text() == ""
 
+    def test_database_without_feature_cells_is_one_line(self, tmp_path, capsys):
+        # it loads, but holds no cell to mask
+        empty = make_table("table_0", 0, {"feature_1": []}, {"feature_1": "numeric"})
+        save_database(make_database([empty]), tmp_path / "db_0")
+        out = tmp_path / "c.jsonl"
+        assert main(["corpus", str(tmp_path / "db_0"), "--tokens", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "db_0" in err
+        assert not out.exists()
+
     def test_failed_corpus_keeps_the_old_file(self, generated_root, tmp_path):
         out = tmp_path / "old.jsonl"
         out.write_text("previous\n")
@@ -422,6 +454,15 @@ def _listed_twice(text):
     return json.dumps(schema), (schema["tables"][-1]["name"],)
 
 
+def _column_listed_twice(text):
+    """The first table's last feature column listed again; the error must name the table and it."""
+    schema = json.loads(text)
+    spec = schema["tables"][0]
+    column = [c for c in spec["columns"] if c["role"] == "feature"][-1]
+    spec["columns"].append(column)
+    return json.dumps(schema), (spec["name"], column["name"])
+
+
 def _renamed_through_parent_dir(text):
     """The first table renamed, in its spec, its keys' targets and ``edges``, to a path that
     leaves ``tables/`` and comes back to the same CSV. The error must name the new name."""
@@ -449,6 +490,7 @@ MALFORMED_SCHEMAS = {
     "keys with a cycle": _retarget(lambda table, children: children[0] if children else None),
     "fk target is its own table": _retarget(lambda table, children: table),
     "table listed twice": _listed_twice,
+    "column listed twice": _column_listed_twice,
     "table name with a path": _renamed_through_parent_dir,
 }
 
@@ -527,6 +569,21 @@ class TestMalformedDatabase:
         with pytest.raises(ConfigError, match="schema.json: two foreign keys of child"):
             load_database(tmp_path / "db")
         self._rejected(_load_command(command, tmp_path / "db", tmp_path), capsys, "schema.json")
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    def test_column_listed_twice_in_schema_and_header(self, tmp_path, capsys, command):
+        """A table whose schema.json and CSV header both list feature_1 twice is not loaded."""
+        table = make_table("table_0", 2, {"feature_1": [1.5, 2.5]}, {"feature_1": "numeric"})
+        save_database(make_database([table]), tmp_path / "db")
+        path = OutputLayout.schema_path(tmp_path / "db")
+        schema = json.loads(path.read_text())
+        columns = schema["tables"][0]["columns"]
+        columns.append(columns[-1])
+        path.write_text(json.dumps(schema))
+        csv_text = "row_idx,feature_1,feature_1\n1,1.5,3.5\n2,2.5,4.5\n"
+        (OutputLayout.tables_dir(tmp_path / "db") / "table_0.csv").write_text(csv_text)
+        argv = _load_command(command, tmp_path / "db", tmp_path)
+        self._rejected(argv, capsys, "schema.json", "table_0", "feature_1")
 
 
 class TestFitCommand:

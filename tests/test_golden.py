@@ -31,6 +31,7 @@ from plurelgen.scm_gen import (
     NUMERIC,
     build_scm,
     generate_database,
+    generate_table,
     realize_table_values,
     sample_causal_graph,
     softmax,
@@ -141,7 +142,7 @@ def _project_rowwise(mlp, emb, values):
     return mlp_forward(mlp, emb[np.asarray(values, dtype=np.int64) - 1])
 
 
-def _realize_gather_then_project(scm, num_rows, parents):
+def _realize_gather_then_project(scm, parents):
     """Reference realization: foreign values gathered through the FK, then projected.
 
     The spec must hold exactly the feature nodes and their ancestors. Node
@@ -156,7 +157,7 @@ def _realize_gather_then_project(scm, num_rows, parents):
     term, then each parent table's projections summed in column order, then
     each local projection.
     """
-    graph, hidden = scm.graph, scm.hidden_dim
+    graph, num_rows, hidden = scm.graph, scm.num_rows, scm.hidden_dim
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     assert sorted(scm.topo) == sorted(feature_ancestors(graph))
     values = {}
@@ -217,20 +218,20 @@ def _realize_gather_then_project(scm, num_rows, parents):
 def test_realize_matches_gather_then_project(seed):
     config = small_config()
     db = generate_database(config, seed)
-    graph = generation_plan(config, seed)
+    graph, plan = generation_plan(config, seed)
     assert (graph.names, graph.edges) == (db.schema.names, db.schema.edges)
     children = [t for t in topological_order(graph) if graph.parents(t)]
     assert children
     kinds = set()
     for t in children:
-        meta, table = graph.meta[t], db.tables[graph.names[t]]
+        meta, table = plan[t], db.tables[graph.names[t]]
         rng = SeededRng(split_seed(seed, 2 + t)).spawn(0)
         causal = sample_causal_graph(meta.num_feature_columns, config, rng)
         parents = [(db.tables[table.fk_targets[c]], table.fk_columns[c] - 1) for c in table.fk_names]
         num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
         scm = build_scm(causal, meta.kind, meta.num_rows, num_foreign, config, rng)
-        new = realize_table_values(scm, meta.num_rows, parents)
-        expected = _realize_gather_then_project(scm, meta.num_rows, parents)
+        new = realize_table_values(scm, parents)
+        expected = _realize_gather_then_project(scm, parents)
         assert new.keys() == expected.keys()
         for v in expected:
             assert np.array_equal(new[v], expected[v])
@@ -238,6 +239,37 @@ def test_realize_matches_gather_then_project(seed):
             assert np.array_equal(table.features[col], new[node])
         kinds |= {parent.feature_types[c] for parent, _ in parents for c in parent.feature_names}
     assert kinds == {"numeric", "categorical"}
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_generate_table_rebuilds_every_table_from_the_plan(seed):
+    # each table from its plan entry and the database's own parent tables, in
+    # foreign-key column order; NULLs are injected after, so masks are not compared
+    config = small_config()
+    db = generate_database(config, seed)
+    graph, plan = generation_plan(config, seed)
+    with_parents = 0
+    for t, name in enumerate(graph.names):
+        table = db.tables[name]
+        parents = [db.tables[table.fk_targets[c]] for c in table.fk_names]
+        assert [p.name for p in parents] == [graph.names[p] for p in graph.parents(t)]
+        with_parents += bool(parents)
+        rebuilt = generate_table(name, plan[t], parents, config, SeededRng(split_seed(seed, 2 + t)))
+        assert (rebuilt.kind, rebuilt.num_rows) == (table.kind, table.num_rows)
+        assert (rebuilt.fk_names, rebuilt.fk_targets) == (table.fk_names, table.fk_targets)
+        for c in table.fk_names:
+            assert rebuilt.fk_columns[c].tobytes() == table.fk_columns[c].tobytes()
+        assert rebuilt.feature_names == table.feature_names
+        assert rebuilt.feature_types == table.feature_types
+        assert rebuilt.feature_cards == table.feature_cards
+        for c in table.feature_names:
+            assert rebuilt.features[c].dtype == table.features[c].dtype
+            assert rebuilt.features[c].tobytes() == table.features[c].tobytes()
+        if table.timestamps is None:
+            assert rebuilt.timestamps is None
+        else:
+            assert rebuilt.timestamps.tobytes() == table.timestamps.tobytes()
+    assert with_parents
 
 
 def test_write_table_csv_matches_rowwise_rendering(tmp_path):

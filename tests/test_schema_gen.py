@@ -82,14 +82,16 @@ class TestSampleSchemaGraph:
 class TestAssignTableMetadata:
     def _sample(self, config, seed):
         rng = SeededRng(seed)
-        return assign_table_metadata(sample_schema_graph(config, rng), config, rng)
+        graph = sample_schema_graph(config, rng)
+        return graph, assign_table_metadata(graph, config, rng)
 
     def test_out_degree_rule_and_ranges(self, config):
         for seed in range(300):
-            g = self._sample(config, seed)
+            g, plan = self._sample(config, seed)
             assert 3 <= g.num_tables <= 20
+            assert len(plan) == g.num_tables
             for t in range(g.num_tables):
-                meta = g.meta[t]
+                meta = plan[t]
                 expected_kind = ENTITY if g.out_degree(t) >= 1 else ACTIVITY
                 assert meta.kind == expected_kind
                 if meta.kind == ENTITY:
@@ -107,11 +109,11 @@ class TestAssignTableMetadata:
             rows_activity=PriorSpec.uniform_range(10, 20),
         )
         for seed in range(5):
-            g, db = generation_plan(small, seed), generate_database(small, seed)
+            (g, plan), db = generation_plan(small, seed), generate_database(small, seed)
             assert tuple(db.tables) == g.names
             for t, name in enumerate(g.names):
                 table = db.tables[name]
-                assert (table.timestamps is not None) == (g.meta[t].kind == ACTIVITY)
+                assert (table.timestamps is not None) == (plan[t].kind == ACTIVITY)
                 targets = [table.fk_targets[c] for c in table.fk_names]
                 assert targets == [g.names[p] for p in g.parents(t)]
 

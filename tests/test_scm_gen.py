@@ -9,7 +9,7 @@ from conftest import databases_equal, feature_ancestors, generation_plan
 from plurelgen import scm_gen
 from plurelgen.core import SCM_FAMILIES, PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.neural import TinyMlp
-from plurelgen.schema_gen import SchemaGraph, TableMeta, topological_order
+from plurelgen.schema_gen import TableMeta, topological_order
 from plurelgen.scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -224,7 +224,7 @@ class TestSampleCausalGraph:
             g = sample_causal_graph(1, cfg, SeededRng(seed))
             assert (g.num_nodes, g.edges, g.feature_nodes) == (1, (), (0,))
             scm = build_scm(g, "activity", 20, 0, cfg, SeededRng(seed))
-            assert realize_table_values(scm, 20, [])[0].shape == (20,)
+            assert realize_table_values(scm, [])[0].shape == (20,)
         one_column = replace(
             cfg,
             num_tables=PriorSpec.constant(3),
@@ -296,14 +296,14 @@ class TestRealization:
         # the mechanisms project no foreign column, and the parent has 24
         _, scm = _build_simple_scm(config, "entity", 50, 4, seed=2)
         assert scm.mechanisms
-        _, generated = _wide_parent_and_child(config)
+        parent, _ = _wide_parent_and_child(config)
         with pytest.raises(ValueError):
-            one_parent = [(generated["parent"], np.zeros(50, dtype=np.int64))]
-            realize_table_values(scm, 50, one_parent)
+            one_parent = [(parent, np.zeros(50, dtype=np.int64))]
+            realize_table_values(scm, one_parent)
 
     def test_realize_table_types_and_shapes(self, config):
         graph, scm = _build_simple_scm(config, "activity", 200, 6, seed=3)
-        values = realize_table_values(scm, 200, [])
+        values = realize_table_values(scm, [])
         assert set(values) == feature_ancestors(graph) == graph.live_nodes
         for v in values:
             assert values[v].shape == (200,)
@@ -317,7 +317,7 @@ class TestRealization:
         dead = 0
         for seed in range(10):
             graph, scm = _build_simple_scm(config, "entity", 80, 5, seed=seed)
-            values = realize_table_values(scm, 80, [])
+            values = realize_table_values(scm, [])
             assert set(values) == feature_ancestors(graph)
             dead += graph.num_nodes - len(values)
             for v in values:
@@ -335,12 +335,11 @@ class TestRealization:
             cardinalities=(None, 4, None, None, 3),
             feature_nodes=(3,),
         )
-        _, generated = _wide_parent_and_child(config)
-        parent = generated["parent"]
+        parent, _ = _wide_parent_and_child(config)
         scm = build_scm(graph, "activity", 7, len(parent.feature_names), config, SeededRng(35))
         assert (set(scm.sources), set(scm.mechanisms), scm.topo) == ({0}, {1, 3}, (0, 1, 3))
         columns = [(parent, SeededRng(36).integers(0, parent.num_rows - 1, size=7))]
-        base = realize_table_values(scm, 7, columns)
+        base = realize_table_values(scm, columns)
         assert base.keys() == {0, 1, 3}
 
         def retagged(v):
@@ -358,11 +357,11 @@ class TestRealization:
 
         # every node draws from its own stream, so a change to the feature's
         # mechanism leaves the nodes it reads bit-identical
-        again = realize_table_values(retagged(3), 7, columns)
+        again = realize_table_values(retagged(3), columns)
         for v in (0, 1):
             assert again[v].tobytes() == base[v].tobytes()
         # the same change on mechanism 1 does move the feature
-        moved = realize_table_values(retagged(1), 7, columns)
+        moved = realize_table_values(retagged(1), columns)
         assert moved[3].tobytes() != base[3].tobytes()
 
 
@@ -396,32 +395,26 @@ class TestGenerateTable:
             else:
                 assert 2000 <= table.num_rows <= 5000
 
-    def test_missing_parent_raises(self, config):
-        graph = generation_plan(config, 12)
-        child = next(t for t in topological_order(graph) if graph.parents(t))
-        from plurelgen.core import StructuralError
-
-        with pytest.raises(StructuralError):
-            generate_table(child, graph, config, {}, SeededRng(0))
-
 
 class TestInjectNulls:
-    def _big_db(self):
+    def _big_db(self, null_fraction):
         # one hand-built table with 1e6 feature cells
         from conftest import make_database, make_table
 
         cols = {f"feature_{i + 1}": np.zeros(25_000) for i in range(40)}
         types = {k: NUMERIC for k in cols}
         table = make_table("table_0", 25_000, cols, types, kind="activity")
-        return make_database([table])
+        db = make_database([table])
+        db.null_fraction = null_fraction
+        return db
 
     def test_zero_fraction(self):
-        db = inject_nulls(self._big_db(), 0.0, SeededRng(0))
+        db = inject_nulls(self._big_db(0.0), SeededRng(0))
         table = db.tables["table_0"]
         assert sum(int(m.sum()) for m in table.null_mask.values()) == 0
 
     def test_binomial_concentration(self):
-        db = inject_nulls(self._big_db(), 0.05, SeededRng(1))
+        db = inject_nulls(self._big_db(0.05), SeededRng(1))
         table = db.tables["table_0"]
         total = sum(int(m.sum()) for m in table.null_mask.values())
         assert abs(total - 50_000) < 700
@@ -434,7 +427,7 @@ class TestInjectNulls:
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
-            inject_nulls(self._big_db(), 1.5, SeededRng(0))
+            inject_nulls(self._big_db(1.5), SeededRng(0))
 
 
 class TestGenerateDatabase:
@@ -478,18 +471,18 @@ class TestGenerateDatabase:
         # the conditional machinery with an empty foreign set must reproduce
         # the plain realization bit for bit
         db = generate_database(config, 14)
-        graph = generation_plan(config, 14)
+        graph, plan = generation_plan(config, 14)
         parentless = [t for t in topological_order(graph) if not graph.parents(t)]
         assert parentless
         t = parentless[0]
         seed = split_seed(14, 2 + t)
 
-        via_general = generate_table(t, graph, config, {}, SeededRng(seed))
+        via_general = generate_table(graph.names[t], plan[t], [], config, SeededRng(seed))
 
         rng_scm = SeededRng(seed).spawn(0)
-        causal = sample_causal_graph(graph.meta[t].num_feature_columns, config, rng_scm)
-        scm = build_scm(causal, graph.meta[t].kind, graph.meta[t].num_rows, 0, config, rng_scm)
-        values = realize_table_values(scm, graph.meta[t].num_rows, [])
+        causal = sample_causal_graph(plan[t].num_feature_columns, config, rng_scm)
+        scm = build_scm(causal, plan[t].kind, plan[t].num_rows, 0, config, rng_scm)
+        values = realize_table_values(scm, [])
         for col, node in zip(via_general.feature_names, causal.feature_nodes):
             assert np.array_equal(via_general.features[col], values[node])
         # and the full-table object matches the one inside the generated database
@@ -502,22 +495,14 @@ class TestGenerateDatabase:
 
 
 def _wide_parent_and_child(config):
-    """A 24-feature, 8-row parent and a 22-feature, 7-row child that references it."""
-    graph = SchemaGraph(
-        names=("parent", "child"),
-        edges=((0, 1),),
-        meta=(
-            TableMeta("entity", 8, 24),
-            TableMeta("activity", 7, 22),
-        ),
-    )
-    parent = generate_table(0, graph, config, {}, SeededRng(31))
-    return graph, {"parent": parent}
+    """A 24-feature, 8-row parent table, and the plan of a 22-feature, 7-row child of it."""
+    parent = generate_table("parent", TableMeta("entity", 8, 24), [], config, SeededRng(31))
+    return parent, TableMeta("activity", 7, 22)
 
 
 class TestMechanismWeights:
     def test_wide_table_holds_one_projector_at_a_time(self, config, monkeypatch):
-        graph, generated = _wide_parent_and_child(config)
+        parent, child = _wide_parent_and_child(config)
         drawn = []
 
         def counted(init):
@@ -533,22 +518,21 @@ class TestMechanismWeights:
         monkeypatch.setattr(scm_gen, "init_embedding", counted(scm_gen.init_embedding))
         tracemalloc.start()
         try:
-            generate_table(1, graph, config, generated, SeededRng(32))
+            generate_table("child", child, [parent], config, SeededRng(32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < sum(drawn) / 4
 
     def test_realizing_one_spec_twice_is_bitwise_equal(self, config):
-        graph, generated = _wide_parent_and_child(config)
-        meta, parent = graph.meta[1], generated["parent"]
+        parent, meta = _wide_parent_and_child(config)
         rng = SeededRng(33)
         causal = sample_causal_graph(meta.num_feature_columns, config, rng)
         scm = build_scm(causal, meta.kind, meta.num_rows, len(parent.feature_names), config, rng)
         fk_index = SeededRng(34).integers(0, parent.num_rows - 1, size=meta.num_rows)
         columns = [(parent, fk_index)]
-        first = realize_table_values(scm, meta.num_rows, columns)
-        second = realize_table_values(scm, meta.num_rows, columns)
+        first = realize_table_values(scm, columns)
+        second = realize_table_values(scm, columns)
         assert first.keys() == second.keys()
         for v in first:
             assert first[v].dtype == second[v].dtype
