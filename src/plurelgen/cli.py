@@ -77,11 +77,15 @@ def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_di
     """Generate num_dbs databases under out_dir/db_<i>, one split seed each.
 
     A database already under out_dir that this run would not rewrite is an
-    error, so one root never mixes two runs; nothing is deleted.
+    error, so one root never mixes two runs, and so is an out_dir that is
+    itself a database, which ``find_database_dirs`` would read alone; nothing
+    is written or deleted then.
     """
     _check_count("--num-dbs", num_dbs)
     config = _resolve_config(config_path)
     out = Path(out_dir)
+    if OutputLayout.schema_path(out).exists():
+        raise ConfigError(f"{out} is a database (it holds schema.json); use an empty --out")
     rewritten = {OutputLayout(out).db_dir(i) for i in range(num_dbs)}
     stale = [
         d for d in out.glob("db_*") if d not in rewritten and OutputLayout.schema_path(d).exists()

@@ -16,6 +16,7 @@ __all__ = [
     "TinyMlp",
     "init_mlp",
     "mlp_forward",
+    "row_blocks",
     "init_embedding",
     "decode_category",
     "ACTIVATIONS",
@@ -107,14 +108,46 @@ def init_mlp(
     return TinyMlp(w1=w1, w2=w2, activation=activation)
 
 
-def mlp_forward(mlp: TinyMlp, x: np.ndarray) -> np.ndarray:
-    """Forward pass; accepts a single vector (in_dim,) or a batch (n, in_dim)."""
+# Cells of a hidden layer that an activation, or a caller's gather, handles at
+# once, so their temporaries stay 64 KB whatever the row count.
+_BLOCK_CELLS = 8192
+
+
+def row_blocks(num_rows: int, width: int):
+    """Slices covering ``range(num_rows)`` in blocks of at most ``_BLOCK_CELLS`` cells of ``width``.
+
+    A block holds at least one row.
+    """
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, num_rows, step))
+
+
+def mlp_forward(
+    mlp: TinyMlp, x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Forward pass; accepts a single vector (in_dim,) or a batch (n, in_dim).
+
+    ``work`` receives the hidden layer, (n, hidden) or (hidden,), and ``out``
+    the result, (n, out_dim) or (out_dim,), which is returned; either is
+    allocated when not given. Neither changes a value: both products run
+    over all rows, and the activation, elementwise, runs in place one block
+    of rows at a time, or in one pass when the hidden layer fits one block.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mlp.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} does not match MLP in_dim {mlp.in_dim}")
     # with one input, x @ w1 is one product per element, which a broadcast gives directly
-    h = x * mlp.w1[0] if mlp.in_dim == 1 else x @ mlp.w1
-    return ACTIVATIONS[mlp.activation](h) @ mlp.w2
+    if mlp.in_dim == 1:
+        h = np.multiply(x, mlp.w1[0], out=work)
+    else:
+        h = np.matmul(x, mlp.w1, out=work)
+    act = ACTIVATIONS[mlp.activation]
+    if h.ndim == 1 or h.size <= _BLOCK_CELLS:
+        h = act(h)
+    else:
+        for rows in row_blocks(len(h), h.shape[1]):
+            h[rows] = act(h[rows])
+    return np.matmul(h, mlp.w2, out=out)
 
 
 def init_embedding(num_categories: int, dim: int, rng: SeededRng) -> np.ndarray:

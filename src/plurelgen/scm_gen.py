@@ -31,6 +31,16 @@ adding in the same order. They agree bit for bit on OpenBLAS at the default
 hidden width of 32; a one-row batch (a one-row table, or a one-category
 input), which numpy hands to a matrix-vector routine, and hidden widths of
 300 or more can round the last bit differently.
+
+Beside its values, a table's realization holds the current node's latent sum
+``u`` (rows x hidden), one parent table's summed projections, and two scratch
+arrays of max(rows, parent rows) x hidden, allocated once per table, that
+numeric projections and reconstruction heads write into. Activations,
+categorical projections and the gathers through a foreign key run one block
+of ``neural._BLOCK_CELLS`` (8 192) cells at a time, so no other temporary
+grows with the table. Each MLP's two matrix products still run over all
+rows, and the blocked steps are elementwise, so the block size changes no
+value.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ import numpy as np
 
 from .core import GenConfig, SeededRng, StructuralError, draw, parse_date, split_seed
 from .fk_gen import populate_foreign_keys
-from .neural import decode_category, init_embedding, init_mlp, mlp_forward
+from .neural import decode_category, init_embedding, init_mlp, mlp_forward, row_blocks
 from .schema_gen import (
     ACTIVITY,
     SchemaGraph,
@@ -421,17 +431,23 @@ def _project(
     cardinality: int | None,
     weight: float,
     values: np.ndarray,
-    hidden: int,
     rng: SeededRng,
-) -> np.ndarray:
-    """Weighted projection (n, hidden) of raw input values (n,) into the latent space.
+    acc: np.ndarray,
+    add: bool,
+    scratch: np.ndarray,
+) -> None:
+    """Add the weighted projection (n, hidden) of raw input values (n,) into ``acc``.
 
-    The projector's weights are drawn from ``rng``, a categorical input's
-    embedding before its MLP, and dropped on return. The input weight is folded
-    into the second-layer matrix. The MLP runs once per distinct input: over a
-    numeric column's values, or over a categorical input's C x hidden
-    embedding table, which is then indexed by category.
+    Without ``add`` the projection is written into ``acc`` instead. The
+    projector's weights are drawn from ``rng``, a categorical input's
+    embedding before its MLP, and dropped on return. The input weight is
+    folded into the second-layer matrix. The MLP runs once per distinct
+    input: over a numeric column's values, with its hidden layer and output
+    in the first n rows of the two ``scratch`` arrays, or over a categorical
+    input's C x hidden embedding table, which is then indexed by category
+    one block of rows at a time.
     """
+    n, hidden = acc.shape
     if dtype == NUMERIC:
         mlp, emb = init_mlp(1, hidden, tags.scheme, tags.activation, rng, hidden), None
     else:
@@ -440,8 +456,23 @@ def _project(
     w2 = mlp.w2  # scaled in place: the frozen MLP holds the same array
     w2 *= weight
     if emb is None:
-        return mlp_forward(mlp, np.asarray(values, dtype=np.float64)[:, None])
-    return mlp_forward(mlp, emb)[np.asarray(values, dtype=np.int64) - 1]
+        x = np.asarray(values, dtype=np.float64)[:, None]
+        work, proj = scratch[0][:n], scratch[1][:n]
+        if add:
+            acc += mlp_forward(mlp, x, out=proj, work=work)
+        else:
+            mlp_forward(mlp, x, out=acc, work=work)
+    else:
+        _gather(acc, mlp_forward(mlp, emb), np.asarray(values, dtype=np.int64) - 1, add)
+
+
+def _gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray, add: bool = True) -> None:
+    """``acc[i] += table[index[i]]`` (``=`` without ``add``) for each row, in blocks of rows."""
+    for rows in row_blocks(len(acc), acc.shape[1]):
+        if add:
+            acc[rows] += table[index[rows]]
+        else:
+            acc[rows] = table[index[rows]]
 
 
 def realize_table_values(
@@ -462,6 +493,12 @@ def realize_table_values(
     weights, just before it uses them, so the table holds one projector's
     weights at a time. The values are a function of ``scm`` and ``parents``
     alone.
+
+    Two scratch arrays of max(rows, parent rows) x hidden are allocated once
+    per table; each numeric projection and reconstruction head writes its
+    hidden layer and output there. A mechanism's sum ``u`` and a parent's
+    summed projections are deleted once used, and categorical projections
+    and gathers add one block of rows at a time (see the module docstring).
     """
     graph, num_rows, hidden = scm.graph, scm.num_rows, scm.hidden_dim
     num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
@@ -470,6 +507,9 @@ def realize_table_values(
         raise ValueError(
             f"the parents have {num_foreign} feature columns, the mechanisms project {sorted(widths)}"
         )
+    rows = max([num_rows] + [parent.num_rows for parent, _ in parents])
+    scratch = np.empty((2, rows, hidden))
+    work, proj = scratch
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     values: dict[int, np.ndarray] = {}
     for v in scm.topo:
@@ -483,37 +523,36 @@ def realize_table_values(
             continue
         m = scm.mechanisms[v]
         # the sum is made in u's buffer, one parent's summed projections or one
-        # local projection at a time; under the one name, the previous node's
-        # sum is freed when u is drawn
+        # local projection at a time; u is deleted once its node is realized,
+        # so the next node's Beta draw does not hold two sums
         u = node_rng.beta(m.exo_beta[0], m.exo_beta[1], size=(num_rows, hidden))
         u *= m.exo_weight
         tags = iter(m.foreign_proj)
         for parent, fk_index in parents:
             weight = 1.0 / len(parent.feature_names)
-            projections = (
+            parent_sum = np.empty((parent.num_rows, hidden))
+            for i, c in enumerate(parent.feature_names):
                 _project(
                     next(tags), parent.feature_types[c], parent.feature_cards[c], weight,
-                    parent.features[c], hidden, node_rng,
+                    parent.features[c], node_rng, parent_sum, i > 0, scratch,
                 )
-                for c in parent.feature_names
-            )
-            parent_sum = next(projections)
-            for projected in projections:
-                parent_sum += projected
-            u += parent_sum[fk_index]
+            _gather(u, parent_sum, fk_index)
+            del parent_sum
         for p, j in zip(m.local_proj, graph.predecessors(v)):
-            u += _project(
+            _project(
                 p, graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)],
-                values[j], hidden, node_rng,
+                values[j], node_rng, u, True, scratch,
             )
         # a reconstruction head draws its MLP before a categorical node's embedding
         if graph.node_types[v] == NUMERIC:
             recon = init_mlp(hidden, 1, m.recon.scheme, m.recon.activation, node_rng, hidden)
-            values[v] = mlp_forward(recon, u)[:, 0]
+            values[v] = mlp_forward(recon, u, work=work[:num_rows])[:, 0]
         else:
             recon = init_mlp(hidden, hidden, m.recon.scheme, m.recon.activation, node_rng, hidden)
             emb = init_embedding(int(graph.cardinalities[v]), hidden, node_rng)
-            values[v] = decode_category(emb, mlp_forward(recon, u))
+            latent = mlp_forward(recon, u, out=proj[:num_rows], work=work[:num_rows])
+            values[v] = decode_category(emb, latent)
+        del u
     return values
 
 

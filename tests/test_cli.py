@@ -84,6 +84,29 @@ class TestGenerate:
         assert main([*run, "--seed", "2", "--num-dbs", "3"]) == 0
         assert json.loads((out / "db_2" / "meta.json").read_text())["master_seed"] == 2
 
+    def test_database_directory_as_root_is_one_line_and_writes_nothing(self, tmp_path, capsys):
+        # find_database_dirs reads a directory holding schema.json as one
+        # database, so databases generated under it would never be read
+        config = tmp_path / "small.json"
+        small = replace(
+            default_config(),
+            num_tables=PriorSpec.constant(3),
+            rows_entity=PriorSpec.uniform_range(5, 10),
+            rows_activity=PriorSpec.uniform_range(10, 20),
+        )
+        save_config(small, config)
+        root = tmp_path / "root"
+        run = ["generate", "--config", str(config)]
+        assert main([*run, "--seed", "1", "--num-dbs", "1", "--out", str(root)]) == 0
+        before = _tree_bytes(root)
+        db_0 = root / "db_0"
+        assert main([*run, "--seed", "2", "--num-dbs", "2", "--out", str(db_0)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "schema.json" in err
+        assert _tree_bytes(root) == before
+        assert not list(db_0.glob("db_*"))
+        assert find_database_dirs(root) == [db_0]
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

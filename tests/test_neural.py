@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from plurelgen import neural
 from plurelgen.core import MLP_INIT_SCHEMES, ConfigError, SeededRng
 from plurelgen.neural import (
     ACTIVATIONS,
@@ -128,6 +129,26 @@ class TestMlpForward:
         mlp = init_mlp(3, 2, "xavier-normal", "relu", SeededRng(10))
         with pytest.raises(ValueError):
             mlp_forward(mlp, np.zeros(4))
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("in_dim", [1, 5])
+    def test_buffers_match_the_plain_call(self, activation, in_dim):
+        hidden, out_dim = 24, 3
+        rng = SeededRng(len(activation) * 7 + in_dim)
+        mlp = init_mlp(in_dim, out_dim, "kaiming-normal", activation, rng, hidden_dim=hidden)
+        block_rows = neural._BLOCK_CELLS // hidden
+        # the buffer is reused across calls, so it holds the previous call's values
+        work = rng.standard_normal((3 * block_rows + 5, hidden)) * 1e6
+        for n in (1, block_rows, 3 * block_rows + 5):
+            x = rng.standard_normal((n, in_dim)) * 4.0
+            out = np.full((n, out_dim), np.nan)
+            got = mlp_forward(mlp, x, out=out, work=work[:n])
+            assert got is out
+            assert np.array_equal(_bits(got), _bits(mlp_forward(mlp, x)))
+        x = rng.standard_normal(in_dim)
+        out = np.empty(out_dim)
+        assert mlp_forward(mlp, x, out=out, work=np.empty(hidden)) is out
+        assert np.array_equal(_bits(out), _bits(mlp_forward(mlp, x)))
 
 
 # The forms these kernels replaced, kept as bitwise references.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import databases_equal, feature_ancestors, generation_plan
-from plurelgen import scm_gen
+from plurelgen import neural, scm_gen
 from plurelgen.core import SCM_FAMILIES, PriorSpec, SeededRng, parse_date, split_seed
 from plurelgen.neural import TinyMlp
 from plurelgen.schema_gen import TableMeta, topological_order
@@ -363,6 +363,59 @@ class TestRealization:
         # the same change on mechanism 1 does move the feature
         moved = realize_table_values(retagged(1), columns)
         assert moved[3].tobytes() != base[3].tobytes()
+
+
+class TestRealizationBlocks:
+    """Activations and gathers run in blocks of rows; the block size changes no value."""
+
+    @pytest.mark.parametrize(
+        "hidden, num_rows",
+        [(1, 700), (24, 700), (32, 700), (48, 700), (100, 700),
+         (32, 255), (32, 256), (32, 257), (32, 513)],
+    )
+    def test_block_size_changes_no_value(self, config, monkeypatch, hidden, num_rows):
+        cfg = replace(config, mlp_hidden_dim=PriorSpec.constant(hidden))
+        # the parent has more rows than some children, so its projections set
+        # the scratch arrays' size there
+        parent = generate_table("parent", TableMeta("entity", 300, 5), [], cfg, SeededRng(41))
+        rng = SeededRng(42)
+        causal = sample_causal_graph(6, cfg, rng)
+        scm = build_scm(causal, "activity", num_rows, 5, cfg, rng)
+        assert {causal.node_types[v] for v in scm.mechanisms} == {NUMERIC, CATEGORICAL}
+        assert {parent.feature_types[c] for c in parent.feature_names} == {NUMERIC, CATEGORICAL}
+        columns = [(parent, SeededRng(43).integers(0, parent.num_rows - 1, size=num_rows))]
+        runs = []
+        # one row per block, the default, and one block for the whole table
+        for cells in (hidden, neural._BLOCK_CELLS, 2**40):
+            monkeypatch.setattr(neural, "_BLOCK_CELLS", cells)
+            runs.append(realize_table_values(scm, columns))
+        for v in scm.topo:
+            assert runs[0][v].tobytes() == runs[1][v].tobytes() == runs[2][v].tobytes()
+
+
+class TestRealizationMemory:
+    def test_peak_holds_no_table_sized_temporaries(self, config):
+        # u and the two scratch arrays take 3 x rows x hidden x 8 bytes; the
+        # bound leaves room for the values, the parent tables and block-sized
+        # temporaries, but not for a table-sized temporary per MLP step
+        cfg = replace(
+            config,
+            num_tables=PriorSpec.constant(3),
+            rows_entity=PriorSpec.constant(1000),
+            rows_activity=PriorSpec.constant(20_000),
+            num_columns=PriorSpec.constant(6),
+            mlp_activations=PriorSpec.constant("silu"),
+        )
+        tracemalloc.start()
+        try:
+            db = generate_database(cfg, split_seed(5, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(t.num_rows for t in db.tables.values()) == 20_000
+        assert {t.num_rows for t in db.tables.values() if t.fk_names} == {1000, 20_000}
+        hidden = int(cfg.mlp_hidden_dim.payload)
+        assert peak < 4.5 * 20_000 * hidden * 8
 
 
 class TestGenerateTable:
