@@ -342,6 +342,8 @@ def profile_generation(
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
+    if not table_counts:
+        raise ConfigError("table_counts must name at least one table count")
     rows = []
     for count in table_counts:
         cfg = config.with_num_tables(int(count))

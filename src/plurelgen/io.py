@@ -388,13 +388,15 @@ def write_corpus_file(stream, path) -> tuple[int, int]:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Two-column (x, loss) CSV; a non-numeric first row is treated as a header.
+    """Two-column (x, loss) CSV; only the first non-empty row may be a non-numeric header.
 
-    A row of other than two cells, the header too, is a ``ConfigError`` naming the row.
+    A row of other than two cells, the header too, or a later non-numeric row
+    is a ``ConfigError`` naming the row.
     """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        first = True
         for row in reader:
             if not row:
                 continue
@@ -403,8 +405,9 @@ def read_points_csv(path) -> np.ndarray:
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
-                if rows:
-                    raise ConfigError(f"non-numeric row in {path}: {row}")
+                if not first:
+                    raise ConfigError(f"{path}: row {reader.line_num} is not numeric: {row}")
+            first = False
     if not rows:
         raise ConfigError(f"no data points in {path}")
     return np.asarray(rows)

@@ -32,6 +32,10 @@ hidden width of 32; a one-row batch (a one-row table, or a one-category
 input), which numpy hands to a matrix-vector routine, and hidden widths of
 300 or more can round the last bit differently.
 
+Every projection adds into a sum; a parent's summed projections start at
+zero. A matrix product's outputs start from +0.0, so no projection is -0.0,
+and 0.0 + p is p bit for bit.
+
 Beside its values, a table's realization holds the current node's latent sum
 ``u`` (rows x hidden), one parent table's summed projections, and two scratch
 arrays of max(rows, parent rows) x hidden, allocated once per table, that
@@ -433,13 +437,11 @@ def _project(
     values: np.ndarray,
     rng: SeededRng,
     acc: np.ndarray,
-    add: bool,
     scratch: np.ndarray,
 ) -> None:
     """Add the weighted projection (n, hidden) of raw input values (n,) into ``acc``.
 
-    Without ``add`` the projection is written into ``acc`` instead. The
-    projector's weights are drawn from ``rng``, a categorical input's
+    The projector's weights are drawn from ``rng``, a categorical input's
     embedding before its MLP, and dropped on return. The input weight is
     folded into the second-layer matrix. The MLP runs once per distinct
     input: over a numeric column's values, with its hidden layer and output
@@ -457,22 +459,15 @@ def _project(
     w2 *= weight
     if emb is None:
         x = np.asarray(values, dtype=np.float64)[:, None]
-        work, proj = scratch[0][:n], scratch[1][:n]
-        if add:
-            acc += mlp_forward(mlp, x, out=proj, work=work)
-        else:
-            mlp_forward(mlp, x, out=acc, work=work)
+        acc += mlp_forward(mlp, x, out=scratch[1][:n], work=scratch[0][:n])
     else:
-        _gather(acc, mlp_forward(mlp, emb), np.asarray(values, dtype=np.int64) - 1, add)
+        _gather(acc, mlp_forward(mlp, emb), np.asarray(values, dtype=np.int64) - 1)
 
 
-def _gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray, add: bool = True) -> None:
-    """``acc[i] += table[index[i]]`` (``=`` without ``add``) for each row, in blocks of rows."""
+def _gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
+    """``acc[i] += table[index[i]]`` for each row, in blocks of rows."""
     for rows in row_blocks(len(acc), acc.shape[1]):
-        if add:
-            acc[rows] += table[index[rows]]
-        else:
-            acc[rows] = table[index[rows]]
+        acc[rows] += table[index[rows]]
 
 
 def realize_table_values(
@@ -484,9 +479,9 @@ def realize_table_values(
     in the order ``build_scm`` counted their feature columns: the parent table
     and the 0-based parent row of each row (the foreign key minus one). Each
     parent feature column is projected once per parent row with weight
-    1 / (the parent's feature count), the parent's projections are summed,
-    and the sum is gathered once by ``fk_index``. An empty list is the
-    no-parent specialization.
+    1 / (the parent's feature count) and added into the parent's sum, which
+    starts at zero; the sum is gathered once by ``fk_index``. An empty list
+    is the no-parent specialization.
 
     Node ``v`` draws from its own stream, ``split_seed(scm.seed, 1 + v)``: a
     mechanism its exogenous Beta input, then its projector and reconstruction
@@ -496,9 +491,10 @@ def realize_table_values(
 
     Two scratch arrays of max(rows, parent rows) x hidden are allocated once
     per table; each numeric projection and reconstruction head writes its
-    hidden layer and output there. A mechanism's sum ``u`` and a parent's
-    summed projections are deleted once used, and categorical projections
-    and gathers add one block of rows at a time (see the module docstring).
+    hidden layer and output there. Every projection adds into its sum. A
+    mechanism's sum ``u`` and a parent's summed projections are deleted once
+    used, and categorical projections and gathers add one block of rows at a
+    time (see the module docstring).
     """
     graph, num_rows, hidden = scm.graph, scm.num_rows, scm.hidden_dim
     num_foreign = sum(len(parent.feature_names) for parent, _ in parents)
@@ -530,18 +526,18 @@ def realize_table_values(
         tags = iter(m.foreign_proj)
         for parent, fk_index in parents:
             weight = 1.0 / len(parent.feature_names)
-            parent_sum = np.empty((parent.num_rows, hidden))
-            for i, c in enumerate(parent.feature_names):
+            parent_sum = np.zeros((parent.num_rows, hidden))
+            for c in parent.feature_names:
                 _project(
                     next(tags), parent.feature_types[c], parent.feature_cards[c], weight,
-                    parent.features[c], node_rng, parent_sum, i > 0, scratch,
+                    parent.features[c], node_rng, parent_sum, scratch,
                 )
             _gather(u, parent_sum, fk_index)
             del parent_sum
         for p, j in zip(m.local_proj, graph.predecessors(v)):
             _project(
                 p, graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)],
-                values[j], node_rng, u, True, scratch,
+                values[j], node_rng, u, scratch,
             )
         # a reconstruction head draws its MLP before a categorical node's embedding
         if graph.node_types[v] == NUMERIC:

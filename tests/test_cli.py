@@ -257,6 +257,31 @@ class TestRoundTrip:
             if a.timestamps is not None:
                 assert np.array_equal(a.timestamps, b.timestamps)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 2**20])
+    def test_csv_block_size_changes_no_byte(self, config, tmp_path, monkeypatch, block_rows):
+        """Tables are written and read a block of rows at a time; the block size shows nowhere."""
+        db = generate_database(config, 35)
+        tables = db.tables.values()
+        assert min(t.num_rows for t in tables) > 7
+        assert any(t.fk_names for t in tables) and any(t.timestamps is not None for t in tables)
+        assert any(mask.any() for t in tables for mask in t.null_mask.values())
+        save_database(db, tmp_path / "default")
+        monkeypatch.setattr("plurelgen.io.CSV_BLOCK_ROWS", block_rows)
+        save_database(db, tmp_path / "blocked")
+        assert _tree_bytes(tmp_path / "blocked") == _tree_bytes(tmp_path / "default")
+        loaded = load_database(tmp_path / "blocked")
+        for name, a in db.tables.items():
+            b = loaded.tables[name]
+            for col in a.fk_names:
+                assert np.array_equal(a.fk_columns[col], b.fk_columns[col])
+            for col in a.feature_names:
+                mask = a.null_mask[col]
+                assert np.array_equal(mask, b.null_mask[col])
+                assert np.array_equal(a.features[col][~mask], b.features[col][~mask])
+            assert (a.timestamps is None) == (b.timestamps is None)
+            if a.timestamps is not None:
+                assert np.array_equal(a.timestamps, b.timestamps)
+
     def test_schema_json_round_trip(self, config, tmp_path):
         db = generate_database(config, 34)
         save_database(db, tmp_path / "db")
@@ -655,6 +680,17 @@ class TestFitCommand:
         assert [name for name in named if name not in err] == []
         assert not out.exists()
 
+    def test_second_header_row_is_one_line(self, tmp_path, capsys):
+        """Only the first row may be a header; a later non-numeric row is named, not skipped."""
+        points, out = tmp_path / "points.csv", tmp_path / "fit.json"
+        lines = ["x,loss", "foo,bar"] + [f"{x},{2.0 * x**-0.5 + 0.1}" for x in (8, 16, 32, 64)]
+        points.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(points), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "points.csv" in err and "row 2" in err
+        assert not out.exists()
+
 
 class TestProfileCommand:
     def test_two_row_csv(self, tmp_path):
@@ -671,6 +707,14 @@ class TestProfileCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "repeats" in err
+
+    @pytest.mark.parametrize("counts", ["", ","], ids=["empty", "comma"])
+    def test_no_table_count_is_one_line(self, tmp_path, capsys, counts):
+        out = tmp_path / "p.csv"
+        assert main(["profile", "--counts", counts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "table_counts" in err
+        assert not out.exists()
 
 
 class TestMainParser:
