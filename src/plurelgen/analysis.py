@@ -39,8 +39,8 @@ HISTOGRAM_BINS = 20  # bins of each column's histogram in diversity_report
 # ---------------------------------------------------------------------------
 
 
-class FitDegenerateError(RuntimeError):
-    """Raised when the loss frontier carries no decreasing power-law signal."""
+class FitDegenerateError(ValueError):
+    """Raised when the loss frontier carries no decreasing power-law signal: a bad input."""
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .core import ConfigError, GenConfig, default_config, load_config, config_to
 from .corpus import DEFAULT_CONTEXT_LEN, DEFAULT_WIDTH, build_corpus
 from .io import (
     OutputLayout,
+    database_dirs,
     find_database_dirs,
     load_database,
     read_points_csv,
@@ -87,14 +88,11 @@ def cmd_generate(config_path: str | None, master_seed: int, num_dbs: int, out_di
     if OutputLayout.schema_path(out).exists():
         raise ConfigError(f"{out} is a database (it holds schema.json); use an empty --out")
     rewritten = {OutputLayout(out).db_dir(i) for i in range(num_dbs)}
-    stale = [
-        d for d in out.glob("db_*") if d not in rewritten and OutputLayout.schema_path(d).exists()
-    ]
+    stale = [d for d in database_dirs(out) if d not in rewritten]
     if stale:
-        first = min(stale, key=lambda d: (len(d.name), d.name))
         raise ConfigError(
             f"{out} holds {len(stale)} database(s) that a run of {num_dbs} would not rewrite, "
-            f"first {first.name}; use an empty --out"
+            f"first {stale[0].name}; use an empty --out"
         )
     out.mkdir(parents=True, exist_ok=True)
     workers = _worker_count()
@@ -147,13 +145,13 @@ def cmd_stats(db_path: str, report_path: str) -> int:
 
 @_rejects(ConfigError, OSError, ValueError)
 def cmd_fit(points_path: str, out_path: str) -> int:
-    """Fit the saturating power law to a two-column (x, loss) CSV."""
-    from .analysis import FitDegenerateError, fit_power_law
+    """Fit the saturating power law to a two-column (x, loss) CSV.
 
-    try:
-        fit = fit_power_law(read_points_csv(points_path))
-    except FitDegenerateError as exc:
-        raise ValueError(exc) from None
+    Bad points, a degenerate frontier (``FitDegenerateError``) included, are a ``ValueError``.
+    """
+    from .analysis import fit_power_law
+
+    fit = fit_power_law(read_points_csv(points_path))
     write_json(dataclasses.asdict(fit), out_path)
     return 0
 

@@ -37,6 +37,7 @@ __all__ = [
     "database_schema_dict",
     "save_database",
     "load_database",
+    "database_dirs",
     "find_database_dirs",
     "write_json",
     "write_corpus_file",
@@ -268,8 +269,9 @@ def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -
 
 
 def load_database(directory) -> RelationalDatabase:
-    """Read what ``save_database`` wrote; a ``ConfigError`` names a malformed file.
+    """Read what ``save_database`` wrote; a ``ConfigError`` names a missing or malformed file.
 
+    meta.json must give ``db_seed`` and a ``null_fraction`` in [0, 1].
     A foreign key outside [1, its parent's ``num_rows``] makes its table CSV
     malformed. The foreign-key columns are the table graph: schema.json is
     malformed if its ``edges`` are not theirs, if they form a cycle or reference
@@ -282,13 +284,14 @@ def load_database(directory) -> RelationalDatabase:
     schema_file = OutputLayout.schema_path(directory)
     if not schema_file.exists():
         raise ConfigError(f"no schema.json under {directory}")
-    seed, null_fraction = 0, float("nan")
     meta_file = OutputLayout.meta_path(directory)
-    if meta_file.exists():
-        with _naming(meta_file):
-            meta = json.loads(meta_file.read_text())
-            seed = int(meta.get("db_seed", 0))
-            null_fraction = float(meta.get("null_fraction", float("nan")))
+    if not meta_file.exists():
+        raise ConfigError(f"no meta.json under {directory}")
+    with _naming(meta_file):
+        meta = json.loads(meta_file.read_text())
+        seed, null_fraction = int(meta["db_seed"]), float(meta["null_fraction"])
+    if not 0.0 <= null_fraction <= 1.0:
+        raise ConfigError(f"{meta_file}: null_fraction {null_fraction} is outside [0, 1]")
     db = RelationalDatabase(tables={}, seed=seed, null_fraction=null_fraction)
     with _naming(schema_file):
         schema_dict = json.loads(schema_file.read_text())
@@ -345,15 +348,18 @@ def _key_cycle(tables: dict[str, GeneratedTable]) -> str | None:
     return " -> ".join(f"{c}.{keys[c, p]}" for c, p in zip(cycle, cycle[1:])) + f" -> {cycle[-1]}"
 
 
+def database_dirs(root) -> list[Path]:
+    """The db_* directories under ``root`` that hold a schema.json, by (name length, name)."""
+    dirs = (d for d in Path(root).glob("db_*") if OutputLayout.schema_path(d).exists())
+    return sorted(dirs, key=lambda d: (len(d.name), d.name))
+
+
 def find_database_dirs(path) -> list[Path]:
     """Accept either one database directory or a root containing db_* directories."""
     path = Path(path)
     if OutputLayout.schema_path(path).exists():
         return [path]
-    dirs = sorted(
-        (d for d in path.glob("db_*") if OutputLayout.schema_path(d).exists()),
-        key=lambda d: (len(d.name), d.name),
-    )
+    dirs = database_dirs(path)
     if not dirs:
         raise ConfigError(f"no databases found under {path}")
     return dirs

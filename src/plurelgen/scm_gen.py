@@ -1,24 +1,26 @@
 """Stage 3: per-table structural causal models with temporal exogenous inputs.
 
 Each table owns a causal DAG over typed nodes. Source nodes are driven by
-trend/cycle/fluctuation signals of the row index; every other node projects
-its in-graph predecessors and the feature values of parent-table rows (looked
-up through the sampled foreign keys) into a shared latent space, aggregates,
-and reconstructs a value of its own type. Feature-node values become table
-cells.
+trend/cycle/fluctuation signals of the row index, clamped by the module
+constants below, with a cycle period of the row count times the drawn
+frequency; every other node projects its in-graph predecessors and the
+feature values of parent-table rows (looked up through the sampled foreign
+keys) into a shared latent space, aggregates, and reconstructs a value of its
+own type. Feature-node values become table cells.
 
 A built SCM is the whole recipe of its table. It holds only the live nodes,
 the feature nodes and their ancestors, and for each only what ``build_scm``
-draws: a source's temporal parameters, or a mechanism's scalars and the
-(init scheme, activation) tags of its projectors and reconstruction head,
-but no weight arrays. Realization reads everything else from the causal
-graph and the parent tables: an input's type and cardinality, and its
-weight, the causal edge's or 1 / (the parent's feature count). Node ``v``
-draws from its own stream, ``split_seed(scm.seed, 1 + v)``, when it is
-realized: a source its temporal noise and categories; a mechanism its
-exogenous Beta input, then its MLP weights and embeddings, which it drops
-once it is done, so set-up memory does not grow with a table's projector
-count.
+draws: for a source, the five draws of each signal (``TemporalParams``:
+trend exponent and scale, cycle frequency and scale, noise scale); for a
+mechanism, its scalars and the (init scheme, activation) tags of its
+projectors and reconstruction head, but no weight arrays. Realization reads
+everything else from the causal graph and the parent tables: an input's type
+and cardinality, and its weight, the causal edge's or 1 / (the parent's
+feature count). Node ``v`` draws from its own stream,
+``split_seed(scm.seed, 1 + v)``, when it is realized: a source its temporal
+noise and categories; a mechanism its exogenous Beta input, then its MLP
+weights and embeddings, which it drops once it is done, so set-up memory
+does not grow with a table's projector count.
 
 Projections run once per distinct input, with the edge weight folded into
 the projector's second-layer matrix: a parent feature column is projected at
@@ -75,9 +77,6 @@ __all__ = [
     "NUMERIC",
     "CATEGORICAL",
     "TIMESTAMP",
-    "TrendParams",
-    "CycleParams",
-    "FlucParams",
     "TemporalParams",
     "trend",
     "cycle",
@@ -116,60 +115,44 @@ FLUC_UPPER = 3.0
 
 
 @dataclass(frozen=True)
-class TrendParams:
-    exponent: float
-    scale: float
-    offset: float
-    bound: float
-    total_rows: int
-
-
-@dataclass(frozen=True)
-class CycleParams:
-    period: float
-    scale: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class FlucParams:
-    scale: float
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class TemporalParams:
-    trend: TrendParams
-    cycle: CycleParams
-    fluc: FlucParams
+    """The five draws of one source signal, named after their config fields."""
+
+    trend_exponent: float
+    trend_scale: float
+    cycle_frequency: float
+    cycle_scale: float
+    noise_scale: float
 
 
-def trend(r, p: TrendParams):
+def trend(r, total_rows, exponent, scale, offset, bound):
     """min(scale * (r / total_rows)^exponent + offset, bound) at row index r (or an array)."""
-    return np.minimum(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound)
+    return np.minimum(scale * (r / total_rows) ** exponent + offset, bound)
 
 
-def cycle(r, p: CycleParams):
+def cycle(r, period, scale, lower, upper):
     """min(max(scale * sin(pi * r / period), lower), upper) at row index r (or an array)."""
-    if p.period <= 0:
-        raise ValueError(f"cycle period must be positive, got {p.period}")
-    return np.clip(p.scale * np.sin(np.pi * r / p.period), p.lower, p.upper)
+    if period <= 0:
+        raise ValueError(f"cycle period must be positive, got {period}")
+    return np.clip(scale * np.sin(np.pi * r / period), lower, upper)
 
 
-def fluc_from_noise(p: FlucParams, noise):
+def fluc_from_noise(noise, scale, lower, upper):
     """min(max(scale * noise, lower), upper) for given standard-normal draw(s)."""
-    return np.clip(p.scale * noise, p.lower, p.upper)
+    return np.clip(scale * noise, lower, upper)
 
 
-def temporal_signal(r, p: TemporalParams, rng: SeededRng):
+def temporal_signal(r, num_rows: int, p: TemporalParams, rng: SeededRng):
     """Arithmetic mean of the trend, cycle, and fluctuation components at row index r.
 
     ``r`` may be an array of row indices; one standard-normal draw is made per index.
     """
     noise = rng.standard_normal(np.shape(r))
-    return (trend(r, p.trend) + cycle(r, p.cycle) + fluc_from_noise(p.fluc, noise)) / 3.0
+    return (
+        trend(r, num_rows, p.trend_exponent, p.trend_scale, TREND_OFFSET, TREND_BOUND)
+        + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale, CYCLE_LOWER, CYCLE_UPPER)
+        + fluc_from_noise(noise, p.noise_scale, FLUC_LOWER, FLUC_UPPER)
+    ) / 3.0
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -179,12 +162,14 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def categorical_source_sample(r, category_params: tuple[TemporalParams, ...], rng: SeededRng):
+def categorical_source_sample(
+    r, num_rows: int, category_params: tuple[TemporalParams, ...], rng: SeededRng
+):
     """Draw a 1-based category from the softmax of the per-category temporal signals.
 
     ``r`` may be an array of row indices; one category is drawn per index.
     """
-    g = np.stack([temporal_signal(r, p, rng) for p in category_params], axis=-1)
+    g = np.stack([temporal_signal(r, num_rows, p, rng) for p in category_params], axis=-1)
     return rng.categorical_rows(softmax(g)) + 1
 
 
@@ -360,7 +345,7 @@ class ScmSpec:
     """
 
     graph: CausalGraph
-    # temporal params of each source node: one for a numeric node, one per category
+    # the temporal draws of each source node: one set for a numeric node, one per category
     sources: dict[int, tuple[TemporalParams, ...]]
     mechanisms: dict[int, NodeMechanism]
     topo: tuple[int, ...]
@@ -369,17 +354,14 @@ class ScmSpec:
     seed: int  # node v draws from split_seed(seed, 1 + v)
 
 
-def _draw_temporal(kind: str, num_rows: int, config: GenConfig, rng: SeededRng) -> TemporalParams:
+def _draw_temporal(kind: str, config: GenConfig, rng: SeededRng) -> TemporalParams:
     activity = kind == ACTIVITY
-    exponent = float(draw(config.trend_exponent, rng))
-    t_scale = float(draw(config.trend_scale_activity if activity else config.trend_scale_entity, rng))
-    freq = float(draw(config.cycle_frequency, rng))
-    c_scale = float(draw(config.cycle_scale_activity if activity else config.cycle_scale_entity, rng))
-    n_scale = float(draw(config.noise_scale_activity if activity else config.noise_scale_entity, rng))
     return TemporalParams(
-        trend=TrendParams(exponent, t_scale, TREND_OFFSET, TREND_BOUND, num_rows),
-        cycle=CycleParams(num_rows * freq, c_scale, CYCLE_LOWER, CYCLE_UPPER),
-        fluc=FlucParams(n_scale, FLUC_LOWER, FLUC_UPPER),
+        float(draw(config.trend_exponent, rng)),
+        float(draw(config.trend_scale_activity if activity else config.trend_scale_entity, rng)),
+        float(draw(config.cycle_frequency, rng)),
+        float(draw(config.cycle_scale_activity if activity else config.cycle_scale_entity, rng)),
+        float(draw(config.noise_scale_activity if activity else config.noise_scale_entity, rng)),
     )
 
 
@@ -395,7 +377,7 @@ def build_scm(
     config: GenConfig,
     rng: SeededRng,
 ) -> ScmSpec:
-    """Bind every live node: a source's temporal parameters, a mechanism's tags and scalars.
+    """Bind every live node: a source's temporal draws, a mechanism's tags and scalars.
 
     Only the feature nodes and their ancestors are bound, in topological
     order; a node without predecessors is a source. Every mechanism receives
@@ -413,7 +395,7 @@ def build_scm(
     for v in topo:
         if not graph.predecessors(v):
             count = 1 if graph.node_types[v] == NUMERIC else int(graph.cardinalities[v])
-            sources[v] = tuple(_draw_temporal(kind, num_rows, config, rng) for _ in range(count))
+            sources[v] = tuple(_draw_temporal(kind, config, rng) for _ in range(count))
             continue
         foreign_proj = tuple(_draw_tags(config, rng) for _ in range(num_foreign))
         local_proj = tuple(_draw_tags(config, rng) for _ in graph.predecessors(v))
@@ -513,9 +495,9 @@ def realize_table_values(
         if v in scm.sources:
             params = scm.sources[v]
             if graph.node_types[v] == NUMERIC:
-                values[v] = temporal_signal(rs, params[0], node_rng)
+                values[v] = temporal_signal(rs, num_rows, params[0], node_rng)
             else:
-                values[v] = categorical_source_sample(rs, params, node_rng)
+                values[v] = categorical_source_sample(rs, num_rows, params, node_rng)
             continue
         m = scm.mechanisms[v]
         # the sum is made in u's buffer, one parent's summed projections or one

@@ -28,10 +28,7 @@ from plurelgen.corpus import (
 from plurelgen.fk_gen import assign_block_hierarchy, sample_links
 from plurelgen.schema_gen import ACTIVITY, ENTITY, topological_order
 from plurelgen.scm_gen import (
-    CycleParams,
-    FlucParams,
     TemporalParams,
-    TrendParams,
     build_scm,
     categorical_source_sample,
     cycle,
@@ -145,48 +142,36 @@ def test_criterion_03_hsbm_fidelity():
 def test_criterion_04_temporal_closed_forms():
     rng = SeededRng(41)
     for _ in range(100):
-        p = TrendParams(
-            exponent=rng.uniform(0, 2),
-            scale=rng.uniform(-2, 2),
-            offset=rng.uniform(-1, 1),
-            bound=rng.uniform(0.5, 4),
-            total_rows=int(rng.integers(1, 5000)),
-        )
-        r = float(rng.integers(1, p.total_rows))
-        want = min(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound)
-        assert abs(trend(r, p) - want) < 1e-12
+        exponent, scale = rng.uniform(0, 2), rng.uniform(-2, 2)
+        offset, bound = rng.uniform(-1, 1), rng.uniform(0.5, 4)
+        total_rows = int(rng.integers(1, 5000))
+        r = float(rng.integers(1, total_rows))
+        want = min(scale * (r / total_rows) ** exponent + offset, bound)
+        assert abs(trend(r, total_rows, exponent, scale, offset, bound) - want) < 1e-12
     for _ in range(100):
         lo = rng.uniform(-2, 0)
-        p = CycleParams(
-            period=rng.uniform(0.5, 5000),
-            scale=rng.uniform(-2, 2),
-            lower=lo,
-            upper=lo + rng.uniform(0, 3),
-        )
+        period, scale, hi = rng.uniform(0.5, 5000), rng.uniform(-2, 2), lo + rng.uniform(0, 3)
         r = float(rng.integers(0, 5000))
-        want = min(max(p.scale * math.sin(math.pi * r / p.period), p.lower), p.upper)
-        assert abs(cycle(r, p) - want) < 1e-12
+        want = min(max(scale * math.sin(math.pi * r / period), lo), hi)
+        assert abs(cycle(r, period, scale, lo, hi) - want) < 1e-12
     for _ in range(100):
         lo = rng.uniform(-4, 0)
-        p = FlucParams(scale=rng.uniform(0, 2), lower=lo, upper=lo + rng.uniform(0, 6))
+        scale, hi = rng.uniform(0, 2), lo + rng.uniform(0, 6)
         noise = float(rng.standard_normal())
-        want = min(max(p.scale * noise, p.lower), p.upper)
-        assert abs(fluc_from_noise(p, noise) - want) < 1e-12
+        want = min(max(scale * noise, lo), hi)
+        assert abs(fluc_from_noise(noise, scale, lo, hi) - want) < 1e-12
 
-    # the combined signal is the arithmetic mean of the three components
+    # the combined signal is the arithmetic mean of the three components, with
+    # the trend capped at 3, the cycle clamped to [-1, 1] and the fluctuation to [-3, 3]
+    params = TemporalParams(1.2, 0.8, 0.1, 0.9, 0.05)
     for k in range(100):
-        params = TemporalParams(
-            TrendParams(1.2, 0.8, 0.1, 3.0, 500),
-            CycleParams(50.0, 0.9, -1.0, 1.0),
-            FlucParams(0.05, -3.0, 3.0),
-        )
         r = float(k + 1)
-        got = temporal_signal(r, params, SeededRng(split_seed(4, k)))
+        got = temporal_signal(r, 500, params, SeededRng(split_seed(4, k)))
         noise = float(SeededRng(split_seed(4, k)).standard_normal())
         want = (
-            trend(r, params.trend)
-            + cycle(r, params.cycle)
-            + fluc_from_noise(params.fluc, noise)
+            trend(r, 500, 1.2, 0.8, 0.0, 3.0)
+            + cycle(r, 500 * 0.1, 0.9, -1.0, 1.0)
+            + fluc_from_noise(noise, 0.05, -3.0, 3.0)
         ) / 3.0
         assert abs(got - want) < 1e-12
 
@@ -194,19 +179,12 @@ def test_criterion_04_temporal_closed_forms():
         p = softmax(rng.standard_normal(int(rng.integers(2, 10))))
         assert np.all(p >= 0) and abs(p.sum() - 1.0) < 1e-9
 
-    flat = TemporalParams(
-        TrendParams(1.0, 0.0, 0.0, 3.0, 100),
-        CycleParams(5.0, 0.0, -1.0, 1.0),
-        FlucParams(0.0, -3.0, 3.0),
-    )
-    boosted = TemporalParams(
-        TrendParams(1.0, 0.0, 3.0 * math.log(3.0), 4.0, 100),
-        CycleParams(5.0, 0.0, -1.0, 1.0),
-        FlucParams(0.0, -3.0, 3.0),
-    )
+    # at r = 9 of 100 rows the boosted signal is (3 ln 3 - 1 + sin(pi * 9 / 18)) / 3 = ln 3
+    flat = TemporalParams(1.0, 0.0, 0.05, 0.0, 0.0)
+    boosted = TemporalParams(0.0, 3.0 * math.log(3.0) - 1.0, 0.18, 1.0, 0.0)
     draw_rng = SeededRng(43)
     draws = np.array(
-        [categorical_source_sample(9, (flat, boosted), draw_rng) for _ in range(100_000)]
+        [categorical_source_sample(9, 100, (flat, boosted), draw_rng) for _ in range(100_000)]
     )
     freqs = np.bincount(draws, minlength=3)[1:] / draws.size
     assert abs(freqs[0] - 0.25) < 0.01 and abs(freqs[1] - 0.75) < 0.01

@@ -543,6 +543,17 @@ MALFORMED_SCHEMAS = {
 }
 
 
+# edits of a saved meta.json by fault, each with the names its error must hold; None deletes it
+MALFORMED_METAS = {
+    "missing file": (None, ()),
+    "missing db_seed": (lambda meta: meta.pop("db_seed"), ("db_seed",)),
+    "missing null_fraction": (lambda meta: meta.pop("null_fraction"), ("null_fraction",)),
+    "null_fraction above 1": (lambda meta: meta.update(null_fraction=1.5), ("null_fraction",)),
+    "negative null_fraction": (lambda meta: meta.update(null_fraction=-0.25), ("null_fraction",)),
+    "NaN null_fraction": (lambda meta: meta.update(null_fraction=float("nan")), ("null_fraction",)),
+}
+
+
 def _load_command(command, db_dir, tmp_path):
     if command == "corpus":
         return ["corpus", str(db_dir), "--tokens", "1000", "--out", str(tmp_path / "c.jsonl")]
@@ -604,6 +615,20 @@ class TestMalformedDatabase:
         text, named = MALFORMED_SCHEMAS[fault](path.read_text())
         path.write_text(text)
         self._rejected(_load_command(command, db_dir, tmp_path), capsys, "schema.json", *named)
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    @pytest.mark.parametrize("fault", list(MALFORMED_METAS))
+    def test_meta_json(self, db_dir, tmp_path, capsys, command, fault):
+        """save_database always writes meta.json, so a loader that made up its fields hid a fault."""
+        edit, named = MALFORMED_METAS[fault]
+        path = OutputLayout.meta_path(db_dir)
+        if edit is None:
+            path.unlink()
+        else:
+            meta = json.loads(path.read_text())
+            edit(meta)
+            path.write_text(json.dumps(meta))
+        self._rejected(_load_command(command, db_dir, tmp_path), capsys, "meta.json", *named)
 
     @pytest.mark.parametrize("command", ["corpus", "stats"])
     def test_two_keys_into_one_table(self, tmp_path, capsys, command):

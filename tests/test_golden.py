@@ -166,9 +166,11 @@ def _realize_gather_then_project(scm, parents):
         if v in scm.sources:
             if graph.node_types[v] == NUMERIC:
                 (params,) = scm.sources[v]
-                values[v] = temporal_signal(rs, params, node_rng)
+                values[v] = temporal_signal(rs, num_rows, params, node_rng)
             else:
-                g = np.column_stack([temporal_signal(rs, p, node_rng) for p in scm.sources[v]])
+                g = np.column_stack(
+                    [temporal_signal(rs, num_rows, p, node_rng) for p in scm.sources[v]]
+                )
                 values[v] = node_rng.categorical_rows(softmax(g)) + 1
             continue
         m = scm.mechanisms[v]

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,7 @@ from plurelgen.schema_gen import TableMeta, topological_order
 from plurelgen.scm_gen import (
     CATEGORICAL,
     NUMERIC,
-    CycleParams,
-    FlucParams,
     TemporalParams,
-    TrendParams,
     build_scm,
     categorical_source_sample,
     cycle,
@@ -33,28 +30,31 @@ from plurelgen.scm_gen import (
 
 
 def _rand_trend(rng):
-    return TrendParams(
-        exponent=rng.uniform(0, 2),
-        scale=rng.uniform(-2, 2),
-        offset=rng.uniform(-1, 1),
-        bound=rng.uniform(0.5, 4),
-        total_rows=int(rng.integers(1, 5000)),
+    """(total_rows, exponent, scale, offset, bound) at an arbitrary offset and bound."""
+    exponent, scale, offset, bound = (
+        rng.uniform(0, 2), rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(0.5, 4)
     )
+    return int(rng.integers(1, 5000)), exponent, scale, offset, bound
 
 
 def _rand_cycle(rng):
+    """(period, scale, lower, upper) at arbitrary clamps."""
     lo = rng.uniform(-2, 0)
-    return CycleParams(
-        period=rng.uniform(0.5, 5000),
-        scale=rng.uniform(-2, 2),
-        lower=lo,
-        upper=lo + rng.uniform(0, 3),
-    )
+    return rng.uniform(0.5, 5000), rng.uniform(-2, 2), lo, lo + rng.uniform(0, 3)
 
 
 def _rand_fluc(rng):
+    """(scale, lower, upper) at arbitrary clamps."""
     lo = rng.uniform(-4, 0)
-    return FlucParams(scale=rng.uniform(0, 2), lower=lo, upper=lo + rng.uniform(0, 6))
+    return rng.uniform(0, 2), lo, lo + rng.uniform(0, 6)
+
+
+def _rand_temporal(rng):
+    """A source signal's five draws; a positive frequency gives a positive period."""
+    return TemporalParams(
+        rng.uniform(0, 2), rng.uniform(-2, 2), rng.uniform(0.001, 2), rng.uniform(-2, 2),
+        rng.uniform(0, 2),
+    )
 
 
 class TestTemporalClosedForms:
@@ -63,87 +63,84 @@ class TestTemporalClosedForms:
     def test_trend_against_formula(self):
         rng = SeededRng(0)
         for _ in range(100):
-            p = _rand_trend(rng)
-            rs = rng.integers(1, p.total_rows, size=5).astype(float)
-            want = [min(p.scale * (r / p.total_rows) ** p.exponent + p.offset, p.bound) for r in rs]
-            assert all(abs(trend(r, p) - w) < 1e-12 for r, w in zip(rs, want))
-            assert np.all(np.abs(trend(rs, p) - want) < 1e-12)
+            p = total_rows, exponent, scale, offset, bound = _rand_trend(rng)
+            rs = rng.integers(1, total_rows, size=5).astype(float)
+            want = [min(scale * (r / total_rows) ** exponent + offset, bound) for r in rs]
+            assert all(abs(trend(r, *p) - w) < 1e-12 for r, w in zip(rs, want))
+            assert np.all(np.abs(trend(rs, *p) - want) < 1e-12)
 
     def test_trend_examples(self):
-        assert trend(100, TrendParams(1.0, 1.0, 0.0, 2.0, 100)) == 1.0
-        p = TrendParams(0.0, 1.0, 0.5, 10.0, 77)
+        assert trend(100, 100, 1.0, 1.0, 0.0, 2.0) == 1.0
+        p = (77, 0.0, 1.0, 0.5, 10.0)
         for r in (1, 10, 77):
-            assert trend(r, p) == 1.5
-        assert np.all(trend(np.array([1.0, 10.0, 77.0]), p) == 1.5)
-        assert trend(100, TrendParams(0.5, 5.0, 0.0, 1.0, 100)) == 1.0  # clipped
+            assert trend(r, *p) == 1.5
+        assert np.all(trend(np.array([1.0, 10.0, 77.0]), *p) == 1.5)
+        assert trend(100, 100, 0.5, 5.0, 0.0, 1.0) == 1.0  # clipped
 
     def test_cycle_against_formula(self):
         rng = SeededRng(1)
         for _ in range(100):
-            p = _rand_cycle(rng)
+            p = period, scale, lower, upper = _rand_cycle(rng)
             rs = rng.integers(0, 5000, size=5).astype(float)
-            want = [
-                min(max(p.scale * math.sin(math.pi * r / p.period), p.lower), p.upper) for r in rs
-            ]
-            assert all(abs(cycle(r, p) - w) < 1e-12 for r, w in zip(rs, want))
-            assert np.all(np.abs(cycle(rs, p) - want) < 1e-12)
+            want = [min(max(scale * math.sin(math.pi * r / period), lower), upper) for r in rs]
+            assert all(abs(cycle(r, *p) - w) < 1e-12 for r, w in zip(rs, want))
+            assert np.all(np.abs(cycle(rs, *p) - want) < 1e-12)
 
     def test_cycle_examples(self):
-        assert cycle(0, CycleParams(3.0, 1.0, -1.0, 1.0)) == 0.0
-        assert cycle(1, CycleParams(2.0, 1.0, -1.0, 1.0)) == 1.0  # sin(pi/2)
-        assert cycle(3, CycleParams(2.0, 1.0, -0.5, 1.0)) == -0.5  # clamped from -1
-        clamped = CycleParams(2.0, 1.0, -0.5, 1.0)
-        assert np.array_equal(cycle(np.array([1.0, 3.0]), clamped), [1.0, -0.5])
+        assert cycle(0, 3.0, 1.0, -1.0, 1.0) == 0.0
+        assert cycle(1, 2.0, 1.0, -1.0, 1.0) == 1.0  # sin(pi/2)
+        assert cycle(3, 2.0, 1.0, -0.5, 1.0) == -0.5  # clamped from -1
+        clamped = (2.0, 1.0, -0.5, 1.0)
+        assert np.array_equal(cycle(np.array([1.0, 3.0]), *clamped), [1.0, -0.5])
         with pytest.raises(ValueError):
-            cycle(np.array([1.0]), CycleParams(0.0, 1.0, -1.0, 1.0))
+            cycle(np.array([1.0]), 0.0, 1.0, -1.0, 1.0)
 
     def test_fluc_against_formula(self):
         rng = SeededRng(2)
         for _ in range(100):
-            p = _rand_fluc(rng)
+            p = scale, lower, upper = _rand_fluc(rng)
             noise = rng.standard_normal(5)
-            want = [min(max(p.scale * n, p.lower), p.upper) for n in noise]
-            assert all(abs(fluc_from_noise(p, n) - w) < 1e-12 for n, w in zip(noise, want))
-            assert np.all(np.abs(fluc_from_noise(p, noise) - want) < 1e-12)
+            want = [min(max(scale * n, lower), upper) for n in noise]
+            assert all(abs(fluc_from_noise(n, *p) - w) < 1e-12 for n, w in zip(noise, want))
+            assert np.all(np.abs(fluc_from_noise(noise, *p) - want) < 1e-12)
 
     def test_fluc_examples(self):
-        assert fluc_from_noise(FlucParams(0.0, -1.0, 1.0), 1.7) == 0.0
-        assert fluc_from_noise(FlucParams(0.05, -1.0, 1.0), 2.0) == pytest.approx(0.1)
-        assert fluc_from_noise(FlucParams(0.05, -1.0, 1.0), 100.0) == 1.0  # clamped
+        assert fluc_from_noise(1.7, 0.0, -1.0, 1.0) == 0.0
+        assert fluc_from_noise(2.0, 0.05, -1.0, 1.0) == pytest.approx(0.1)
+        assert fluc_from_noise(100.0, 0.05, -1.0, 1.0) == 1.0  # clamped
         noise = np.array([-4.0, 1.0])
-        assert np.array_equal(fluc_from_noise(FlucParams(0.5, -1.0, 1.0), noise), [-1.0, 0.5])
+        assert np.array_equal(fluc_from_noise(noise, 0.5, -1.0, 1.0), [-1.0, 0.5])
 
     def test_signal_is_arithmetic_mean(self):
+        # the clamps are the module's: trend at most 3, cycle in [-1, 1], fluctuation in [-3, 3]
         rng = SeededRng(4)
         for k in range(100):
-            p = TemporalParams(_rand_trend(rng), _rand_cycle(rng), _rand_fluc(rng))
+            p, num_rows = _rand_temporal(rng), int(rng.integers(1, 5000))
             rs = rng.integers(1, 1000, size=5).astype(float)
             noise = SeededRng(split_seed(99, k)).standard_normal(5)
             want = [
-                (trend(r, p.trend) + cycle(r, p.cycle) + fluc_from_noise(p.fluc, n)) / 3.0
+                (
+                    trend(r, num_rows, p.trend_exponent, p.trend_scale, 0.0, 3.0)
+                    + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale, -1.0, 1.0)
+                    + fluc_from_noise(n, p.noise_scale, -3.0, 3.0)
+                ) / 3.0
                 for r, n in zip(rs, noise)
             ]
             probe = SeededRng(split_seed(99, k))
-            assert all(abs(temporal_signal(r, p, probe) - w) < 1e-12 for r, w in zip(rs, want))
-            got = temporal_signal(rs, p, SeededRng(split_seed(99, k)))
+            assert all(
+                abs(temporal_signal(r, num_rows, p, probe) - w) < 1e-12 for r, w in zip(rs, want)
+            )
+            got = temporal_signal(rs, num_rows, p, SeededRng(split_seed(99, k)))
             assert np.all(np.abs(got - want) < 1e-12)
 
     def test_signal_zero_components(self):
-        p = TemporalParams(
-            TrendParams(1.0, 0.0, 0.0, 3.0, 10),
-            CycleParams(5.0, 0.0, -1.0, 1.0),
-            FlucParams(0.0, -3.0, 3.0),
-        )
-        assert temporal_signal(4, p, SeededRng(0)) == 0.0
+        p = TemporalParams(1.0, 0.0, 0.5, 0.0, 0.0)
+        assert temporal_signal(4, 10, p, SeededRng(0)) == 0.0
 
     def test_entity_params_give_pure_clamped_noise(self):
         # trend scale 0, cycle scale 0, noise scale 1.0
-        p = TemporalParams(
-            TrendParams(1.3, 0.0, 0.0, 3.0, 100),
-            CycleParams(10.0, 0.0, -1.0, 1.0),
-            FlucParams(1.0, -3.0, 3.0),
-        )
-        got = temporal_signal(7, p, SeededRng(123))
+        p = TemporalParams(1.3, 0.0, 0.1, 0.0, 1.0)
+        got = temporal_signal(7, 100, p, SeededRng(123))
         noise = float(SeededRng(123).standard_normal())
         assert got == pytest.approx(min(max(noise, -3.0), 3.0) / 3.0, abs=1e-15)
 
@@ -159,47 +156,68 @@ class TestCategoricalSource:
 
     def test_equal_signals_uniform(self):
         # zero noise scale and equal deterministic components
-        p = TemporalParams(
-            TrendParams(1.0, 0.0, 0.2, 3.0, 100),
-            CycleParams(5.0, 0.0, -1.0, 1.0),
-            FlucParams(0.0, -3.0, 3.0),
-        )
+        p = TemporalParams(1.0, 0.2, 0.05, 0.0, 0.0)
         rng = SeededRng(6)
-        draws = categorical_source_sample(np.full(100_000, 3.0), (p, p, p, p), rng)
+        draws = categorical_source_sample(np.full(100_000, 3.0), 100, (p, p, p, p), rng)
         freqs = np.bincount(draws, minlength=5)[1:5] / draws.size
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_log_three_offset_gives_three_to_one(self):
-        # g = (0, ln 3) -> probabilities (0.25, 0.75)
-        zero = TemporalParams(
-            TrendParams(1.0, 0.0, 0.0, 3.0, 100),
-            CycleParams(5.0, 0.0, -1.0, 1.0),
-            FlucParams(0.0, -3.0, 3.0),
-        )
-        ln3 = TemporalParams(
-            TrendParams(1.0, 0.0, 3.0 * math.log(3.0), 4.0, 100),
-            CycleParams(5.0, 0.0, -1.0, 1.0),
-            FlucParams(0.0, -3.0, 3.0),
-        )
+        # g = (0, ln 3) -> probabilities (0.25, 0.75); at r = 5 of 100 rows the
+        # boosted trend is 3 ln 3 - 1 and its cycle sin(pi * 5 / 10) = 1
+        zero = TemporalParams(1.0, 0.0, 0.05, 0.0, 0.0)
+        ln3 = TemporalParams(0.0, 3.0 * math.log(3.0) - 1.0, 0.1, 1.0, 0.0)
         rng = SeededRng(7)
-        draws = categorical_source_sample(np.full(200_000, 5.0), (zero, ln3), rng)
+        draws = categorical_source_sample(np.full(200_000, 5.0), 100, (zero, ln3), rng)
         freqs = np.bincount(draws, minlength=3)[1:3] / draws.size
         assert abs(freqs[0] - 0.25) < 0.01
         assert abs(freqs[1] - 0.75) < 0.01
 
     def test_support(self):
-        p = TemporalParams(_rand_trend(SeededRng(8)), _rand_cycle(SeededRng(9)), _rand_fluc(SeededRng(10)))
+        p = _rand_temporal(SeededRng(8))
         rng = SeededRng(11)
         for _ in range(500):
-            assert 1 <= categorical_source_sample(2, (p, p, p), rng) <= 3
-        draws = categorical_source_sample(np.arange(1.0, 501.0), (p, p, p), rng)
+            assert 1 <= categorical_source_sample(2, 500, (p, p, p), rng) <= 3
+        draws = categorical_source_sample(np.arange(1.0, 501.0), 500, (p, p, p), rng)
         assert draws.shape == (500,) and draws.min() >= 1 and draws.max() <= 3
 
     def test_single_category(self):
-        rng = SeededRng(12)
-        p = TemporalParams(_rand_trend(rng), _rand_cycle(rng), _rand_fluc(rng))
-        assert categorical_source_sample(4, (p,), SeededRng(15)) == 1
-        assert np.all(categorical_source_sample(np.arange(1.0, 51.0), (p,), SeededRng(15)) == 1)
+        p = _rand_temporal(SeededRng(12))
+        assert categorical_source_sample(4, 50, (p,), SeededRng(15)) == 1
+        assert np.all(categorical_source_sample(np.arange(1.0, 51.0), 50, (p,), SeededRng(15)) == 1)
+
+
+class TestSourceDraws:
+    def test_each_source_holds_the_constants_of_its_tables_kind(self, config):
+        c = PriorSpec.constant
+        cfg = replace(
+            config,
+            trend_exponent=c(0.5),
+            cycle_frequency=c(0.25),
+            trend_scale_activity=c(1.5),
+            trend_scale_entity=c(-0.5),
+            cycle_scale_activity=c(0.75),
+            cycle_scale_entity=c(-0.25),
+            noise_scale_activity=c(0.125),
+            noise_scale_entity=c(2.0),
+        )
+        want = {
+            "activity": TemporalParams(0.5, 1.5, 0.25, 0.75, 0.125),
+            "entity": TemporalParams(0.5, -0.5, 0.25, -0.25, 2.0),
+        }
+        assert [f.name for f in fields(TemporalParams)] == [
+            "trend_exponent", "trend_scale", "cycle_frequency", "cycle_scale", "noise_scale"
+        ]
+        for kind, params in want.items():
+            categorical = 0
+            for seed in range(10):
+                graph, scm = _build_simple_scm(cfg, kind, 40, 6, seed)
+                assert scm.sources
+                for v, signals in scm.sources.items():
+                    card = graph.cardinalities[v]
+                    assert signals == (params,) * (1 if card is None else card)
+                    categorical += card is not None
+            assert categorical  # a categorical source holds one signal per category
 
 
 class TestSampleCausalGraph:
