@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -22,7 +23,6 @@ __all__ = [
     "loss_frontier",
     "FidelityReport",
     "hsbm_fidelity",
-    "DiversityReport",
     "diversity_report",
     "ks_statistic",
     "column_moments",
@@ -145,23 +145,6 @@ class FidelityReport:
     def max_tv(self) -> float:
         return max(e.tv_distance for e in self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "child_blocks": list(self.child_blocks),
-            "parent_blocks": list(self.parent_blocks),
-            "max_tv": self.max_tv,
-            "entries": [
-                {
-                    "child_vector": list(e.child_vector),
-                    "parent_vectors": [list(v) for v in e.parent_vectors],
-                    "analytic": [float(x) for x in e.analytic],
-                    "empirical": [float(x) for x in e.empirical],
-                    "tv": e.tv_distance,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def hsbm_fidelity(
     child_blocks: tuple[int, ...],
@@ -240,16 +223,16 @@ def column_moments(values: np.ndarray) -> dict:
     return {"count": n, "mean": mean, "variance": m2, "skewness": skew, "excess_kurtosis": kurt}
 
 
-def _numeric_columns(db: RelationalDatabase) -> list[tuple[str, str, np.ndarray]]:
-    """(table, column, non-NULL finite values) for numeric feature columns, schema order."""
-    out = []
+def _numeric_columns(db: RelationalDatabase) -> dict[str, np.ndarray]:
+    """"table.column" -> non-NULL finite values of each numeric feature column, schema order."""
+    out = {}
     for name in db.table_order():
         table = db.tables[name]
         for col in table.feature_names:
             if table.feature_types[col] != NUMERIC:
                 continue
             vals = table.features[col][~table.null_mask[col]]
-            out.append((name, col, vals[np.isfinite(vals)]))
+            out[f"{name}.{col}"] = vals[np.isfinite(vals)]
     return out
 
 
@@ -263,66 +246,36 @@ def _histogram_sketch(values: np.ndarray) -> dict:
     return {"counts": [int(c) for c in counts], "edges": [float(e) for e in edges]}
 
 
-@dataclass(frozen=True)
-class DiversityReport:
-    moments: dict  # db_id -> "table.column" -> moment dict
-    histograms: dict  # db_id -> "table.column" -> {"counts": [...], "edges": [...]}
-    matched_ks: dict  # "id1|id2" -> "table.column" -> ks
-    first_numeric_ks: dict  # "id1|id2" -> ks on the first numeric feature column
-    first_numeric_skewness: dict  # db_id -> skewness of that column
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def diversity_report(dbs: list[tuple[str, RelationalDatabase]]) -> DiversityReport:
-    """Per-column moment/histogram summaries plus pairwise KS statistics.
+def diversity_report(dbs: list[tuple[str, RelationalDatabase]]) -> dict:
+    """Per-column moment/histogram summaries plus pairwise KS statistics, as the
+    report ``stats`` writes.
 
     NULL cells are excluded everywhere. Columns are matched across databases
-    by (table, column) name when numeric in both.
+    by (table, column) name when numeric in both. Database ids must be unique.
     """
     columns = {db_id: _numeric_columns(db) for db_id, db in dbs}
-    moments: dict = {}
-    histograms: dict = {}
-    first_skew: dict = {}
-    for db_id, cols in columns.items():
-        moments[db_id] = {}
-        histograms[db_id] = {}
-        for tname, cname, vals in cols:
-            key = f"{tname}.{cname}"
-            if vals.size == 0:
-                continue
-            moments[db_id][key] = column_moments(vals)
-            histograms[db_id][key] = _histogram_sketch(vals)
-        if cols and cols[0][2].size:
-            first_skew[db_id] = moments[db_id][f"{cols[0][0]}.{cols[0][1]}"]["skewness"]
-
-    matched_ks: dict = {}
-    first_ks: dict = {}
-    ids = [db_id for db_id, _ in dbs]
-    by_key = {
-        db_id: {f"{t}.{c}": v for t, c, v in cols if v.size > 0}
-        for db_id, cols in columns.items()
+    report = {
+        "moments": {},  # db_id -> "table.column" -> moment dict
+        "histograms": {},  # db_id -> "table.column" -> {"counts": [...], "edges": [...]}
+        "matched_ks": {},  # "id1|id2" -> "table.column" -> ks
+        "first_numeric_ks": {},  # "id1|id2" -> ks on the first numeric feature column
+        "first_numeric_skewness": {},  # db_id -> skewness of that column
     }
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            pair = f"{ids[i]}|{ids[j]}"
-            shared = sorted(set(by_key[ids[i]]) & set(by_key[ids[j]]))
-            matched_ks[pair] = {
-                key: ks_statistic(by_key[ids[i]][key], by_key[ids[j]][key])
-                for key in shared
-            }
-            a, b = columns[ids[i]], columns[ids[j]]
-            if a and b and a[0][2].size and b[0][2].size:
-                first_ks[pair] = ks_statistic(a[0][2], b[0][2])
-
-    return DiversityReport(
-        moments=moments,
-        histograms=histograms,
-        matched_ks=matched_ks,
-        first_numeric_ks=first_ks,
-        first_numeric_skewness=first_skew,
-    )
+    for db_id, cols in columns.items():
+        present = {key: vals for key, vals in cols.items() if vals.size}
+        moments = report["moments"][db_id] = {k: column_moments(v) for k, v in present.items()}
+        report["histograms"][db_id] = {k: _histogram_sketch(v) for k, v in present.items()}
+        first = next(iter(cols), None)
+        if first in present:
+            report["first_numeric_skewness"][db_id] = moments[first]["skewness"]
+    for (id_a, a), (id_b, b) in combinations(columns.items(), 2):
+        pair = f"{id_a}|{id_b}"
+        shared = sorted(k for k in a.keys() & b.keys() if a[k].size and b[k].size)
+        report["matched_ks"][pair] = {k: ks_statistic(a[k], b[k]) for k in shared}
+        first_a, first_b = (next(iter(c.values()), np.empty(0)) for c in (a, b))
+        if first_a.size and first_b.size:
+            report["first_numeric_ks"][pair] = ks_statistic(first_a, first_b)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def cmd_stats(db_path: str, report_path: str) -> int:
     from .analysis import diversity_report
 
     dbs = [(d.name, load_database(d)) for d in find_database_dirs(db_path)]
-    write_json(diversity_report(dbs).to_dict(), report_path)
+    write_json(diversity_report(dbs), report_path)
     return 0
 
 

@@ -359,6 +359,7 @@ MLP_INIT_SCHEMES = (
 )
 MLP_ACTIVATIONS = ("relu", "elu", "silu", "softsign", "tanh")
 HSBM_MAX_LEVELS = 5  # the deepest block hierarchy the foreign-key sampler builds
+MAX_CAUSAL_NODES = 4096  # the most nodes a table's causal graph may have
 
 
 class FieldRule(NamedTuple):
@@ -527,6 +528,14 @@ class GenConfig:
         cols = self.num_columns
         if cols.kind == "range-power-law" and float(cols.payload[0]) ** -gamma == 0:
             raise ConfigError(f"power_law_exponent {gamma!r} makes every num_columns weight 0")
+        # a table's causal graph has up to num_columns / feature_node_fraction nodes; a
+        # subnormal fraction makes the quotient inf, so it is compared without ceil
+        widest, sparsest = max(_points(cols)), min(_points(self.feature_node_fraction))
+        if widest / sparsest > MAX_CAUSAL_NODES:
+            raise ConfigError(
+                f"num_columns up to {widest} at feature_node_fraction {sparsest!r} gives "
+                f"{widest / sparsest:.4g} causal-graph nodes per table, above {MAX_CAUSAL_NODES}"
+            )
 
     def with_num_tables(self, count: int) -> "GenConfig":
         """Copy of this config with the table count pinned to a constant."""

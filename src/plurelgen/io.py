@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, format_timestamp
+from .core import ConfigError, _is_int, _is_number, format_timestamp
 from .corpus import example_to_json
 from .scm_gen import (
     CATEGORICAL,
@@ -271,7 +271,7 @@ def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -
 def load_database(directory) -> RelationalDatabase:
     """Read what ``save_database`` wrote; a ``ConfigError`` names a missing or malformed file.
 
-    meta.json must give ``db_seed`` and a ``null_fraction`` in [0, 1].
+    meta.json must give an integer ``db_seed`` and a real ``null_fraction`` in [0, 1].
     A foreign key outside [1, its parent's ``num_rows``] makes its table CSV
     malformed. The foreign-key columns are the table graph: schema.json is
     malformed if its ``edges`` are not theirs, if they form a cycle or reference
@@ -289,10 +289,12 @@ def load_database(directory) -> RelationalDatabase:
         raise ConfigError(f"no meta.json under {directory}")
     with _naming(meta_file):
         meta = json.loads(meta_file.read_text())
-        seed, null_fraction = int(meta["db_seed"]), float(meta["null_fraction"])
-    if not 0.0 <= null_fraction <= 1.0:
-        raise ConfigError(f"{meta_file}: null_fraction {null_fraction} is outside [0, 1]")
-    db = RelationalDatabase(tables={}, seed=seed, null_fraction=null_fraction)
+        seed, null_fraction = meta["db_seed"], meta["null_fraction"]
+    if not _is_int(seed):
+        raise ConfigError(f"{meta_file}: db_seed {seed!r} is not an integer")
+    if not (_is_number(null_fraction) and 0.0 <= null_fraction <= 1.0):
+        raise ConfigError(f"{meta_file}: null_fraction {null_fraction!r} is not a number in [0, 1]")
+    db = RelationalDatabase(tables={}, seed=seed, null_fraction=float(null_fraction))
     with _naming(schema_file):
         schema_dict = json.loads(schema_file.read_text())
         num_rows = {}
@@ -420,15 +422,8 @@ def read_points_csv(path) -> np.ndarray:
 
 
 def write_profile_csv(rows: list[dict], path) -> None:
-    header = [
-        "num_tables",
-        "latency_sec_mean",
-        "latency_sec_std",
-        "peak_memory_gb_mean",
-        "peak_memory_gb_std",
-    ]
+    """One CSV row per dict; the header is the first row's keys, in their order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[h] for h in header])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)

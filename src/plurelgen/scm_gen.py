@@ -235,20 +235,15 @@ def _sample_causal_edges(
         depth = int(draw(config.layered_depth, rng))
         dropout = float(draw(config.layered_edge_dropout, rng))
         layer = rng.integers(0, depth - 1, size=total)
-        cand = [
-            (u, v)
-            for u in range(total)
-            for v in range(total)
-            if layer[v] == layer[u] + 1
-        ]
-        keep = rng.uniform(size=len(cand)) >= dropout
-        return [e for e, k in zip(cand, keep) if k]
+        # candidates (u, v) with v one layer below u, in row-major (u, v) order
+        u, v = np.nonzero(layer[None, :] == layer[:, None] + 1)
+        keep = rng.uniform(size=u.size) >= dropout
+        return list(zip(u[keep].tolist(), v[keep].tolist()))
     if family == "erdos-renyi":
         p = float(draw(config.er_edge_prob, rng))
-        cand = [(u, v) for u in range(total) for v in range(u + 1, total)]
-        keep = rng.uniform(size=len(cand)) < p
-        und = [e for e, k in zip(cand, keep) if k]
-        return orient_by_permutation(und, total, rng)
+        u, v = np.triu_indices(total, 1)
+        keep = rng.uniform(size=u.size) < p
+        return orient_by_permutation(list(zip(u[keep].tolist(), v[keep].tolist())), total, rng)
     if family == "barabasi-albert":
         m = min(int(draw(config.ba_attachment, rng)), total - 1)
         if m < 1:  # one node: no edges, and barabasi_albert_edges needs m >= 1

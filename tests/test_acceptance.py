@@ -258,11 +258,11 @@ def test_criterion_06_corpus_contracts(db_pool):
 def test_criterion_07_diversity(db_pool):
     dbs = [(f"db_{i}", db) for i, db in enumerate(db_pool[:20])]
     rep = diversity_report(dbs)
-    ks_values = list(rep.first_numeric_ks.values())
+    ks_values = list(rep["first_numeric_ks"].values())
     assert len(ks_values) == 190
     frac = float(np.mean([v > 0.1 for v in ks_values]))
     assert frac > 0.6
-    skews = list(rep.first_numeric_skewness.values())
+    skews = list(rep["first_numeric_skewness"].values())
     positive = sum(1 for s in skews if s > 0)
     negative = sum(1 for s in skews if s < 0)
     assert positive >= 1 and negative >= 1

@@ -168,6 +168,23 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and name in err
 
+    def test_tiny_feature_node_fraction_is_one_line(self, tmp_path, capsys):
+        """Each field passes its rule, but one column at this fraction asks for 1e300 nodes."""
+        bad, out = tmp_path / "bad.json", tmp_path / "o"
+        priors = {
+            "num_tables": 2,
+            "num_columns": 1,
+            "scm_graph_priors": "layered",
+            "feature_node_fraction": 1e-300,
+        }
+        config = {name: {"kind": "constant", "payload": v} for name, v in priors.items()}
+        bad.write_text(json.dumps(config))
+        assert main(["generate", "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "num_columns" in err and "feature_node_fraction" in err
+        assert not out.exists()
+
     # a count sizes arrays, so 2**62, which fits in int64, lies past its bound
     @pytest.mark.parametrize(
         "name",
@@ -551,6 +568,11 @@ MALFORMED_METAS = {
     "null_fraction above 1": (lambda meta: meta.update(null_fraction=1.5), ("null_fraction",)),
     "negative null_fraction": (lambda meta: meta.update(null_fraction=-0.25), ("null_fraction",)),
     "NaN null_fraction": (lambda meta: meta.update(null_fraction=float("nan")), ("null_fraction",)),
+    "fractional db_seed": (lambda meta: meta.update(db_seed=1.7), ("db_seed",)),
+    "string db_seed": (lambda meta: meta.update(db_seed="12"), ("db_seed",)),
+    "boolean db_seed": (lambda meta: meta.update(db_seed=True), ("db_seed",)),
+    "boolean null_fraction": (lambda meta: meta.update(null_fraction=True), ("null_fraction",)),
+    "string null_fraction": (lambda meta: meta.update(null_fraction="0.05"), ("null_fraction",)),
 }
 
 
@@ -723,7 +745,13 @@ class TestProfileCommand:
         assert cmd_profile(None, [3, 4], 1, str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0][0] == "num_tables"
+        assert rows[0] == [
+            "num_tables",
+            "latency_sec_mean",
+            "latency_sec_std",
+            "peak_memory_gb_mean",
+            "peak_memory_gb_std",
+        ]
         assert len(rows) == 3
         assert [r[0] for r in rows[1:]] == ["3", "4"]
 

@@ -475,6 +475,16 @@ class TestValidateRejectsWhatCannotGenerate:
         with pytest.raises(ConfigError, match=name):
             _tiny(config, **{name: bad}).validate()
 
+    def test_causal_node_bound(self, config):
+        """The widest num_columns over the sparsest feature_node_fraction is at most 4096 nodes."""
+        wide = PriorSpec.constant(1024)
+        replace(config, num_columns=wide, feature_node_fraction=PriorSpec.constant(0.25))
+        # a subnormal fraction makes the quotient inf
+        for sparsest in (0.2499, 1e-300, 5e-324):
+            fraction = PriorSpec.uniform_range(sparsest, 0.9)
+            with pytest.raises(ConfigError, match="num_columns.*feature_node_fraction"):
+                replace(config, num_columns=wide, feature_node_fraction=fraction)
+
     def test_steepest_trend_writes_finite_cells(self, config):
         # the trend bounds at both signs; row 1 of N carries |scale| * N ** |exponent|
         steep = PriorSpec.set_of(-10.0, 10)
@@ -539,12 +549,14 @@ _HOSTILE_POINTS = (
     "relu", "sparse", "layered", "random-tree", "barabasi-albert", "watts-strogatz",
 )
 # Whole priors the random draw of points is unlikely to reach: a power law
-# over (1, 2**62) would have draw weigh every count in the range, and a trend
-# exponent of -1000 makes the trend at row 1 of a table overflow.
+# over (1, 2**62) would have draw weigh every count in the range, a trend
+# exponent of -1000 makes the trend at row 1 of a table overflow, and a
+# feature_node_fraction of 1e-300 asks for 1e300 causal nodes per column.
 _HOSTILE_PRIORS = (
     ("num_columns", PriorSpec.power_law_range(1, 2**62)),
     ("trend_exponent", PriorSpec.constant(-1000)),
     ("trend_exponent", PriorSpec.uniform_range(-1000.0, 0.0)),
+    ("feature_node_fraction", PriorSpec.constant(1e-300)),
 )
 _PRIOR_KINDS = ("constant", "set-uniform", "range-uniform", "range-power-law")
 _CONFIG_FIELDS = sorted(f.name for f in fields(GenConfig))
