@@ -224,15 +224,25 @@ def column_moments(values: np.ndarray) -> dict:
 
 
 def _numeric_columns(db: RelationalDatabase) -> dict[str, np.ndarray]:
-    """"table.column" -> non-NULL finite values of each numeric feature column, schema order."""
-    out = {}
+    """"table.column" -> non-NULL finite values of each numeric feature column, schema order.
+
+    A ``ConfigError`` names two columns whose names join to one key, such as
+    column ``b.c`` of table ``a`` and column ``c`` of table ``a.b``.
+    """
+    out, owner = {}, {}
     for name in db.table_order():
         table = db.tables[name]
         for col in table.feature_names:
             if table.feature_types[col] != NUMERIC:
                 continue
+            key = f"{name}.{col}"
+            if key in owner:
+                raise ConfigError(
+                    f"column {owner[key]} and column {col} of table {name} both report as {key}"
+                )
+            owner[key] = f"{col} of table {name}"
             vals = table.features[col][~table.null_mask[col]]
-            out[f"{name}.{col}"] = vals[np.isfinite(vals)]
+            out[key] = vals[np.isfinite(vals)]
     return out
 
 

@@ -73,7 +73,9 @@ def split_seed(master: int, index: int) -> int:
 # uniforms; above it that is no faster than numpy's sampler (README)
 _ORDER_STAT_MAX_SUM = 8
 # uniforms per block of the order-statistic sampler, and candidate pairs per
-# chunk of Jöhnk's: a block and its temporaries stay in a core's L2 cache
+# chunk of Jöhnk's: a block and its temporaries stay in a core's L2 cache.
+# Unlike ``neural.row_blocks``, this size is part of the byte contract: the
+# Beta samplers draw in its blocks, so another size draws other values.
 _BLOCK = 1 << 14
 
 

@@ -5,6 +5,9 @@ Each database lives in ``<root>/db_<index>/`` with ``schema.json``,
 serialize as empty fields, numerics as shortest round-trip decimals,
 categoricals as integers, timestamps as ISO-8601 UTC.
 
+A table CSV is written and parsed one ``neural.row_blocks`` block of rows at
+a time, so no temporary grows with the table's rows or its width.
+
 Table rows are joined with commas unquoted: no header name or cell (an
 integer, a float repr, an empty NULL, an ISO timestamp) holds a comma, quote
 or line break, and ``row_idx`` is never empty, so no row is one empty field.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -24,6 +28,7 @@ import numpy as np
 
 from .core import ConfigError, _is_int, _is_number, format_timestamp
 from .corpus import example_to_json
+from .neural import row_blocks
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -104,9 +109,6 @@ def database_schema_dict(db: RelationalDatabase) -> dict:
 # ---------------------------------------------------------------------------
 
 
-CSV_BLOCK_ROWS = 1024  # rows rendered at a time, so memory does not grow with the table
-
-
 def _feature_text(values: np.ndarray, dtype: str, mask: np.ndarray) -> list[str]:
     """One feature column as CSV text; NULL cells are empty."""
     if dtype == NUMERIC:
@@ -126,21 +128,20 @@ def write_table_csv(table: GeneratedTable, path) -> None:
         header.append(TIMESTAMP)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, table.num_rows, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, table.num_rows)
-            columns = [map(str, range(lo + 1, hi + 1))]
+        for rows in row_blocks(table.num_rows, len(header)):
+            columns = [map(str, range(rows.start + 1, rows.stop + 1))]
             columns.extend(
-                map(str, np.asarray(table.fk_columns[c][lo:hi], dtype=np.int64).tolist())
+                map(str, np.asarray(table.fk_columns[c][rows], dtype=np.int64).tolist())
                 for c in table.fk_names
             )
             columns.extend(
                 _feature_text(
-                    table.features[c][lo:hi], table.feature_types[c], table.null_mask[c][lo:hi]
+                    table.features[c][rows], table.feature_types[c], table.null_mask[c][rows]
                 )
                 for c in table.feature_names
             )
             if table.timestamps is not None:
-                columns.append(format_timestamp(table.timestamps[lo:hi]).tolist())
+                columns.append(format_timestamp(table.timestamps[rows]).tolist())
             fh.write("".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
@@ -193,7 +194,7 @@ def _check_domain(path, column: dict, cells: np.ndarray, null: np.ndarray) -> No
 
 
 def _read_table_csv(path, spec: dict) -> GeneratedTable:
-    """One table CSV, parsed a block of rows at a time into one array per column.
+    """One table CSV, parsed a ``row_blocks`` block of rows at a time into one array per column.
 
     A ``ConfigError`` naming ``path`` says where it does not match ``spec``: its
     header, its row count, a cell that does not parse, ``row_idx`` other than 1..n,
@@ -211,22 +212,21 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
         reader = csv.reader(fh)
         if next(reader, None) != names:
             raise ConfigError(f"{path}: header is not the {len(names)} columns schema.json lists")
-        lo = 0
-        while block := list(islice(reader, CSV_BLOCK_ROWS)):
-            hi = lo + len(block)
-            if hi > num_rows or set(map(len, block)) != {len(names)}:
-                raise ConfigError(
-                    f"{path}: rows {lo + 1}..{hi} do not fit {num_rows} rows of {len(names)} cells"
-                )
+        for rows in row_blocks(num_rows, len(names)):
+            lo, hi = rows.start, rows.stop
+            block = list(islice(reader, hi - lo))
+            if len(block) < hi - lo:
+                raise ConfigError(f"{path}: {lo + len(block)} rows, schema.json has {num_rows}")
+            if set(map(len, block)) != {len(names)}:
+                raise ConfigError(f"{path}: rows {lo + 1}..{hi} do not all have {len(names)} cells")
             for column, text in zip(columns, zip(*block)):
                 name = column["name"]
                 with _naming(f"{path}, column {name}"):
-                    values[name][lo:hi] = _cells(text, column)
+                    values[name][rows] = _cells(text, column)
                 if name in null_mask:
-                    null_mask[name][lo:hi] = [not t for t in text]
-            lo = hi
-    if lo != num_rows:
-        raise ConfigError(f"{path}: {lo} rows, schema.json has {num_rows}")
+                    null_mask[name][rows] = [not t for t in text]
+        if next(reader, None) is not None:
+            raise ConfigError(f"{path}: more rows than the {num_rows} schema.json has")
     if not np.array_equal(values["row_idx"], np.arange(1, num_rows + 1)):
         raise ConfigError(f"{path}: row_idx is not 1..{num_rows}")
     for column in features:
@@ -257,15 +257,39 @@ def save_database(db: RelationalDatabase, directory, meta: dict | None = None) -
 
     meta.json holds the caller's ``meta`` with the database's own ``db_seed``
     and ``null_fraction`` over it, so a loaded database carries both.
+
+    The files go to a temporary sibling, ``.<name>.tmp-<pid>``, which
+    ``database_dirs`` never lists. Once it is complete, an existing
+    ``directory`` is moved aside, the new one renamed in and the old one
+    deleted. So a database directory is replaced whole: a failed save leaves
+    no new directory and an existing one as it was, and no file of an older
+    database stays behind.
     """
     directory = Path(directory)
-    tables_dir = OutputLayout.tables_dir(directory)
-    tables_dir.mkdir(parents=True, exist_ok=True)
-    write_json(database_schema_dict(db), OutputLayout.schema_path(directory))
-    meta = {**(meta or {}), "db_seed": db.seed, "null_fraction": db.null_fraction}
-    write_json(meta, OutputLayout.meta_path(directory))
-    for name in db.table_order():
-        write_table_csv(db.tables[name], tables_dir / f"{name}.csv")
+    tmp = directory.with_name(f".{directory.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        tables_dir = OutputLayout.tables_dir(tmp)
+        tables_dir.mkdir(parents=True)
+        write_json(database_schema_dict(db), OutputLayout.schema_path(tmp))
+        meta = {**(meta or {}), "db_seed": db.seed, "null_fraction": db.null_fraction}
+        write_json(meta, OutputLayout.meta_path(tmp))
+        for name in db.table_order():
+            write_table_csv(db.tables[name], tables_dir / f"{name}.csv")
+        if directory.exists():
+            old = directory.with_name(f".{directory.name}.old-{os.getpid()}")
+            directory.rename(old)
+            try:
+                tmp.rename(directory)
+            except BaseException:
+                old.rename(directory)
+                raise
+            shutil.rmtree(old)
+        else:
+            tmp.rename(directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def load_database(directory) -> RelationalDatabase:

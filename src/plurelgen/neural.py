@@ -108,18 +108,19 @@ def init_mlp(
     return TinyMlp(w1=w1, w2=w2, activation=activation)
 
 
-# Cells of a hidden layer that an activation, or a caller's gather, handles at
-# once, so their temporaries stay 64 KB whatever the row count.
+# Cells that one pass of a row-block loop handles at once: an activation, a
+# caller's gather, a block of CSV rows written or parsed. Their temporaries
+# stay 64 KB of numbers whatever the row count or the table's width.
 _BLOCK_CELLS = 8192
 
 
 def row_blocks(num_rows: int, width: int):
     """Slices covering ``range(num_rows)`` in blocks of at most ``_BLOCK_CELLS`` cells of ``width``.
 
-    A block holds at least one row.
+    A block holds at least one row, and no slice stops past ``num_rows``.
     """
     step = max(1, _BLOCK_CELLS // max(1, width))
-    return (slice(lo, lo + step) for lo in range(0, num_rows, step))
+    return (slice(lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step))
 
 
 def mlp_forward(
@@ -131,7 +132,7 @@ def mlp_forward(
     the result, (n, out_dim) or (out_dim,), which is returned; either is
     allocated when not given. Neither changes a value: both products run
     over all rows, and the activation, elementwise, runs in place one block
-    of rows at a time, or in one pass when the hidden layer fits one block.
+    of ``row_blocks`` at a time; a single vector is one block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != mlp.in_dim:
@@ -142,11 +143,9 @@ def mlp_forward(
     else:
         h = np.matmul(x, mlp.w1, out=work)
     act = ACTIVATIONS[mlp.activation]
-    if h.ndim == 1 or h.size <= _BLOCK_CELLS:
-        h = act(h)
-    else:
-        for rows in row_blocks(len(h), h.shape[1]):
-            h[rows] = act(h[rows])
+    hidden = np.atleast_2d(h)  # a view of h, one row for a single vector
+    for rows in row_blocks(len(hidden), hidden.shape[1]):
+        hidden[rows] = act(hidden[rows])
     return np.matmul(h, mlp.w2, out=out)
 
 

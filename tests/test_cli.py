@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,16 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import make_database, make_table
+from plurelgen import neural
 from plurelgen.cli import cmd_corpus, cmd_fit, cmd_generate, cmd_profile, cmd_stats, main
 from plurelgen.core import ConfigError, PriorSpec, default_config, save_config, split_seed
 from plurelgen.corpus import build_corpus
 from plurelgen.io import (
     OutputLayout,
+    database_dirs,
     database_schema_dict,
     find_database_dirs,
     load_database,
     save_database,
     write_corpus_file,
+    write_table_csv,
 )
 from plurelgen.scm_gen import generate_database
 
@@ -274,16 +278,19 @@ class TestRoundTrip:
             if a.timestamps is not None:
                 assert np.array_equal(a.timestamps, b.timestamps)
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 2**20])
-    def test_csv_block_size_changes_no_byte(self, config, tmp_path, monkeypatch, block_rows):
-        """Tables are written and read a block of rows at a time; the block size shows nowhere."""
+    @pytest.mark.parametrize("block_cells", [1, 37, 2**40])
+    def test_csv_block_size_changes_no_byte(self, config, tmp_path, monkeypatch, block_cells):
+        """Tables are written and read a block of rows at a time; the block size shows nowhere.
+
+        One cell per block is one row per block, and 2**40 cells the whole table.
+        """
         db = generate_database(config, 35)
         tables = db.tables.values()
         assert min(t.num_rows for t in tables) > 7
         assert any(t.fk_names for t in tables) and any(t.timestamps is not None for t in tables)
         assert any(mask.any() for t in tables for mask in t.null_mask.values())
         save_database(db, tmp_path / "default")
-        monkeypatch.setattr("plurelgen.io.CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(neural, "_BLOCK_CELLS", block_cells)
         save_database(db, tmp_path / "blocked")
         assert _tree_bytes(tmp_path / "blocked") == _tree_bytes(tmp_path / "default")
         loaded = load_database(tmp_path / "blocked")
@@ -298,6 +305,64 @@ class TestRoundTrip:
             assert (a.timestamps is None) == (b.timestamps is None)
             if a.timestamps is not None:
                 assert np.array_equal(a.timestamps, b.timestamps)
+
+    def test_save_over_a_larger_database_leaves_no_stale_csv(self, config, tmp_path):
+        five, three = (
+            generate_database(replace(config, num_tables=PriorSpec.constant(n)), 37)
+            for n in (5, 3)
+        )
+        save_database(five, tmp_path / "db_0")
+        save_database(three, tmp_path / "db_0")
+        save_database(three, tmp_path / "fresh")
+        assert len(list(OutputLayout.tables_dir(tmp_path / "db_0").iterdir())) == 3
+        assert _tree_bytes(tmp_path / "db_0") == _tree_bytes(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db_0", "fresh"]
+
+    def test_failed_save_leaves_no_new_database_and_keeps_the_old_one(
+        self, config, tmp_path, monkeypatch
+    ):
+        old, new = (
+            generate_database(replace(config, num_tables=PriorSpec.constant(3)), seed)
+            for seed in (38, 39)
+        )
+        save_database(old, tmp_path / "db_0")
+        before = _tree_bytes(tmp_path / "db_0")
+        written = []
+
+        def fails_on_the_second_table(table, path):
+            if written:
+                raise OSError("no space left on device")
+            written.append(path)
+            write_table_csv(table, path)
+
+        monkeypatch.setattr("plurelgen.io.write_table_csv", fails_on_the_second_table)
+        for name in ("db_0", "db_1"):
+            written.clear()
+            with pytest.raises(OSError, match="no space"):
+                save_database(new, tmp_path / name)
+            assert written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["db_0"]
+        assert _tree_bytes(tmp_path / "db_0") == before
+        assert database_dirs(tmp_path) == [tmp_path / "db_0"]
+
+    def test_csv_temporaries_do_not_grow_with_the_table(self, tmp_path):
+        """Saving and loading a 1 000 x 300 numeric table holds no table-sized temporary."""
+        rng = np.random.default_rng(0)
+        values = {f"feature_{i}": rng.standard_normal(1000) for i in range(300)}
+        db = make_database([make_table("t", 1000, values, dict.fromkeys(values, "numeric"))])
+        table = db.tables["t"]
+        own = sum(a.nbytes for a in [*table.features.values(), *table.null_mask.values()])
+
+        def traced_peak(step, *args) -> int:
+            tracemalloc.start()
+            try:
+                step(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(save_database, db, tmp_path / "db") < 4e6
+        assert traced_peak(load_database, tmp_path / "db") < own + 4e6
 
     def test_schema_json_round_trip(self, config, tmp_path):
         db = generate_database(config, 34)
@@ -428,6 +493,20 @@ class TestStatsCommand:
 
     def test_missing_dir(self, tmp_path):
         assert cmd_stats(str(tmp_path / "void"), str(tmp_path / "r.json")) == 2
+
+    def test_columns_that_join_to_one_key_are_one_line(self, tmp_path, capsys):
+        """Column b.c of table a and column c of table a.b would both be a.b.c in the report."""
+        tables = [
+            make_table("a", 3, {"b.c": [1.0, 2.0, 3.0]}, {"b.c": "numeric"}),
+            make_table("a.b", 3, {"c": [10.0, 20.0, 40.0]}, {"c": "numeric"}),
+        ]
+        save_database(make_database(tables), tmp_path / "db_0")
+        report = tmp_path / "report.json"
+        assert main(["stats", str(tmp_path), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "column b.c of table a " in err and "column c of table a.b " in err
+        assert not report.exists()
 
 
 def _truncate(header, rows, table):
