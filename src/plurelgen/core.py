@@ -604,5 +604,9 @@ def load_config(path) -> GenConfig:
     return config_from_dict(data)
 
 
+def write_json(obj, path) -> None:
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def save_config(config: GenConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    write_json(config_to_dict(config), path)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, _is_int, _is_number, format_timestamp
+from .core import ConfigError, _is_int, _is_number, format_timestamp, write_json
 from .corpus import example_to_json
 from .neural import row_blocks
 from .scm_gen import (
@@ -71,10 +71,6 @@ class OutputLayout:
     @staticmethod
     def tables_dir(db_dir) -> Path:
         return Path(db_dir) / "tables"
-
-
-def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +189,18 @@ def _check_domain(path, column: dict, cells: np.ndarray, null: np.ndarray) -> No
         )
 
 
-def _read_table_csv(path, spec: dict) -> GeneratedTable:
+def _read_table_csv(path, spec: dict, num_rows: int) -> GeneratedTable:
     """One table CSV, parsed a ``row_blocks`` block of rows at a time into one array per column.
 
-    A ``ConfigError`` naming ``path`` says where it does not match ``spec``: its
-    header, its row count, a cell that does not parse, ``row_idx`` other than 1..n,
-    or a non-NULL feature cell outside its column's domain.
+    ``num_rows`` is schema.json's, which ``load_database`` has checked. A
+    ``ConfigError`` naming ``path`` says where it does not match ``spec``: its
+    header, its row count, a cell that does not parse, ``row_idx`` other than
+    1..n, or a non-NULL feature cell outside its column's domain.
     """
     columns = spec["columns"]
     names = [c["name"] for c in columns]
     fks = [c for c in columns if c["role"] == "fk"]
     features = [c for c in columns if c["role"] == "feature"]
-    num_rows = int(spec["num_rows"])
     values = {c["name"]: np.empty(num_rows, _DTYPES[c["dtype"]]) for c in columns}
     null_mask = {c["name"]: np.zeros(num_rows, dtype=bool) for c in features}
 
@@ -233,12 +229,9 @@ def _read_table_csv(path, spec: dict) -> GeneratedTable:
         _check_domain(path, column, values[column["name"]], null_mask[column["name"]])
     return GeneratedTable(
         name=spec["name"],
-        kind=spec["kind"],
         num_rows=num_rows,
-        fk_names=tuple(c["name"] for c in fks),
         fk_targets={c["name"]: c["fk_target"] for c in fks},
         fk_columns={c["name"]: values[c["name"]] for c in fks},
-        feature_names=tuple(c["name"] for c in features),
         feature_types={c["name"]: c["dtype"] for c in features},
         feature_cards={c["name"]: c.get("cardinality") for c in features},
         features={c["name"]: values[c["name"]] for c in features},
@@ -298,11 +291,13 @@ def load_database(directory) -> RelationalDatabase:
     meta.json must give an integer ``db_seed`` and a real ``null_fraction`` in [0, 1].
     A foreign key outside [1, its parent's ``num_rows``] makes its table CSV
     malformed. The foreign-key columns are the table graph: schema.json is
-    malformed if its ``edges`` are not theirs, if they form a cycle or reference
-    their own table, or if two columns of one table reference the same table. It
-    is also malformed if it lists a table twice, or a column of one table twice,
-    or names a table with anything but one plain path component, which would
-    read a CSV outside ``tables/``.
+    malformed if its ``edges`` are not theirs, if they form a cycle (a key into
+    its own table is one), or if two columns of one table reference the same
+    table. It is also malformed if it lists a table twice, or a column of one
+    table twice, or names a table with anything but one plain path component,
+    which would read a CSV outside ``tables/``; if a table's ``num_rows`` is not
+    an integer that its CSV's byte size can hold; or if its ``kind`` is not
+    ``activity`` exactly when it has a timestamp column.
     """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
@@ -332,17 +327,26 @@ def load_database(directory) -> RelationalDatabase:
             twice = [column for i, column in enumerate(columns) if column in columns[:i]]
             if twice:
                 raise ConfigError(f"{schema_file}: table {name} lists column {twice[0]} twice")
-            num_rows[name] = int(spec["num_rows"])
+            # a row is at least a row_idx digit, a comma per other column and its line end
+            path = OutputLayout.tables_dir(directory) / f"{name}.csv"
+            rows, most = spec["num_rows"], path.stat().st_size // (len(columns) + 1)
+            if not (_is_int(rows) and 0 <= rows <= most):
+                raise ConfigError(
+                    f"{schema_file}: num_rows {rows!r} of table {name} is not an integer in "
+                    f"0..{most}, the rows {path.name} can hold"
+                )
+            num_rows[name] = rows
         for spec in schema_dict["tables"]:
             path = OutputLayout.tables_dir(directory) / f"{spec['name']}.csv"
-            table = db.tables[spec["name"]] = _read_table_csv(path, spec)
+            table = db.tables[spec["name"]] = _read_table_csv(path, spec, num_rows[spec["name"]])
+            if spec["kind"] != table.kind:
+                raise ConfigError(
+                    f"{schema_file}: kind {spec['kind']!r} of table {table.name} is not "
+                    f"{table.kind!r}, which its columns give"
+                )
             if len(set(table.fk_targets.values())) < len(table.fk_names):
                 raise ConfigError(f"{schema_file}: two foreign keys of {table.name} share a target")
             for col, target in table.fk_targets.items():
-                if target == table.name:
-                    raise ConfigError(
-                        f"{schema_file}: foreign key {col} of {table.name} references its own table"
-                    )
                 keys, n = table.fk_columns[col], num_rows[target]
                 if ((keys < 1) | (keys > n)).any():
                     raise ConfigError(f"{path}: foreign key {col} outside [1, {n}]")

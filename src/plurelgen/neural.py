@@ -96,7 +96,7 @@ def init_mlp(
     init_scheme: str,
     activation: str,
     rng: SeededRng,
-    hidden_dim: int = 32,
+    hidden_dim: int,
 ) -> TinyMlp:
     """Initialize a depth-2 MLP; it has no biases, only the two weight matrices."""
     if in_dim < 1 or out_dim < 1 or hidden_dim < 1:

@@ -15,12 +15,13 @@ trend exponent and scale, cycle frequency and scale, noise scale); for a
 mechanism, its scalars and the (init scheme, activation) tags of its
 projectors and reconstruction head, but no weight arrays. Realization reads
 everything else from the causal graph and the parent tables: an input's type
-and cardinality, and its weight, the causal edge's or 1 / (the parent's
-feature count). Node ``v`` draws from its own stream,
-``split_seed(scm.seed, 1 + v)``, when it is realized: a source its temporal
-noise and categories; a mechanism its exogenous Beta input, then its MLP
-weights and embeddings, which it drops once it is done, so set-up memory
-does not grow with a table's projector count.
+and cardinality, and its weight, 1 / (the parent's feature count) or the
+causal edge's, which ``CausalGraph.inputs`` gives beside each predecessor.
+Node ``v`` draws from its own stream, ``split_seed(scm.seed, 1 + v)``, when
+it is realized: a source its temporal noise and categories; a mechanism its
+exogenous Beta input, then its MLP weights and embeddings, which it drops
+once it is done, so set-up memory does not grow with a table's projector
+count.
 
 Projections run once per distinct input, with the edge weight folded into
 the projector's second-layer matrix: a parent feature column is projected at
@@ -62,6 +63,7 @@ from .fk_gen import populate_foreign_keys
 from .neural import decode_category, init_embedding, init_mlp, mlp_forward, row_blocks
 from .schema_gen import (
     ACTIVITY,
+    ENTITY,
     SchemaGraph,
     TableMeta,
     assign_table_metadata,
@@ -125,21 +127,22 @@ class TemporalParams:
     noise_scale: float
 
 
-def trend(r, total_rows, exponent, scale, offset, bound):
-    """min(scale * (r / total_rows)^exponent + offset, bound) at row index r (or an array)."""
-    return np.minimum(scale * (r / total_rows) ** exponent + offset, bound)
+def trend(r, total_rows, exponent, scale):
+    """min(scale * (r / total_rows)^exponent + TREND_OFFSET, TREND_BOUND) at row index(es) r."""
+    # adding TREND_OFFSET, 0.0, turns a -0.0 trend into +0.0
+    return np.minimum(scale * (r / total_rows) ** exponent + TREND_OFFSET, TREND_BOUND)
 
 
-def cycle(r, period, scale, lower, upper):
-    """min(max(scale * sin(pi * r / period), lower), upper) at row index r (or an array)."""
+def cycle(r, period, scale):
+    """scale * sin(pi * r / period) clamped to [CYCLE_LOWER, CYCLE_UPPER] at row index(es) r."""
     if period <= 0:
         raise ValueError(f"cycle period must be positive, got {period}")
-    return np.clip(scale * np.sin(np.pi * r / period), lower, upper)
+    return np.clip(scale * np.sin(np.pi * r / period), CYCLE_LOWER, CYCLE_UPPER)
 
 
-def fluc_from_noise(noise, scale, lower, upper):
-    """min(max(scale * noise, lower), upper) for given standard-normal draw(s)."""
-    return np.clip(scale * noise, lower, upper)
+def fluc_from_noise(noise, scale):
+    """scale * noise, clamped to [FLUC_LOWER, FLUC_UPPER], for given standard-normal draw(s)."""
+    return np.clip(scale * noise, FLUC_LOWER, FLUC_UPPER)
 
 
 def temporal_signal(r, num_rows: int, p: TemporalParams, rng: SeededRng):
@@ -149,9 +152,9 @@ def temporal_signal(r, num_rows: int, p: TemporalParams, rng: SeededRng):
     """
     noise = rng.standard_normal(np.shape(r))
     return (
-        trend(r, num_rows, p.trend_exponent, p.trend_scale, TREND_OFFSET, TREND_BOUND)
-        + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale, CYCLE_LOWER, CYCLE_UPPER)
-        + fluc_from_noise(noise, p.noise_scale, FLUC_LOWER, FLUC_UPPER)
+        trend(r, num_rows, p.trend_exponent, p.trend_scale)
+        + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale)
+        + fluc_from_noise(noise, p.noise_scale)
     ) / 3.0
 
 
@@ -180,24 +183,26 @@ def categorical_source_sample(
 
 @dataclass(frozen=True, eq=False)
 class CausalGraph:
-    """Typed causal DAG; feature_nodes (ascending) map to table columns in order."""
+    """Typed causal DAG: sorted edges, ``weights[i]`` the weight of ``edges[i]``, and
+    feature_nodes (ascending) that map to table columns in order."""
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
-    edge_weights: dict[tuple[int, int], float]
+    weights: tuple[float, ...]
     node_types: tuple[str, ...]
     cardinalities: tuple[int | None, ...]
     feature_nodes: tuple[int, ...]
 
     @cached_property
-    def _predecessor_lists(self) -> tuple[tuple[int, ...], ...]:
-        preds: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, w in self.edges:
-            preds[w].append(u)
-        return tuple(tuple(sorted(p)) for p in preds)
+    def _inputs(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        inputs: list[list[tuple[int, float]]] = [[] for _ in range(self.num_nodes)]
+        for (u, w), weight in zip(self.edges, self.weights):
+            inputs[w].append((u, weight))
+        return tuple(map(tuple, inputs))
 
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._predecessor_lists[v]
+    def inputs(self, v: int) -> tuple[tuple[int, float], ...]:
+        """The (predecessor, edge weight) pairs of node ``v``, in edge order."""
+        return self._inputs[v]
 
     @cached_property
     def live_nodes(self) -> frozenset[int]:
@@ -205,7 +210,7 @@ class CausalGraph:
         live = set(self.feature_nodes)
         stack = list(live)
         while stack:
-            for u in self.predecessors(stack.pop()):
+            for u, _ in self.inputs(stack.pop()):
                 if u not in live:
                     live.add(u)
                     stack.append(u)
@@ -279,7 +284,7 @@ def sample_causal_graph(
             types[v] = CATEGORICAL
             cards[v] = int(draw(config.num_categories, rng))
 
-    weights = {e: float(w) for e, w in zip(edges, rng.standard_normal(len(edges)))}
+    weights = tuple(rng.standard_normal(len(edges)).tolist())
 
     targets = {w for _, w in edges}
     non_sources = sorted(v for v in range(total) if v in targets)
@@ -295,7 +300,7 @@ def sample_causal_graph(
     return CausalGraph(
         num_nodes=total,
         edges=tuple(edges),
-        edge_weights=weights,
+        weights=weights,
         node_types=tuple(types),
         cardinalities=tuple(cards),
         feature_nodes=tuple(feature_nodes),
@@ -321,7 +326,7 @@ class NodeMechanism:
 
     ``foreign_proj`` holds one projector per feature column of the parent
     tables, parent by parent; ``local_proj`` one per in-graph predecessor, in
-    ``graph.predecessors`` order.
+    ``graph.inputs`` order.
     """
 
     exo_weight: float
@@ -388,12 +393,12 @@ def build_scm(
     mechanisms: dict[int, NodeMechanism] = {}
     topo = tuple(v for v in graph.topo_order() if v in graph.live_nodes)
     for v in topo:
-        if not graph.predecessors(v):
+        if not graph.inputs(v):
             count = 1 if graph.node_types[v] == NUMERIC else int(graph.cardinalities[v])
             sources[v] = tuple(_draw_temporal(kind, config, rng) for _ in range(count))
             continue
         foreign_proj = tuple(_draw_tags(config, rng) for _ in range(num_foreign))
-        local_proj = tuple(_draw_tags(config, rng) for _ in graph.predecessors(v))
+        local_proj = tuple(_draw_tags(config, rng) for _ in graph.inputs(v))
         exo_weight = float(rng.standard_normal())
         exo_beta = draw(config.exogenous_priors, rng)
         mechanisms[v] = NodeMechanism(
@@ -504,18 +509,14 @@ def realize_table_values(
         for parent, fk_index in parents:
             weight = 1.0 / len(parent.feature_names)
             parent_sum = np.zeros((parent.num_rows, hidden))
-            for c in parent.feature_names:
-                _project(
-                    next(tags), parent.feature_types[c], parent.feature_cards[c], weight,
-                    parent.features[c], node_rng, parent_sum, scratch,
-                )
+            for c, x in parent.features.items():
+                dtype, card = parent.feature_types[c], parent.feature_cards[c]
+                _project(next(tags), dtype, card, weight, x, node_rng, parent_sum, scratch)
             _gather(u, parent_sum, fk_index)
             del parent_sum
-        for p, j in zip(m.local_proj, graph.predecessors(v)):
-            _project(
-                p, graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)],
-                values[j], node_rng, u, scratch,
-            )
+        for p, (j, weight) in zip(m.local_proj, graph.inputs(v)):
+            dtype, card = graph.node_types[j], graph.cardinalities[j]
+            _project(p, dtype, card, weight, values[j], node_rng, u, scratch)
         # a reconstruction head draws its MLP before a categorical node's embedding
         if graph.node_types[v] == NUMERIC:
             recon = init_mlp(hidden, 1, m.recon.scheme, m.recon.activation, node_rng, hidden)
@@ -536,20 +537,30 @@ def realize_table_values(
 
 @dataclass(eq=False)
 class GeneratedTable:
-    """Columnar storage for one table; primary keys are the row indices 1..num_rows."""
+    """Columnar storage for one table; primary keys are the row indices 1..num_rows. Its
+    column dicts are in column order, and it is an activity table when it has timestamps."""
 
     name: str
-    kind: str
     num_rows: int
-    fk_names: tuple[str, ...]
     fk_targets: dict[str, str]
     fk_columns: dict[str, np.ndarray]
-    feature_names: tuple[str, ...]
     feature_types: dict[str, str]
     feature_cards: dict[str, int | None]
     features: dict[str, np.ndarray]
     null_mask: dict[str, np.ndarray] = field(default_factory=dict)
     timestamps: np.ndarray | None = None  # int64 epoch seconds, activity tables only
+
+    @property
+    def kind(self) -> str:
+        return ENTITY if self.timestamps is None else ACTIVITY
+
+    @property
+    def fk_names(self) -> tuple[str, ...]:
+        return tuple(self.fk_columns)
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(self.features)
 
     def __post_init__(self):
         for name in self.feature_names:
@@ -610,12 +621,7 @@ def generate_table(
         scm, [(parent, fk_columns[col] - 1) for col, parent in zip(fk_names, parents)]
     )
 
-    feature_names = tuple(f"feature_{i + 1}" for i in range(meta.num_feature_columns))
-    features, ftypes, fcards = {}, {}, {}
-    for col, node in zip(feature_names, causal.feature_nodes):
-        features[col] = node_values[node]
-        ftypes[col] = causal.node_types[node]
-        fcards[col] = causal.cardinalities[node]
+    nodes = {f"feature_{i + 1}": v for i, v in enumerate(causal.feature_nodes)}  # column -> node
 
     timestamps = None
     if meta.kind == ACTIVITY:
@@ -625,15 +631,12 @@ def generate_table(
 
     return GeneratedTable(
         name=name,
-        kind=meta.kind,
         num_rows=meta.num_rows,
-        fk_names=fk_names,
         fk_targets={col: parent.name for col, parent in zip(fk_names, parents)},
         fk_columns=fk_columns,
-        feature_names=feature_names,
-        feature_types=ftypes,
-        feature_cards=fcards,
-        features=features,
+        feature_types={c: causal.node_types[v] for c, v in nodes.items()},
+        feature_cards={c: causal.cardinalities[v] for c, v in nodes.items()},
+        features={c: node_values[v] for c, v in nodes.items()},
         timestamps=timestamps,
     )
 

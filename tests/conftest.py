@@ -64,18 +64,14 @@ def make_table(
     fk: dict | None = None,
     fk_targets: dict | None = None,
     timestamps=None,
-    kind="entity",
 ) -> GeneratedTable:
-    """Hand-built table for corpus/analysis tests."""
+    """Hand-built table for corpus/analysis tests; it is an activity table if it has timestamps."""
     fk = fk or {}
     return GeneratedTable(
         name=name,
-        kind=kind,
         num_rows=num_rows,
-        fk_names=tuple(fk.keys()),
         fk_targets=fk_targets or {},
         fk_columns={k: np.asarray(v, dtype=np.int64) for k, v in fk.items()},
-        feature_names=tuple(feature_values.keys()),
         feature_types=dict(feature_types),
         feature_cards={k: None for k in feature_values},
         features={

@@ -28,6 +28,12 @@ from plurelgen.corpus import (
 from plurelgen.fk_gen import assign_block_hierarchy, sample_links
 from plurelgen.schema_gen import ACTIVITY, ENTITY, topological_order
 from plurelgen.scm_gen import (
+    CYCLE_LOWER,
+    CYCLE_UPPER,
+    FLUC_LOWER,
+    FLUC_UPPER,
+    TREND_BOUND,
+    TREND_OFFSET,
     TemporalParams,
     build_scm,
     categorical_source_sample,
@@ -140,26 +146,24 @@ def test_criterion_03_hsbm_fidelity():
 
 
 def test_criterion_04_temporal_closed_forms():
+    # each component is clamped by the module's constants
     rng = SeededRng(41)
     for _ in range(100):
-        exponent, scale = rng.uniform(0, 2), rng.uniform(-2, 2)
-        offset, bound = rng.uniform(-1, 1), rng.uniform(0.5, 4)
+        exponent, scale = rng.uniform(0, 2), rng.uniform(-5, 5)
         total_rows = int(rng.integers(1, 5000))
         r = float(rng.integers(1, total_rows))
-        want = min(scale * (r / total_rows) ** exponent + offset, bound)
-        assert abs(trend(r, total_rows, exponent, scale, offset, bound) - want) < 1e-12
+        want = min(scale * (r / total_rows) ** exponent + TREND_OFFSET, TREND_BOUND)
+        assert abs(trend(r, total_rows, exponent, scale) - want) < 1e-12
     for _ in range(100):
-        lo = rng.uniform(-2, 0)
-        period, scale, hi = rng.uniform(0.5, 5000), rng.uniform(-2, 2), lo + rng.uniform(0, 3)
+        period, scale = rng.uniform(0.5, 5000), rng.uniform(-2, 2)
         r = float(rng.integers(0, 5000))
-        want = min(max(scale * math.sin(math.pi * r / period), lo), hi)
-        assert abs(cycle(r, period, scale, lo, hi) - want) < 1e-12
+        want = min(max(scale * math.sin(math.pi * r / period), CYCLE_LOWER), CYCLE_UPPER)
+        assert abs(cycle(r, period, scale) - want) < 1e-12
     for _ in range(100):
-        lo = rng.uniform(-4, 0)
-        scale, hi = rng.uniform(0, 2), lo + rng.uniform(0, 6)
+        scale = rng.uniform(0, 2)
         noise = float(rng.standard_normal())
-        want = min(max(scale * noise, lo), hi)
-        assert abs(fluc_from_noise(noise, scale, lo, hi) - want) < 1e-12
+        want = min(max(scale * noise, FLUC_LOWER), FLUC_UPPER)
+        assert abs(fluc_from_noise(noise, scale) - want) < 1e-12
 
     # the combined signal is the arithmetic mean of the three components, with
     # the trend capped at 3, the cycle clamped to [-1, 1] and the fluctuation to [-3, 3]
@@ -169,9 +173,7 @@ def test_criterion_04_temporal_closed_forms():
         got = temporal_signal(r, 500, params, SeededRng(split_seed(4, k)))
         noise = float(SeededRng(split_seed(4, k)).standard_normal())
         want = (
-            trend(r, 500, 1.2, 0.8, 0.0, 3.0)
-            + cycle(r, 500 * 0.1, 0.9, -1.0, 1.0)
-            + fluc_from_noise(noise, 0.05, -3.0, 3.0)
+            trend(r, 500, 1.2, 0.8) + cycle(r, 500 * 0.1, 0.9) + fluc_from_noise(noise, 0.05)
         ) / 3.0
         assert abs(got - want) < 1e-12
 

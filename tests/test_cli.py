@@ -245,6 +245,15 @@ class TestInMemoryEqualsOnDisk:
         assert memory.count(b"\n") > 100
         assert memory == (tmp_path / "disk.jsonl").read_bytes()
 
+    def test_names_and_kind_come_from_the_columns(self, panel):
+        root, dbs = panel
+        tables = [t for _, db in dbs for t in db.tables.values()]
+        tables += [t for name, _ in dbs for t in load_database(root / name).tables.values()]
+        for t in tables:
+            assert t.feature_names == tuple(t.features) and t.fk_names == tuple(t.fk_columns)
+            assert t.kind == ("entity" if t.timestamps is None else "activity")
+        assert {t.kind for t in tables} == {"entity", "activity"}
+
     def test_save_load_save(self, panel, tmp_path):
         root, dbs = panel
         for name, _ in dbs:
@@ -622,12 +631,34 @@ def _renamed_through_parent_dir(text):
     return json.dumps(schema), (new,)
 
 
-# a schema.json that cannot be read as one, whose edges are not the ones its keys give, or whose
-# tables are not one CSV each under tables/, each as a function of the file's text to the
-# malformed text and the names its error must hold
+def _set_in_table(key, value, timestamped=False):
+    """The first table's ``key``, or the first timestamped table's, set to ``value``; the error
+    must name the key and the table."""
+
+    def apply(text):
+        schema = json.loads(text)
+        spec = next(
+            spec for spec in schema["tables"]
+            if not timestamped or any(c["role"] == "timestamp" for c in spec["columns"])
+        )
+        spec[key] = value
+        return json.dumps(schema), (key, spec["name"])
+
+    return apply
+
+
+# a schema.json that cannot be read as one, whose edges are not the ones its keys give, whose
+# tables are not one CSV each under tables/, or whose num_rows or kind a table's CSV cannot have,
+# each as a function of the file's text to the malformed text and the names its error must hold
 MALFORMED_SCHEMAS = {
     "not JSON": lambda text: ("{broken", ()),
     "missing num_rows": _edit_json(lambda schema: schema["tables"][0].pop("num_rows")),
+    "num_rows past the CSV's bytes": _set_in_table("num_rows", 10**13),
+    "fractional num_rows": _set_in_table("num_rows", 2.9),
+    "boolean num_rows": _set_in_table("num_rows", True),
+    "unknown kind": _set_in_table("kind", "banana"),
+    "list kind": _set_in_table("kind", ["x"]),
+    "entity kind with a timestamp column": _set_in_table("kind", "entity", timestamped=True),
     "unknown fk target": _edit_json(_unknown_fk_target),
     "cyclic edges": _edit_json(lambda schema: schema["edges"].append(schema["edges"][0][::-1])),
     "missing edge": _edit_json(lambda schema: schema["edges"].pop()),

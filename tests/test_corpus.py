@@ -22,7 +22,6 @@ def _toy_db(child_rows=5, child_ts=None):
         2,
         {"feature_1": [1.5, -2.0], "feature_2": [3, 4]},
         {"feature_1": "numeric", "feature_2": "categorical"},
-        kind="entity",
     )
     child = make_table(
         "child",
@@ -32,7 +31,6 @@ def _toy_db(child_rows=5, child_ts=None):
         fk={"foreign_row_1": [1] * child_rows},
         fk_targets={"foreign_row_1": "parent"},
         timestamps=child_ts,
-        kind="activity" if child_ts is not None else "entity",
     )
     return make_database([parent, child])
 

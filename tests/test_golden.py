@@ -158,6 +158,7 @@ def _realize_gather_then_project(scm, parents):
     each local projection.
     """
     graph, num_rows, hidden = scm.graph, scm.num_rows, scm.hidden_dim
+    weights = dict(zip(graph.edges, graph.weights))
     rs = np.arange(1, num_rows + 1, dtype=np.float64)
     assert sorted(scm.topo) == sorted(feature_ancestors(graph))
     values = {}
@@ -183,8 +184,8 @@ def _realize_gather_then_project(scm, parents):
             for c in table.feature_names
         ]
         inputs += [
-            (graph.node_types[j], graph.cardinalities[j], graph.edge_weights[(j, v)], values[j])
-            for j in graph.predecessors(v)
+            (graph.node_types[j], graph.cardinalities[j], weights[j, v], values[j])
+            for j in sorted(j for j, w in weights if w == v)
         ]
         projected = []
         for tags, (dtype, card, weight, x) in zip(m.foreign_proj + m.local_proj, inputs):
@@ -287,7 +288,6 @@ def test_write_table_csv_matches_rowwise_rendering(tmp_path):
         fk={"foreign_row_1": rng.integers(1, 900, size=n)},
         fk_targets={"foreign_row_1": "p"},
         timestamps=np.sort(np.append(rng.integers(-10**9, 2 * 10**9, size=n - 1), YEAR_500)),
-        kind="activity",
     )
     table.null_mask["feature_1"] = rng.uniform(size=n) < 0.1
     table.null_mask["feature_2"] = rng.uniform(size=n) < 0.3
@@ -307,7 +307,7 @@ def test_write_table_csv_matches_rowwise_rendering(tmp_path):
 def test_year_500_timestamp_has_one_spelling(tmp_path):
     table = make_table(
         "t", 2, {"feature_1": [1.5, 2.5]}, {"feature_1": "numeric"},
-        timestamps=[YEAR_500, YEAR_500 + 60], kind="activity",
+        timestamps=[YEAR_500, YEAR_500 + 60],
     )
     path = tmp_path / "t.csv"
     write_table_csv(table, path)

@@ -69,7 +69,7 @@ class TestInitMlp:
         assert np.all(np.abs(mlp.w1) <= math.sqrt(6.0 / 16))
 
     def test_truncated_normal_support(self):
-        mlp = init_mlp(32, 32, "truncated-normal", "elu", SeededRng(4))
+        mlp = init_mlp(32, 32, "truncated-normal", "elu", SeededRng(4), hidden_dim=32)
         assert np.all(np.abs(mlp.w1) <= 2.0) and np.all(np.abs(mlp.w2) <= 2.0)
 
     @pytest.mark.parametrize(
@@ -77,7 +77,7 @@ class TestInitMlp:
         ["kaiming-normal", "kaiming-uniform", "xavier-normal", "xavier-uniform", "truncated-normal", "sparse"],
     )
     def test_all_parameters_finite_and_no_biases(self, scheme):
-        mlp = init_mlp(3, 5, scheme, "silu", SeededRng(5))
+        mlp = init_mlp(3, 5, scheme, "silu", SeededRng(5), hidden_dim=32)
         assert [f.name for f in fields(TinyMlp)] == ["w1", "w2", "activation"]
         assert mlp.w1.shape == (3, 32) and mlp.w2.shape == (32, 5)
         for arr in (mlp.w1, mlp.w2):
@@ -85,11 +85,11 @@ class TestInitMlp:
 
     def test_unknown_tags_rejected(self):
         with pytest.raises(ConfigError):
-            init_mlp(1, 1, "glorot", "relu", SeededRng(0))
+            init_mlp(1, 1, "glorot", "relu", SeededRng(0), hidden_dim=32)
         with pytest.raises(ConfigError):
-            init_mlp(1, 1, "sparse", "gelu", SeededRng(0))
+            init_mlp(1, 1, "sparse", "gelu", SeededRng(0), hidden_dim=32)
         with pytest.raises(ConfigError):
-            init_mlp(0, 1, "sparse", "relu", SeededRng(0))
+            init_mlp(0, 1, "sparse", "relu", SeededRng(0), hidden_dim=32)
 
 
 class TestMlpForward:
@@ -105,28 +105,28 @@ class TestMlpForward:
 
     def test_golden_output_stable(self):
         # frozen after the first implementation run
-        mlp = init_mlp(3, 2, "xavier-normal", "tanh", SeededRng(2024))
+        mlp = init_mlp(3, 2, "xavier-normal", "tanh", SeededRng(2024), hidden_dim=32)
         out = mlp_forward(mlp, np.array([0.5, -1.0, 2.0]))
         assert np.allclose(
             out, [-0.2526993607657436, -0.5421567613575538], rtol=0, atol=1e-15
         )
 
     def test_pure_function_bitwise(self):
-        mlp = init_mlp(4, 4, "kaiming-normal", "silu", SeededRng(6))
+        mlp = init_mlp(4, 4, "kaiming-normal", "silu", SeededRng(6), hidden_dim=32)
         x = SeededRng(7).standard_normal(4)
         a = mlp_forward(mlp, x)
         b = mlp_forward(mlp, x)
         assert np.array_equal(a, b)
 
     def test_batch_matches_single(self):
-        mlp = init_mlp(3, 2, "xavier-uniform", "elu", SeededRng(8))
+        mlp = init_mlp(3, 2, "xavier-uniform", "elu", SeededRng(8), hidden_dim=32)
         xs = SeededRng(9).standard_normal((5, 3))
         batch = mlp_forward(mlp, xs)
         for i in range(5):
             assert np.allclose(batch[i], mlp_forward(mlp, xs[i]))
 
     def test_dimension_mismatch_raises(self):
-        mlp = init_mlp(3, 2, "xavier-normal", "relu", SeededRng(10))
+        mlp = init_mlp(3, 2, "xavier-normal", "relu", SeededRng(10), hidden_dim=32)
         with pytest.raises(ValueError):
             mlp_forward(mlp, np.zeros(4))
 
@@ -201,9 +201,9 @@ class TestKernelsBitwise:
     @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
     def test_one_input_forward_matches_matmul(self, scheme, activation):
         rng = SeededRng(len(scheme) * 31 + len(activation))
-        mlp = init_mlp(1, 1, scheme, activation, rng)
+        mlp = init_mlp(1, 1, scheme, activation, rng, hidden_dim=32)
         x = np.concatenate([[0.0, -0.0, 1e-300, -1e300], rng.standard_normal(3000) * 5.0])
-        wide = init_mlp(1, 32, scheme, activation, rng)
+        wide = init_mlp(1, 32, scheme, activation, rng, hidden_dim=32)
         for net in (mlp, wide):
             got, want = mlp_forward(net, x[:, None]), _biased_forward(net, x[:, None])
             assert np.array_equal(_bits(got), _bits(want))

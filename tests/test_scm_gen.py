@@ -30,23 +30,13 @@ from plurelgen.scm_gen import (
 
 
 def _rand_trend(rng):
-    """(total_rows, exponent, scale, offset, bound) at an arbitrary offset and bound."""
-    exponent, scale, offset, bound = (
-        rng.uniform(0, 2), rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(0.5, 4)
-    )
-    return int(rng.integers(1, 5000)), exponent, scale, offset, bound
+    """(total_rows, exponent, scale), at scales that reach past the trend bound."""
+    return int(rng.integers(1, 5000)), rng.uniform(0, 2), rng.uniform(-5, 5)
 
 
 def _rand_cycle(rng):
-    """(period, scale, lower, upper) at arbitrary clamps."""
-    lo = rng.uniform(-2, 0)
-    return rng.uniform(0.5, 5000), rng.uniform(-2, 2), lo, lo + rng.uniform(0, 3)
-
-
-def _rand_fluc(rng):
-    """(scale, lower, upper) at arbitrary clamps."""
-    lo = rng.uniform(-4, 0)
-    return rng.uniform(0, 2), lo, lo + rng.uniform(0, 6)
+    """(period, scale), at scales that reach past the cycle clamps."""
+    return rng.uniform(0.5, 5000), rng.uniform(-2, 2)
 
 
 def _rand_temporal(rng):
@@ -58,58 +48,64 @@ def _rand_temporal(rng):
 
 
 class TestTemporalClosedForms:
-    """Each closed form at single row indices and at the same indices as one array."""
+    """Each closed form at single row indices and at the same indices as one array, clamped by
+    the module's TREND_*, CYCLE_* and FLUC_* constants."""
 
     def test_trend_against_formula(self):
         rng = SeededRng(0)
         for _ in range(100):
-            p = total_rows, exponent, scale, offset, bound = _rand_trend(rng)
+            p = total_rows, exponent, scale = _rand_trend(rng)
             rs = rng.integers(1, total_rows, size=5).astype(float)
-            want = [min(scale * (r / total_rows) ** exponent + offset, bound) for r in rs]
+            want = [
+                min(scale * (r / total_rows) ** exponent + scm_gen.TREND_OFFSET, scm_gen.TREND_BOUND)
+                for r in rs
+            ]
             assert all(abs(trend(r, *p) - w) < 1e-12 for r, w in zip(rs, want))
             assert np.all(np.abs(trend(rs, *p) - want) < 1e-12)
 
     def test_trend_examples(self):
-        assert trend(100, 100, 1.0, 1.0, 0.0, 2.0) == 1.0
-        p = (77, 0.0, 1.0, 0.5, 10.0)
+        assert trend(100, 100, 1.0, 1.0) == 1.0
+        p = (77, 0.0, 1.5)
         for r in (1, 10, 77):
             assert trend(r, *p) == 1.5
         assert np.all(trend(np.array([1.0, 10.0, 77.0]), *p) == 1.5)
-        assert trend(100, 100, 0.5, 5.0, 0.0, 1.0) == 1.0  # clipped
+        assert trend(100, 100, 0.5, 5.0) == 3.0  # clipped
+        assert np.signbit(trend(np.array([1.0, 50.0]), 100, 1.0, -0.0)).tolist() == [False, False]
 
     def test_cycle_against_formula(self):
         rng = SeededRng(1)
+        lower, upper = scm_gen.CYCLE_LOWER, scm_gen.CYCLE_UPPER
         for _ in range(100):
-            p = period, scale, lower, upper = _rand_cycle(rng)
+            p = period, scale = _rand_cycle(rng)
             rs = rng.integers(0, 5000, size=5).astype(float)
             want = [min(max(scale * math.sin(math.pi * r / period), lower), upper) for r in rs]
             assert all(abs(cycle(r, *p) - w) < 1e-12 for r, w in zip(rs, want))
             assert np.all(np.abs(cycle(rs, *p) - want) < 1e-12)
 
     def test_cycle_examples(self):
-        assert cycle(0, 3.0, 1.0, -1.0, 1.0) == 0.0
-        assert cycle(1, 2.0, 1.0, -1.0, 1.0) == 1.0  # sin(pi/2)
-        assert cycle(3, 2.0, 1.0, -0.5, 1.0) == -0.5  # clamped from -1
-        clamped = (2.0, 1.0, -0.5, 1.0)
-        assert np.array_equal(cycle(np.array([1.0, 3.0]), *clamped), [1.0, -0.5])
+        assert cycle(0, 3.0, 1.0) == 0.0
+        assert cycle(1, 2.0, 1.0) == 1.0  # sin(pi/2)
+        assert cycle(3, 2.0, 2.0) == -1.0  # clamped from -2
+        assert np.array_equal(cycle(np.array([1.0, 3.0]), 2.0, 2.0), [1.0, -1.0])
         with pytest.raises(ValueError):
-            cycle(np.array([1.0]), 0.0, 1.0, -1.0, 1.0)
+            cycle(np.array([1.0]), 0.0, 1.0)
 
     def test_fluc_against_formula(self):
         rng = SeededRng(2)
+        lower, upper = scm_gen.FLUC_LOWER, scm_gen.FLUC_UPPER
         for _ in range(100):
-            p = scale, lower, upper = _rand_fluc(rng)
+            scale = rng.uniform(0, 2)  # takes some draws past the clamps
             noise = rng.standard_normal(5)
             want = [min(max(scale * n, lower), upper) for n in noise]
-            assert all(abs(fluc_from_noise(n, *p) - w) < 1e-12 for n, w in zip(noise, want))
-            assert np.all(np.abs(fluc_from_noise(noise, *p) - want) < 1e-12)
+            assert all(abs(fluc_from_noise(n, scale) - w) < 1e-12 for n, w in zip(noise, want))
+            assert np.all(np.abs(fluc_from_noise(noise, scale) - want) < 1e-12)
 
     def test_fluc_examples(self):
-        assert fluc_from_noise(1.7, 0.0, -1.0, 1.0) == 0.0
-        assert fluc_from_noise(2.0, 0.05, -1.0, 1.0) == pytest.approx(0.1)
-        assert fluc_from_noise(100.0, 0.05, -1.0, 1.0) == 1.0  # clamped
-        noise = np.array([-4.0, 1.0])
-        assert np.array_equal(fluc_from_noise(noise, 0.5, -1.0, 1.0), [-1.0, 0.5])
+        assert fluc_from_noise(1.7, 0.0) == 0.0
+        assert fluc_from_noise(2.0, 0.05) == pytest.approx(0.1)
+        assert fluc_from_noise(100.0, 0.05) == 3.0  # clamped
+        noise = np.array([-8.0, 1.0])
+        assert np.array_equal(fluc_from_noise(noise, 0.5), [-3.0, 0.5])
 
     def test_signal_is_arithmetic_mean(self):
         # the clamps are the module's: trend at most 3, cycle in [-1, 1], fluctuation in [-3, 3]
@@ -120,9 +116,9 @@ class TestTemporalClosedForms:
             noise = SeededRng(split_seed(99, k)).standard_normal(5)
             want = [
                 (
-                    trend(r, num_rows, p.trend_exponent, p.trend_scale, 0.0, 3.0)
-                    + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale, -1.0, 1.0)
-                    + fluc_from_noise(n, p.noise_scale, -3.0, 3.0)
+                    trend(r, num_rows, p.trend_exponent, p.trend_scale)
+                    + cycle(r, num_rows * p.cycle_frequency, p.cycle_scale)
+                    + fluc_from_noise(n, p.noise_scale)
                 ) / 3.0
                 for r, n in zip(rs, noise)
             ]
@@ -291,16 +287,26 @@ class TestSampleCausalGraph:
     def test_prefers_non_source_feature_nodes(self, config):
         for seed in range(60):
             g = sample_causal_graph(4, config, SeededRng(seed))
-            sources = {v for v in range(g.num_nodes) if not g.predecessors(v)}
+            sources = {v for v in range(g.num_nodes) if not g.inputs(v)}
             non_source_count = g.num_nodes - len(sources)
             picked_sources = sum(1 for v in g.feature_nodes if v in sources)
             if non_source_count >= 4:
                 assert picked_sources == 0
 
-    def test_edge_weights_cover_all_edges(self, config):
+    def test_every_edge_has_a_finite_weight(self, config):
         g = sample_causal_graph(12, config, SeededRng(5))
-        assert set(g.edge_weights) == set(g.edges)
-        assert all(np.isfinite(w) for w in g.edge_weights.values())
+        assert len(g.weights) == len(g.edges) > 0
+        assert all(np.isfinite(w) for w in g.weights)
+
+    @pytest.mark.parametrize("family", SCM_FAMILIES)
+    def test_inputs_are_the_weighted_edges_into_each_node(self, config, family):
+        cfg = replace(config, scm_graph_priors=PriorSpec.set_of(family))
+        for seed in range(5):
+            g = sample_causal_graph(12, cfg, SeededRng(seed))
+            pairs = list(zip(g.edges, g.weights))
+            assert pairs
+            for v in range(g.num_nodes):
+                assert list(g.inputs(v)) == sorted((u, x) for (u, w), x in pairs if w == v)
 
 
 def _build_simple_scm(config, kind, num_rows, num_features, seed):
@@ -348,7 +354,7 @@ class TestRealization:
         graph = scm_gen.CausalGraph(
             num_nodes=5,
             edges=((0, 1), (0, 2), (1, 3), (1, 4), (2, 4)),
-            edge_weights={(0, 1): 0.7, (0, 2): -1.2, (1, 3): 1.1, (1, 4): 0.4, (2, 4): -0.3},
+            weights=(0.7, -1.2, 1.1, 0.4, -0.3),
             node_types=(NUMERIC, CATEGORICAL, NUMERIC, NUMERIC, CATEGORICAL),
             cardinalities=(None, 4, None, None, 3),
             feature_nodes=(3,),
@@ -474,7 +480,7 @@ class TestInjectNulls:
 
         cols = {f"feature_{i + 1}": np.zeros(25_000) for i in range(40)}
         types = {k: NUMERIC for k in cols}
-        table = make_table("table_0", 25_000, cols, types, kind="activity")
+        table = make_table("table_0", 25_000, cols, types)
         db = make_database([table])
         db.null_fraction = null_fraction
         return db
