@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import ConfigError, GenConfig, SeededRng, split_seed
+from .core import ConfigError, GenConfig, SeededRng, _first_repeat, split_seed
 from .fk_gen import assign_block_hierarchy, link_probabilities, sample_links, sample_matrix_stack
 from .scm_gen import NUMERIC, RelationalDatabase, generate_database
 
@@ -261,8 +261,12 @@ def diversity_report(dbs: list[tuple[str, RelationalDatabase]]) -> dict:
     report ``stats`` writes.
 
     NULL cells are excluded everywhere. Columns are matched across databases
-    by (table, column) name when numeric in both. Database ids must be unique.
+    by (table, column) name when numeric in both. A database id given twice is
+    a ``ConfigError``.
     """
+    twice = _first_repeat(db_id for db_id, _ in dbs)
+    if twice is not None:
+        raise ConfigError(f"database id {twice} is given twice; each database needs its own")
     columns = {db_id: _numeric_columns(db) for db_id, db in dbs}
     report = {
         "moments": {},  # db_id -> "table.column" -> moment dict

@@ -279,6 +279,16 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _first_repeat(items):
+    """The first of ``items`` that equals an earlier one; None if they all differ."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+    return None
+
+
 # numpy draws integers in int64, and a float range wider than the largest
 # float cannot be drawn, so every numeric point stays inside these bounds.
 _INT64_MAX = int(np.iinfo(np.int64).max)

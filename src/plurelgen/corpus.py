@@ -7,17 +7,19 @@ budget. The fan-out cap is checked only when a child row is sampled; rows
 reached through child-to-parent links are always added, so a parent row can
 end up with more referencing rows than the cap. Rows timestamped after the
 seed row are never included.
+
+``bfs_context`` walks a ``RowGraph`` that its caller builds and owns, and
+``build_corpus`` builds one per database; the module keeps no state.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ConfigError, SeededRng, format_timestamp, split_seed
+from .core import ConfigError, SeededRng, _first_repeat, format_timestamp, split_seed
 from .scm_gen import (
     CATEGORICAL,
     NUMERIC,
@@ -28,6 +30,7 @@ from .scm_gen import (
 
 __all__ = [
     "ContextExample",
+    "RowGraph",
     "bfs_context",
     "build_corpus",
     "example_to_json",
@@ -61,8 +64,8 @@ def _row_cells(table: GeneratedTable) -> int:
     return len(table.feature_names) + (1 if table.timestamps is not None else 0)
 
 
-class _DbIndex:
-    """One database's rows as one graph of integer node ids, in CSR arrays.
+class RowGraph:
+    """One database's rows as one graph of integer node ids, in CSR arrays, and its seed cells.
 
     Row ``r`` (1-based) of the ``t``-th table in ``db.table_order()`` is node
     ``start[t] + r - 1``, so nodes ascend by (table, row). Node ``g``'s parents,
@@ -72,9 +75,13 @@ class _DbIndex:
     (``-inf`` for an entity row) and ``cells[g]`` the tokens the row takes.
     Node ids are int32, since the count bounds keep a database under 2**31 rows;
     pointers are int64, since its links need not be; ``cells`` is int16.
+    Seed cells are drawn from ``feature_cells``, the (table, column) of each
+    feature column in table order, and ``feature_cum``, the cell count through each.
+    It reads ``db``'s keys and timestamps once, so a graph built after an edit follows it.
     """
 
     def __init__(self, db: RelationalDatabase):
+        self.tables = db.tables
         self.table_names = db.table_order()
         tables = [db.tables[n] for n in self.table_names]
         pos = {n: i for i, n in enumerate(self.table_names)}
@@ -102,34 +109,23 @@ class _DbIndex:
             ]
         )
         self.cells = np.repeat(np.array([_row_cells(t) for t in tables], dtype=np.int16), sizes)
+        self.feature_cells = [(n, c) for n in self.table_names for c in db.tables[n].feature_names]
+        self.feature_cum = np.cumsum(np.repeat(sizes, [len(t.feature_names) for t in tables]))
 
     def parents(self, g: int) -> list[int]:
         """Node ``g``'s parents, in foreign-key column order."""
         return self.parent_ids[self.parent_ptr[g] : self.parent_ptr[g + 1]].tolist()
 
 
-_index_cache: "weakref.WeakKeyDictionary[RelationalDatabase, _DbIndex]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _index_for(db: RelationalDatabase) -> _DbIndex:
-    idx = _index_cache.get(db)
-    if idx is None:
-        idx = _DbIndex(db)
-        _index_cache[db] = idx
-    return idx
-
-
 def bfs_context(
-    db: RelationalDatabase,
+    graph: RowGraph,
     seed_cell: tuple[str, str, int],
-    budget: int = DEFAULT_CONTEXT_LEN,
-    width: int = DEFAULT_WIDTH,
-    rng: SeededRng | None = None,
+    budget: int,
+    width: int,
+    rng: SeededRng,
     db_id: str = "db",
 ) -> ContextExample:
-    """Build one masked-cell context around ``seed_cell`` = (table, column, row).
+    """One masked-cell context of ``graph``'s database around ``seed_cell`` = (table, column, row).
 
     Child-to-parent links are always followed. Parent-to-child links are
     subsampled: a sampled child is skipped once any parent row it references
@@ -138,12 +134,10 @@ def bfs_context(
     added through a child-to-parent link can take a parent past ``width``.
     Rows timestamped after the seed row are excluded.
     """
-    if rng is None:
-        rng = SeededRng(0)
     seed_table, seed_column, seed_row = seed_cell
-    if seed_table not in db.tables:
+    if seed_table not in graph.tables:
         raise ValueError(f"unknown table {seed_table!r}")
-    table = db.tables[seed_table]
+    table = graph.tables[seed_table]
     if seed_column not in table.feature_names:
         raise ValueError(
             f"seed cell must be a feature cell, got column {seed_column!r} of {seed_table}"
@@ -155,13 +149,13 @@ def bfs_context(
     if budget < _row_cells(table):
         raise ValueError(f"budget {budget} smaller than the seed row ({_row_cells(table)} cells)")
 
-    idx = _index_for(db)
-    seed = int(idx.start[idx.table_names.index(seed_table)]) + seed_row - 1
-    nodes = np.array(_walk(idx, seed, budget, width, rng))
-    t = np.searchsorted(idx.start, nodes, side="right") - 1
-    rows = list(zip([idx.table_names[i] for i in t.tolist()], (nodes - idx.start[t] + 1).tolist()))
+    seed = int(graph.start[graph.table_names.index(seed_table)]) + seed_row - 1
+    nodes = np.array(_walk(graph, seed, budget, width, rng))
+    t = np.searchsorted(graph.start, nodes, side="right") - 1
+    names = [graph.table_names[i] for i in t.tolist()]
+    rows = list(zip(names, (nodes - graph.start[t] + 1).tolist()))
     row_of = dict(zip(nodes.tolist(), rows))
-    fk_edges = [(row_of[g], row_of[p]) for g in row_of for p in idx.parents(g) if p in row_of]
+    fk_edges = [(row_of[g], row_of[p]) for g in row_of for p in graph.parents(g) if p in row_of]
 
     return ContextExample(
         db_id=db_id,
@@ -172,17 +166,17 @@ def bfs_context(
         target_type=table.feature_types[seed_column],
         rows=rows,
         fk_edges=fk_edges,
-        n_tokens=int(idx.cells[nodes].sum()),
-        tables=db.tables,
+        n_tokens=int(graph.cells[nodes].sum()),
+        tables=graph.tables,
     )
 
 
-def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> list[int]:
+def _walk(graph: RowGraph, seed: int, budget: int, width: int, rng: SeededRng) -> list[int]:
     """Node ids in the order ``bfs_context`` admits them, up to the first that overflows ``budget``.
 
     ``nodes`` is also the queue: ``for g in nodes`` reaches the nodes appended while it runs.
     """
-    seed_ts = idx.ts[seed]
+    seed_ts = graph.ts[seed]
     nodes: list[int] = []
     visited: set[int] = set()
     child_count: dict[int, int] = {}
@@ -190,28 +184,28 @@ def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> 
 
     def admit(h: int) -> bool:
         nonlocal n_tokens
-        n_tokens += int(idx.cells[h])
+        n_tokens += int(graph.cells[h])
         if n_tokens > budget:
             return False
         visited.add(h)
         nodes.append(h)
-        for p in idx.parents(h):
+        for p in graph.parents(h):
             child_count[p] = child_count.get(p, 0) + 1
         return True
 
     admit(seed)
     for g in nodes:
         # child-to-parent links: always follow
-        for p in idx.parents(g):
-            if p not in visited and idx.ts[p] <= seed_ts and not admit(p):
+        for p in graph.parents(g):
+            if p not in visited and graph.ts[p] <= seed_ts and not admit(p):
                 return nodes
         # parent-to-child links: uniform subsample bounded by the fan-out width
         remaining = width - child_count.get(g, 0)
         if remaining <= 0:
             continue
-        kids = idx.child_ids[idx.child_ptr[g] : idx.child_ptr[g + 1]]
+        kids = graph.child_ids[graph.child_ptr[g] : graph.child_ptr[g + 1]]
         # a child that references g through two key columns is listed twice; take it once
-        kids = dict.fromkeys(kids[idx.ts[kids] <= seed_ts].tolist())
+        kids = dict.fromkeys(kids[graph.ts[kids] <= seed_ts].tolist())
         candidates = [c for c in kids if c not in visited]
         if not candidates:
             continue
@@ -221,7 +215,7 @@ def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> 
                 break
             c = candidates[i]
             # adding this child must not overflow the cap of any parent it references
-            if any(child_count.get(p, 0) >= width for p in idx.parents(c)):
+            if any(child_count.get(p, 0) >= width for p in graph.parents(c)):
                 continue
             if not admit(c):
                 return nodes
@@ -229,22 +223,14 @@ def _walk(idx: _DbIndex, seed: int, budget: int, width: int, rng: SeededRng) -> 
     return nodes
 
 
-def _feature_cell_catalog(db: RelationalDatabase) -> tuple[list[tuple[str, str]], np.ndarray]:
-    """(table, column) per feature column, in schema order, and the cell count through each."""
-    cells = [(name, col) for name in db.table_order() for col in db.tables[name].feature_names]
-    return cells, np.cumsum([db.tables[name].num_rows for name, _ in cells], dtype=np.int64)
-
-
-def _draw_seed_cell(
-    db: RelationalDatabase, cells: list[tuple[str, str]], cum: np.ndarray, rng: SeededRng
-) -> tuple[str, str, int]:
-    """Uniform non-NULL feature cell of one database, from its ``_feature_cell_catalog``."""
+def _draw_seed_cell(graph: RowGraph, rng: SeededRng) -> tuple[str, str, int]:
+    """Uniform non-NULL feature cell of ``graph``'s database."""
     for _ in range(SEED_CELL_TRIES):
-        flat = int(rng.integers(0, int(cum[-1]) - 1))
-        ci = int(np.searchsorted(cum, flat, side="right"))
-        tname, col = cells[ci]
-        row = flat - (int(cum[ci - 1]) if ci else 0) + 1
-        if not db.tables[tname].null_mask[col][row - 1]:
+        flat = int(rng.integers(0, int(graph.feature_cum[-1]) - 1))
+        ci = int(np.searchsorted(graph.feature_cum, flat, side="right"))
+        tname, col = graph.feature_cells[ci]
+        row = flat - (int(graph.feature_cum[ci - 1]) if ci else 0) + 1
+        if not graph.tables[tname].null_mask[col][row - 1]:
             return tname, col, row
     raise ConfigError("could not find a non-NULL feature cell to mask")
 
@@ -260,27 +246,29 @@ def build_corpus(
 
     Each example draws (database, seed cell) uniformly with replacement and
     runs on its own split seed, so examples are order-independent and the
-    stream is reproducible from (dbs, seed).
+    stream is reproducible from (dbs, seed). Each database has its own id and one ``RowGraph``.
     """
     if len(dbs) == 0:
         raise ConfigError("corpus construction needs at least one database")
+    twice = _first_repeat(db_id for db_id, _ in dbs)
+    if twice is not None:
+        raise ConfigError(f"database id {twice} is given twice; each database needs its own")
     if width < 0:
         raise ConfigError(f"width must be non-negative, got {width}")
     widest = max((_row_cells(t) for _, db in dbs for t in db.tables.values()), default=0)
     if budget < widest:
         raise ConfigError(f"context length {budget} cannot hold the widest row ({widest} cells)")
-    catalogs = [_feature_cell_catalog(db) for _, db in dbs]
-    for (db_id, _), (_, cum) in zip(dbs, catalogs):
-        if cum.size == 0 or cum[-1] == 0:
+    graphs = [RowGraph(db) for _, db in dbs]
+    for (db_id, _), graph in zip(dbs, graphs):
+        if not graph.feature_cum.any():
             raise ConfigError(f"database {db_id} has no feature cells")
     total = 0
     k = 0
     while total < target_tokens:
         rng = SeededRng(split_seed(seed, k))
         di = int(rng.integers(0, len(dbs) - 1))
-        db_id, db = dbs[di]
-        cell = _draw_seed_cell(db, *catalogs[di], rng)
-        example = bfs_context(db, cell, budget, width, rng, db_id=db_id)
+        cell = _draw_seed_cell(graphs[di], rng)
+        example = bfs_context(graphs[di], cell, budget, width, rng, db_id=dbs[di][0])
         total += example.n_tokens
         k += 1
         yield example

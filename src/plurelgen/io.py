@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, _is_int, _is_number, format_timestamp, write_json
+from .core import ConfigError, _first_repeat, _is_int, _is_number, format_timestamp, write_json
 from .corpus import example_to_json
 from .neural import row_blocks
 from .scm_gen import (
@@ -153,6 +153,11 @@ def _naming(path):
 
 
 _DTYPES = {"int": np.int64, TIMESTAMP: np.int64, NUMERIC: np.float64, CATEGORICAL: np.int64}
+# the dtypes a column of each role may have, and the one name of a pk and a timestamp column
+_ROLE_DTYPES = {
+    "pk": ("int",), "fk": ("int",), "feature": (NUMERIC, CATEGORICAL), TIMESTAMP: (TIMESTAMP,)
+}
+_ROLE_NAMES = {"pk": "row_idx", TIMESTAMP: TIMESTAMP}
 _NULL_TEXT = {NUMERIC: "nan", CATEGORICAL: "0"}  # what an empty (NULL) feature cell reads as
 
 
@@ -297,7 +302,11 @@ def load_database(directory) -> RelationalDatabase:
     table twice, or names a table with anything but one plain path component,
     which would read a CSV outside ``tables/``; if a table's ``num_rows`` is not
     an integer that its CSV's byte size can hold; or if its ``kind`` is not
-    ``activity`` exactly when it has a timestamp column.
+    ``activity`` exactly when it has a timestamp column. A column's role is
+    ``pk``, ``fk``, ``feature`` or ``timestamp``; the ``pk`` column is the one named
+    ``row_idx`` and the ``timestamp`` column the one named ``timestamp``; keys are
+    dtype ``int`` and a feature is ``numeric`` or ``categorical``. Each of these
+    column rules is checked before any CSV is read.
     """
     directory = Path(directory)
     schema_file = OutputLayout.schema_path(directory)
@@ -324,9 +333,11 @@ def load_database(directory) -> RelationalDatabase:
             if name in num_rows:
                 raise ConfigError(f"{schema_file}: table {name} is listed twice")
             columns = [column["name"] for column in spec["columns"]]
-            twice = [column for i, column in enumerate(columns) if column in columns[:i]]
-            if twice:
-                raise ConfigError(f"{schema_file}: table {name} lists column {twice[0]} twice")
+            twice = _first_repeat(columns)
+            if twice is not None:
+                raise ConfigError(f"{schema_file}: table {name} lists column {twice} twice")
+            for column in spec["columns"]:
+                _check_column(schema_file, name, column)
             # a row is at least a row_idx digit, a comma per other column and its line end
             path = OutputLayout.tables_dir(directory) / f"{name}.csv"
             rows, most = spec["num_rows"], path.stat().st_size // (len(columns) + 1)
@@ -358,6 +369,22 @@ def load_database(directory) -> RelationalDatabase:
         if cycle:
             raise ConfigError(f"{schema_file}: its foreign keys form a cycle, {cycle}")
     return db
+
+
+def _check_column(schema_file, table: str, column: dict) -> None:
+    """Raise a ConfigError naming the column unless ``_read_table_csv`` reads it as its role says,
+    neither dropping it nor taking it for another column."""
+    col, role, dtype = column["name"], column["role"], column["dtype"]
+    where = f"{schema_file}: column {col} of table {table}"
+    if role not in tuple(_ROLE_DTYPES):  # a tuple, so an unhashable role is rejected here too
+        raise ConfigError(f"{where} has role {role!r}, not one of {', '.join(_ROLE_DTYPES)}")
+    for fixed, named in _ROLE_NAMES.items():
+        if (role == fixed) != (col == named):
+            raise ConfigError(
+                f"{where} has role {role!r}; a column has role {fixed} exactly when named {named}"
+            )
+    if dtype not in _ROLE_DTYPES[role]:
+        raise ConfigError(f"{where} has dtype {dtype!r}, not {' or '.join(_ROLE_DTYPES[role])}")
 
 
 def _key_cycle(tables: dict[str, GeneratedTable]) -> str | None:

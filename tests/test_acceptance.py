@@ -20,8 +20,8 @@ from plurelgen.analysis import (
 from plurelgen.cli import cmd_generate
 from plurelgen.core import SeededRng, default_config, split_seed
 from plurelgen.corpus import (
+    RowGraph,
     _draw_seed_cell,
-    _feature_cell_catalog,
     bfs_context,
     example_to_json,
 )
@@ -225,15 +225,15 @@ def test_criterion_05_null_injection(db_pool):
 
 def test_criterion_06_corpus_contracts(db_pool):
     dbs = db_pool[:4]
-    catalogs = [_feature_cell_catalog(db) for db in dbs]
+    graphs = [RowGraph(db) for db in dbs]
     budget, width, n_contexts = 1024, 128, 10_000
     budget_viol = temporal_viol = fanout_viol = accounting_viol = 0
     for k in range(n_contexts):
         rng = SeededRng(split_seed(61, k))
         di = int(rng.integers(0, len(dbs) - 1))
         db = dbs[di]
-        cell = _draw_seed_cell(db, *catalogs[di], rng)
-        ex = bfs_context(db, cell, budget, width, rng)
+        cell = _draw_seed_cell(graphs[di], rng)
+        ex = bfs_context(graphs[di], cell, budget, width, rng)
         if ex.n_tokens > budget:
             budget_viol += 1
         seed_ts = row_timestamp(db, ex.seed_table, ex.seed_row)

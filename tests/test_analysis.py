@@ -15,7 +15,7 @@ from plurelgen.analysis import (
     loss_frontier,
     profile_generation,
 )
-from plurelgen.core import SeededRng
+from plurelgen.core import ConfigError, SeededRng
 from plurelgen.fk_gen import assign_block_hierarchy, sample_links
 from plurelgen.scm_gen import generate_database
 
@@ -181,6 +181,12 @@ class TestDiversity:
         b = generate_database(config, 101)
         rep = diversity_report([("a", a), ("b", b)])
         assert rep["first_numeric_ks"]["a|b"] > 0.0
+
+    def test_repeated_database_id_is_rejected(self):
+        a = make_database([make_table("t", 2, {"f": [0.0, 1.0]}, {"f": "numeric"})])
+        b = make_database([make_table("t", 2, {"f": [5.0, 7.0]}, {"f": "numeric"})])
+        with pytest.raises(ConfigError, match="database id db_0 is given twice"):
+            diversity_report([("db_0", a), ("db_0", b)])
 
     def test_report_is_json_ready(self, config):
         import json

@@ -467,6 +467,18 @@ class TestCorpusCommand:
         assert err.count("\n") == 1 and err.startswith("error: ") and "db_0" in err
         assert not out.exists()
 
+    def test_roots_that_each_hold_db_0_are_one_line(self, generated_root, tmp_path, capsys):
+        """A line's db_id names its database only if no two databases share a directory name."""
+        for i, root in enumerate(["r1", "r2"]):
+            shutil.copytree(OutputLayout(generated_root).db_dir(i), tmp_path / root / "db_0")
+        out = tmp_path / "c.jsonl"
+        for roots in (["r1", "r2"], ["r1", "r1"]):
+            argv = ["corpus", *(str(tmp_path / r) for r in roots), "--tokens", "1000"]
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: ") and "db_0" in err
+            assert not out.exists()
+
     def test_failed_corpus_keeps_the_old_file(self, generated_root, tmp_path):
         out = tmp_path / "old.jsonl"
         out.write_text("previous\n")
@@ -686,6 +698,19 @@ MALFORMED_METAS = {
 }
 
 
+# edits of one column of a NULL-free hand-built database that loading would drop or read as
+# another column: (table, column, its new schema.json fields, the table's new kind or None);
+# a new name is also written to the CSV header
+MISREAD_COLUMNS = {
+    "unknown role": ("parent", "feature_1", {"role": "weird"}, None),
+    "timestamp column renamed": ("child", "timestamp", {"name": "ts"}, "entity"),
+    "feature named timestamp": ("parent", "feature_1", {"name": "timestamp"}, "activity"),
+    "feature of dtype int": ("parent", "feature_1", {"dtype": "int"}, None),
+    "key of dtype numeric": ("child", "foreign_row_1", {"dtype": "numeric"}, None),
+    "pk column renamed": ("parent", "row_idx", {"name": "idx"}, None),
+}
+
+
 def _load_command(command, db_dir, tmp_path):
     if command == "corpus":
         return ["corpus", str(db_dir), "--tokens", "1000", "--out", str(tmp_path / "c.jsonl")]
@@ -789,6 +814,32 @@ class TestMalformedDatabase:
         (OutputLayout.tables_dir(tmp_path / "db") / "table_0.csv").write_text(csv_text)
         argv = _load_command(command, tmp_path / "db", tmp_path)
         self._rejected(argv, capsys, "schema.json", "table_0", "feature_1")
+
+    @pytest.mark.parametrize("command", ["corpus", "stats"])
+    @pytest.mark.parametrize("fault", list(MISREAD_COLUMNS))
+    def test_column_loading_would_drop_or_misread(self, tmp_path, capsys, command, fault):
+        table, column, fields, kind = MISREAD_COLUMNS[fault]
+        parent = make_table("parent", 2, {"feature_1": [1.5, 2.5]}, {"feature_1": "numeric"})
+        child = make_table(
+            "child", 2, {"feature_1": [3.5, 4.5]}, {"feature_1": "numeric"},
+            fk={"foreign_row_1": [2, 1]}, fk_targets={"foreign_row_1": "parent"},
+            timestamps=[100, 200],
+        )
+        db_dir = tmp_path / "db"
+        save_database(make_database([parent, child]), db_dir)
+        path = OutputLayout.schema_path(db_dir)
+        schema = json.loads(path.read_text())
+        spec = next(spec for spec in schema["tables"] if spec["name"] == table)
+        next(c for c in spec["columns"] if c["name"] == column).update(fields)
+        spec["kind"] = kind or spec["kind"]
+        path.write_text(json.dumps(schema))
+        named = fields.get("name", column)
+        csv_path = OutputLayout.tables_dir(db_dir) / f"{table}.csv"
+        header, rows = csv_path.read_text().split("\n", 1)
+        header = ",".join(named if name == column else name for name in header.split(","))
+        csv_path.write_text(header + "\n" + rows)
+        argv = _load_command(command, db_dir, tmp_path)
+        self._rejected(argv, capsys, "schema.json", f"column {named} of table {table}")
 
 
 class TestFitCommand:

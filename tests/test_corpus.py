@@ -3,10 +3,11 @@ from collections import deque
 import pytest
 
 from conftest import make_database, make_table, row_timestamp
+from plurelgen import corpus
 from plurelgen.core import ConfigError, SeededRng, split_seed
 from plurelgen.corpus import (
+    RowGraph,
     _draw_seed_cell,
-    _feature_cell_catalog,
     bfs_context,
     build_corpus,
     example_to_json,
@@ -44,7 +45,7 @@ class TestBfsContext:
             {"feature_1": "numeric", "feature_2": "numeric"},
         )
         db = make_database([table])
-        ex = bfs_context(db, ("solo", "feature_1", 2), 100, 8, SeededRng(0))
+        ex = bfs_context(RowGraph(db), ("solo", "feature_1", 2), 100, 8, SeededRng(0))
         assert ex.rows == [("solo", 2)]
         assert ex.n_tokens == 2
         assert ex.target_value == 2.0
@@ -58,28 +59,28 @@ class TestBfsContext:
         )
         db = make_database([parent, child])
         cell = ("parent", "feature_1", 1)
-        ex = bfs_context(db, cell, 100, 8, SeededRng(0))
+        ex = bfs_context(RowGraph(db), cell, 100, 8, SeededRng(0))
         assert ex.rows == [("parent", 1), ("child", 1)]
         assert ex.n_tokens == 2
         assert ex.rows == _reference_context(db, cell, 100, 8, SeededRng(0))[0]
 
     def test_fan_out_width_one(self):
         db = _toy_db(child_rows=5)
-        ex = bfs_context(db, ("parent", "feature_1", 1), 1000, 1, SeededRng(3))
+        ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 1000, 1, SeededRng(3))
         child_rows = [r for t, r in ex.rows if t == "child"]
         assert len(child_rows) == 1
 
     def test_fan_out_bound_across_widths(self):
         db = _toy_db(child_rows=20)
         for w in (1, 2, 7, 20):
-            ex = bfs_context(db, ("parent", "feature_1", 1), 1000, w, SeededRng(w))
+            ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 1000, w, SeededRng(w))
             child_rows = [r for t, r in ex.rows if t == "child"]
             assert len(child_rows) == min(w, 20)
 
     def test_temporal_exclusion(self):
         # child rows 4 and 5 are timestamped after child row 3 (the seed)
         db = _toy_db(child_rows=5, child_ts=[100, 200, 300, 400, 500])
-        ex = bfs_context(db, ("child", "feature_1", 3), 1000, 128, SeededRng(1))
+        ex = bfs_context(RowGraph(db), ("child", "feature_1", 3), 1000, 128, SeededRng(1))
         rows = set(ex.rows)
         assert ("child", 4) not in rows and ("child", 5) not in rows
         assert ("parent", 1) in rows  # F->P always followed
@@ -88,18 +89,18 @@ class TestBfsContext:
     def test_entity_seed_excludes_timestamped_rows(self):
         # entity rows carry no timestamp: seeding there admits only entities
         db = _toy_db(child_rows=5, child_ts=[100, 200, 300, 400, 500])
-        ex = bfs_context(db, ("parent", "feature_1", 1), 1000, 128, SeededRng(2))
+        ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 1000, 128, SeededRng(2))
         assert all(t == "parent" for t, _ in ex.rows)
 
     def test_budget_never_exceeded(self):
         db = _toy_db(child_rows=50)
         for budget in (3, 4, 7, 10, 23):
-            ex = bfs_context(db, ("parent", "feature_1", 1), budget, 128, SeededRng(5))
+            ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), budget, 128, SeededRng(5))
             assert ex.n_tokens <= budget
 
     def test_rows_added_whole(self):
         db = _toy_db(child_rows=50)
-        ex = bfs_context(db, ("parent", "feature_1", 1), 10, 128, SeededRng(5))
+        ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 10, 128, SeededRng(5))
         # parent rows have 2 cells, child rows 1: all rows complete
         cells = {("parent", r): 0 for t, r in ex.rows if t == "parent"}
         cells.update({("child", r): 0 for t, r in ex.rows if t == "child"})
@@ -110,7 +111,7 @@ class TestBfsContext:
 
     def test_masked_target_hidden_and_stored(self):
         db = _toy_db()
-        ex = bfs_context(db, ("parent", "feature_1", 1), 100, 4, SeededRng(6))
+        ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 100, 4, SeededRng(6))
         masked = [t for t in example_to_json(ex)["tokens"] if t["masked"]]
         assert len(masked) == 1
         tok = masked[0]
@@ -119,37 +120,75 @@ class TestBfsContext:
         assert ex.target_value == 1.5 and ex.target_type == "numeric"
 
     def test_seed_validation(self):
-        db = _toy_db()
+        graph = RowGraph(_toy_db())
         with pytest.raises(ValueError):
-            bfs_context(db, ("child", "foreign_row_1", 1), 100, 4, SeededRng(0))
+            bfs_context(graph, ("child", "foreign_row_1", 1), 100, 4, SeededRng(0))
         with pytest.raises(ValueError):
-            bfs_context(db, ("nope", "feature_1", 1), 100, 4, SeededRng(0))
+            bfs_context(graph, ("nope", "feature_1", 1), 100, 4, SeededRng(0))
         with pytest.raises(ValueError):
-            bfs_context(db, ("child", "feature_1", 99), 100, 4, SeededRng(0))
+            bfs_context(graph, ("child", "feature_1", 99), 100, 4, SeededRng(0))
         with pytest.raises(ValueError):
-            bfs_context(db, ("parent", "feature_1", 1), 1, 4, SeededRng(0))
+            bfs_context(graph, ("parent", "feature_1", 1), 1, 4, SeededRng(0))
 
     def test_null_seed_rejected(self):
         db = _toy_db()
         db.tables["parent"].null_mask["feature_1"][0] = True
         with pytest.raises(ValueError):
-            bfs_context(db, ("parent", "feature_1", 1), 100, 4, SeededRng(0))
+            bfs_context(RowGraph(db), ("parent", "feature_1", 1), 100, 4, SeededRng(0))
 
     def test_null_cells_tokenized_as_null(self):
         db = _toy_db()
         db.tables["child"].null_mask["feature_1"][0] = True
-        ex = bfs_context(db, ("parent", "feature_1", 1), 100, 128, SeededRng(7))
+        ex = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 100, 128, SeededRng(7))
         null_toks = [t for t in example_to_json(ex)["tokens"] if t["t"] == "child" and t["r"] == 1]
         assert len(null_toks) == 1 and null_toks[0]["v"] is None and not null_toks[0]["masked"]
 
     def test_deterministic_given_rng(self):
         db = _toy_db(child_rows=30)
-        a = bfs_context(db, ("parent", "feature_1", 1), 20, 4, SeededRng(8))
-        b = bfs_context(db, ("parent", "feature_1", 1), 20, 4, SeededRng(8))
+        a = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 20, 4, SeededRng(8))
+        b = bfs_context(RowGraph(db), ("parent", "feature_1", 1), 20, 4, SeededRng(8))
         assert example_to_json(a) == example_to_json(b) and a.rows == b.rows
 
 
+class TestRowGraph:
+    def test_graph_built_after_a_key_edit_follows_the_edited_key(self):
+        db = _toy_db(child_rows=1)
+        before = RowGraph(db)
+        db.tables["child"].fk_columns["foreign_row_1"][0] = 2
+        after = RowGraph(db)
+        cell = ("child", "feature_1", 1)
+        assert bfs_context(after, cell, 100, 8, SeededRng(0)).rows == [("child", 1), ("parent", 2)]
+        # a graph holds the links of the keys it was built from
+        assert bfs_context(before, cell, 100, 8, SeededRng(0)).rows == [("child", 1), ("parent", 1)]
+
+    def test_feature_cells_in_table_order(self):
+        graph = RowGraph(_toy_db(child_rows=5))
+        assert graph.feature_cells == [
+            ("parent", "feature_1"), ("parent", "feature_2"), ("child", "feature_1")
+        ]
+        assert graph.feature_cum.tolist() == [2, 4, 9]
+
+    def test_build_corpus_builds_one_graph_per_database(self, monkeypatch):
+        built = []
+
+        class Counted(RowGraph):
+            def __init__(self, db):
+                built.append(db)
+                super().__init__(db)
+
+        monkeypatch.setattr(corpus, "RowGraph", Counted)
+        dbs = [("a", _toy_db(child_rows=4)), ("b", _toy_db(child_rows=6))]
+        examples = list(build_corpus(dbs, 200, budget=16, width=2, seed=3))
+        assert {ex.db_id for ex in examples} == {"a", "b"}
+        assert [id(db) for db in built] == [id(db) for _, db in dbs]
+
+
 class TestBuildCorpus:
+    def test_repeated_database_id_is_rejected(self):
+        dbs = [("db_0", _toy_db()), ("db_1", _toy_db()), ("db_0", _toy_db(child_rows=3))]
+        with pytest.raises(ConfigError, match="database id db_0 is given twice"):
+            next(build_corpus(dbs, 100, seed=0))
+
     def test_zero_target_empty_stream(self):
         db = _toy_db()
         assert list(build_corpus([("d", db)], 0, seed=1)) == []
@@ -298,13 +337,13 @@ class TestReferenceTraversal:
     @pytest.mark.parametrize("budget", [64, 1024])
     @pytest.mark.parametrize("width", [1, 2, 4, 128])
     def test_build_corpus_matches_reference(self, dbs, width, budget):
-        catalogs = [_feature_cell_catalog(db) for _, db in dbs]
+        graphs = [RowGraph(db) for _, db in dbs]
         examples = list(build_corpus(dbs, 40 * budget, budget, width, seed=width))
         for k, ex in enumerate(examples):
             rng = SeededRng(split_seed(width, k))  # the draws build_corpus made before its BFS
             di = int(rng.integers(0, len(dbs) - 1))
             db = dbs[di][1]
-            cell = _draw_seed_cell(db, *catalogs[di], rng)
+            cell = _draw_seed_cell(graphs[di], rng)
             assert (ex.db_id, ex.seed_table, ex.seed_column, ex.seed_row) == (dbs[di][0], *cell)
             rows, fk_edges, n_tokens = _reference_context(db, cell, budget, width, rng)
             assert (ex.rows, ex.fk_edges, ex.n_tokens) == (rows, fk_edges, n_tokens)
@@ -314,7 +353,8 @@ class TestReferenceTraversal:
 class TestExampleJson:
     def test_field_shapes_and_value_encodings(self):
         db = _toy_db(child_rows=5, child_ts=[100, 200, 300, 400, 500])
-        ex = bfs_context(db, ("child", "feature_1", 5), 1000, 128, SeededRng(9), db_id="db_7")
+        graph = RowGraph(db)
+        ex = bfs_context(graph, ("child", "feature_1", 5), 1000, 128, SeededRng(9), db_id="db_7")
         doc = example_to_json(ex)
         assert doc["db_id"] == "db_7"
         assert doc["seed"] == {"table": "child", "column": "feature_1", "row": 5}
@@ -334,7 +374,7 @@ class TestExampleJson:
 
     def test_numeric_strings_round_trip(self):
         db = _toy_db()
-        ex = bfs_context(db, ("child", "feature_1", 3), 100, 4, SeededRng(10))
+        ex = bfs_context(RowGraph(db), ("child", "feature_1", 3), 100, 4, SeededRng(10))
         doc = example_to_json(ex)
         numeric = [t for t in doc["tokens"] if t["type"] == "numeric" and t["v"] is not None]
         assert numeric

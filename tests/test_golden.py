@@ -23,7 +23,7 @@ import pytest
 import plurelgen
 from conftest import feature_ancestors, generation_plan, make_database, make_table
 from plurelgen.core import PriorSpec, SeededRng, default_config, save_config, split_seed
-from plurelgen.corpus import bfs_context, example_to_json
+from plurelgen.corpus import RowGraph, bfs_context, example_to_json
 from plurelgen.io import write_table_csv
 from plurelgen.neural import init_embedding, init_mlp, mlp_forward
 from plurelgen.schema_gen import topological_order
@@ -312,7 +312,8 @@ def test_year_500_timestamp_has_one_spelling(tmp_path):
     path = tmp_path / "t.csv"
     write_table_csv(table, path)
     csv_stamp = path.read_text().splitlines()[1].split(",")[-1]
-    example = bfs_context(make_database([table]), ("t", "feature_1", 1))
+    graph = RowGraph(make_database([table]))
+    example = bfs_context(graph, ("t", "feature_1", 1), 1024, 128, SeededRng(0))
     corpus_stamps = [
         tok["v"] for tok in example_to_json(example)["tokens"] if tok["type"] == "timestamp"
     ]
